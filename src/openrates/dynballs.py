@@ -189,8 +189,9 @@ def triangle_check(singularity_distance, n_triples: int, eps: float,
     if rng is None:
         rng = np.random.default_rng(3)
 
-    def g(x):
-        return min(eps, singularity_distance(x)) / 3.0
+    def dist_s(pts):
+        # the callable is scalar: one call per point, each point once
+        return np.array([singularity_distance(v) for v in pts])
 
     violations = 0
     proof_violations = 0
@@ -200,20 +201,21 @@ def triangle_check(singularity_distance, n_triples: int, eps: float,
         if adversarial:
             # concentrate x near the singularity set
             x = (rng.random(batch) ** 3) * eps * 3.0
-            x = np.array([min(max(v, 1e-9), 1 - 1e-9) for v in x])
+            x = np.clip(x, 1e-9, 1 - 1e-9)
         else:
             x = rng.random(batch)
-        gx = np.array([g(v) for v in x])
+        ds_x = dist_s(x)
+        gx = np.minimum(eps, ds_x) / 3.0
         z = x + rng.uniform(-1.0, 1.0, batch) * gx
         # propose y near z, accept if within g(y) of z
         prop = z + rng.uniform(-1.0, 1.0, batch) * 2.0 * gx
-        gy = np.array([g(v) for v in prop])
+        ds_y = dist_s(prop)
+        gy = np.minimum(eps, ds_y) / 3.0
         ok = np.abs(prop - z) <= gy
         x, z, y, gx = x[ok], z[ok], prop[ok], gx[ok]
+        ds_x, ds_y = ds_x[ok], ds_y[ok]
         produced += len(x)
         violations += int(np.count_nonzero(np.abs(x - y) > 3.0 * gx + 1e-15))
-        ds_x = np.array([singularity_distance(v) for v in x])
-        ds_y = np.array([singularity_distance(v) for v in y])
         proof_violations += int(np.count_nonzero(ds_y > 2.0 * ds_x + 1e-15))
     return {"triples": produced, "violations": violations,
             "proof_violations": proof_violations}

@@ -44,7 +44,7 @@ class InvariantMeasureRep:
             if self.stationary is None:
                 self.stationary = stationary_vector(P)
             err = np.max(np.abs(self.stationary @ P - self.stationary))
-            if err > 1e-12:
+            if not err <= 1e-12:   # a NaN residual fails too
                 raise ValueError(f"stationary vector residual {err:.2e}")
 
     def draw(self, rng, size, sys: Optional[OpenSystem] = None):
@@ -68,12 +68,15 @@ class PressureReport:
     class_flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.entropy >= -1e-12, "entropy must be nonnegative"
+        # explicit raises: these invariants must survive python -O
+        if not self.entropy >= -1e-12:
+            raise AssertionError("entropy must be nonnegative")
         # Ruelle inequality, with slack for sampled entropies
         slack = 3 * self.entropy_stderr + 1e-9
-        assert self.entropy <= self.lyapunov_sum + slack, (
-            f"Ruelle inequality violated: h={self.entropy} > "
-            f"lambda+={self.lyapunov_sum}")
+        if not self.entropy <= self.lyapunov_sum + slack:
+            raise AssertionError(
+                f"Ruelle inequality violated: h={self.entropy} > "
+                f"lambda+={self.lyapunov_sum}")
 
 
 def stationary_vector(P: np.ndarray) -> np.ndarray:
@@ -159,15 +162,15 @@ def entropy_brin_katok(sys: OpenSystem, samples: np.ndarray,
     for eps in eps_list:
         slopes = []
         for ci in center_idx:
-            close = np.ones(nsamp, dtype=bool)
-            close[ci] = False   # leave-one-out
+            # indices still inside the ball; leave-one-out drops the center
+            close = np.delete(np.arange(nsamp), ci)
             counts = []
             for i in range(n_max + 1):
                 g = min(eps, float(np.atleast_1d(
                     _g_hat(sys, orbits[i, ci], eps))[0]))
-                d = torus_dist(orbits[i], orbits[i, ci], dim)
-                close &= d < g
-                counts.append(int(np.count_nonzero(close)))
+                d = torus_dist(orbits[i, close], orbits[i, ci], dim)
+                close = close[d < g]
+                counts.append(len(close))
                 if counts[-1] < min_count:
                     break
             ns = np.arange(len(counts))
@@ -205,24 +208,29 @@ def lyapunov_sum(sys: OpenSystem, rep: InvariantMeasureRep, n: int = 50,
         rng = np.random.default_rng(7)
     pts = rep.draw(rng, orbit_samples, sys)
     dim = sys.map.dimension
+    # all orbits advance together, one stacked QR per step; evaluate and
+    # derivative stay per point so every orbit is computed as on its own
+    cur = list(np.atleast_1d(pts))
+    live = np.arange(len(cur))
+    acc = np.zeros((len(cur), dim))
+    Q = np.broadcast_to(np.eye(dim), (len(cur), dim, dim))
+    for _ in range(n):
+        # singularity-proximity: drop the orbit
+        near = [sys.map.singularity_distance(cur[j]) <= 1e-9 for j in live]
+        if any(near):
+            keep = ~np.array(near)
+            live, Q = live[keep], Q[keep]
+        if len(live) == 0:
+            break
+        D = np.array([sys.map.derivative(cur[j]) for j in live])
+        Q, R = np.linalg.qr(D @ Q)
+        acc[live] += np.log(np.abs(np.diagonal(R, axis1=1, axis2=2)))
+        for j in live:
+            cur[j] = sys.map.evaluate(cur[j])
     vals = []
-    for x in np.atleast_1d(pts) if dim == 1 else pts:
-        acc = np.zeros(dim)
-        Q = np.eye(dim)
-        cur = x
-        ok = True
-        for _ in range(n):
-            sd = sys.map.singularity_distance(cur)
-            if sd <= 1e-9:
-                ok = False   # singularity-proximity: drop the orbit
-                break
-            D = sys.map.derivative(cur)
-            Q, R = np.linalg.qr(D @ Q)
-            acc += np.log(np.abs(np.diag(R)))
-            cur = sys.map.evaluate(cur)
-        if ok:
-            exps = acc / n
-            vals.append(float(np.sum(exps[exps > 0])))
+    for j in live:
+        exps = acc[j] / n
+        vals.append(float(np.sum(exps[exps > 0])))
     if not vals:
         raise RuntimeError("all orbits hit the singularity guard band")
     vals = np.array(vals)
@@ -283,7 +291,7 @@ def class_membership(sys: OpenSystem, rep: InvariantMeasureRep,
                 flags["G_S"] = {"status": "pass", "fit": fit}
 
     if "G_H" in targets:
-        bd = np.array([sys.hole.boundary_distance(p) for p in pts])
+        bd = sys.hole.boundary_distance_many(pts)
         mass = np.array([(bd < e).mean() for e in eps_grid])
         fit = _power_law_fit(eps_grid, mass)
         if np.all(mass == 0):
@@ -300,17 +308,20 @@ def class_membership(sys: OpenSystem, rep: InvariantMeasureRep,
                                             orbit_samples=50, rng=rng)[0],
                                1e-3)
         nsub = min(2000, len(pts))
-        sub_pts = pts[:nsub]
+        # one orbit pass serves every eps
+        cur = pts[:nsub]
+        dist_h, in_h = [], []
+        for _ in range(horizon + 1):
+            dist_h.append(sys.hole.boundary_distance_many(cur))
+            in_h.append(sys.hole.in_hole_many(cur))
+            cur = sys.map.step_many(cur)
+        outside = ~np.array(in_h)
+        dist_h = np.array(dist_h)
         fracs = []
         for eps in (1e-2, 3e-3, 1e-3):
-            good = np.ones(nsub, dtype=bool)
-            cur = sub_pts.copy()
-            for i in range(horizon + 1):
-                dist_h = np.array([sys.hole.boundary_distance(p)
-                                   for p in cur])
-                in_h = sys.hole.in_hole_many(cur)
-                good &= (~in_h) & (dist_h >= eps * math.exp(-gamma * i))
-                cur = sys.map.step_many(cur)
+            radii = np.array([eps * math.exp(-gamma * i)
+                              for i in range(horizon + 1)])
+            good = np.all(outside & (dist_h >= radii[:, None]), axis=0)
             fracs.append((eps, float(good.mean())))
         sub["E_eps_gamma"] = fracs
         # Lemma-4.1-style diagnostic: fraction must grow toward 1 as eps

@@ -203,11 +203,14 @@ class HoleSpec:
 
     Boundary convention: points exactly on the boundary count as *not* in the
     hole, so estimators are stable under floating-point ties.
+    ``boundary_distance_many`` maps an array of points to the array of their
+    ``boundary_distance`` values, bit for bit.
     """
 
     kind: str
     contains: Callable
     boundary_distance: Callable
+    boundary_distance_many: Callable
     meta: dict = field(default_factory=dict)
     contains_many: Optional[Callable] = None
 
@@ -235,12 +238,17 @@ def _interval_hole(intervals, kind, extra_meta=None):
     def boundary_distance(x):
         return float(np.min(torus_dist_1d(x, endpoints)))
 
+    def boundary_distance_many(xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.min(torus_dist_1d(xs[:, None], endpoints[None, :]), axis=1)
+
     meta = {"intervals": merged}
     if extra_meta:
         meta.update(extra_meta)
     return HoleSpec(kind=kind, contains=contains,
                     boundary_distance=boundary_distance, meta=meta,
-                    contains_many=contains_many)
+                    contains_many=contains_many,
+                    boundary_distance_many=boundary_distance_many)
 
 
 def cylinder_union_hole(base: int, level: int, words) -> HoleSpec:
@@ -259,11 +267,12 @@ def interval_union_hole(intervals) -> HoleSpec:
                           "interval_union")
 
 
-def region_2d_hole(predicate, boundary_distance, meta=None,
-                   predicate_many=None) -> HoleSpec:
+def region_2d_hole(predicate, boundary_distance, boundary_distance_many,
+                   meta=None, predicate_many=None) -> HoleSpec:
     return HoleSpec(kind="region_2d", contains=predicate,
                     boundary_distance=boundary_distance,
-                    meta=meta or {}, contains_many=predicate_many)
+                    meta=meta or {}, contains_many=predicate_many,
+                    boundary_distance_many=boundary_distance_many)
 
 
 def ball_hole_2d(center, radius) -> HoleSpec:
@@ -280,7 +289,10 @@ def ball_hole_2d(center, radius) -> HoleSpec:
     def boundary_distance(p):
         return abs(float(torus_dist_2d(p, c)) - r)
 
-    return region_2d_hole(contains, boundary_distance,
+    def boundary_distance_many(ps):
+        return np.abs(torus_dist_2d(np.asarray(ps), c[None, :]) - r)
+
+    return region_2d_hole(contains, boundary_distance, boundary_distance_many,
                           meta={"shape": "ball", "center": tuple(c), "radius": r},
                           predicate_many=contains_many)
 
@@ -291,7 +303,8 @@ def empty_hole(dimension: int = 1) -> HoleSpec:
                     contains=lambda p: False,
                     boundary_distance=lambda p: INF,
                     meta={"empty": True, "intervals": []},
-                    contains_many=contains_many)
+                    contains_many=contains_many,
+                    boundary_distance_many=lambda ps: np.full(len(ps), INF))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +390,8 @@ def markov_words(sys: OpenSystem, k: int, n: int, count_only: bool = False):
     """Surviving symbolic n-words for a Markov map with a cylinder-union hole.
 
     A word survives iff none of its length-k factors is a hole word.  With
-    ``count_only`` the cardinality is computed via transfer-matrix powers.
+    ``count_only`` the count is an exact integer from a dynamic program over
+    (k-1)-grams.
     """
     m = _check_markov_words_pre(sys, k)
     if n < k:
@@ -406,22 +420,26 @@ def markov_words(sys: OpenSystem, k: int, n: int, count_only: bool = False):
 
 
 def _count_words(A, states, m, k, n, forbidden):
-    """Count surviving n-words by dynamic programming over (k-1)-grams."""
+    """Count surviving n-words by dynamic programming over (k-1)-grams.
+
+    Counts are Python ints, so they stay exact beyond 2**53."""
     if k == 1:
         # states are allowed single symbols; every transition allowed
         return len(states) ** n if states else 0
     index = {s: i for i, s in enumerate(states)}
     # seed: allowed k-words contribute a count of 1 at their suffix gram
-    v = np.zeros(len(states), dtype=float)
+    v = [0] * len(states)
     for w in itertools.product(range(m), repeat=k):
         if w in forbidden:
             continue
         suf = w[1:]
         if suf in index and w[:-1] in index:
-            v[index[suf]] += 1.0
+            v[index[suf]] += 1
+    predecessors = [np.flatnonzero(A[:, j]).tolist()
+                    for j in range(len(states))]
     for _ in range(n - k):
-        v = A.T @ v
-    return int(round(float(np.sum(v))))
+        v = [sum(map(v.__getitem__, pred)) for pred in predecessors]
+    return sum(v)
 
 
 def survivor_transition_matrix(sys: OpenSystem, k: int):
@@ -481,6 +499,10 @@ def parry_chain(sys: OpenSystem, k: int):
     v = np.abs(np.real(levecs[:, kl]))
     pi = v * u
     pi = pi / pi.sum()
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(pi))):
+        raise HoleKindError(
+            "survivor subshift has no Parry chain with finite entries "
+            "(its Perron vector vanishes on some state)")
     return states, P, pi
 
 

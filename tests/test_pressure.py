@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,35 @@ def test_negative_entropy_raises():
     with pytest.raises(AssertionError):
         P.PressureReport(name="x", entropy=-0.1, lyapunov_sum=0.5,
                          pressure=-0.6, rho=0.0, gap=0.6)
+
+
+def test_invariants_survive_optimized_mode():
+    # python -O strips assert statements; the report must still refuse
+    src = str(Path(P.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("assert False, 'not running under -O'\n"
+            "from openrates.pressure import PressureReport\n"
+            "for h in (1.0, -0.1):\n"
+            "    try:\n"
+            "        PressureReport(name='x', entropy=h, lyapunov_sum=0.5,\n"
+            "                       pressure=h - 0.5, rho=0.0, gap=0.5)\n"
+            "    except AssertionError as e:\n"
+            "        print('raised:', e)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("raised: Ruelle inequality violated")
+    assert lines[1] == "raised: entropy must be nonnegative"
+
+
+def test_invariant_rep_rejects_nan_residual():
+    Pm = np.array([[1.0, 0.0], [np.nan, np.nan]])
+    with pytest.raises(ValueError, match="residual"):
+        P.InvariantMeasureRep(kind="markov_chain", transition=Pm,
+                              stationary=np.array([1.0, 0.0]))
 
 
 def test_brin_katok_closed_doubling(rng):

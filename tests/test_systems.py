@@ -95,6 +95,54 @@ def test_hole_contains_many_matches_scalar(x):
     assert bool(h.in_hole_many(np.array([x]))[0]) == h.contains(x)
 
 
+_BOUNDARY_HOLES_1D = [
+    S.cylinder_union_hole(2, 2, [(1, 1), (0, 1)]),
+    S.cylinder_union_hole(3, 2, [(0, 0), (2, 2), (1, 0)]),   # ends at 0 and 1
+    S.interval_union_hole([(0.0, 0.1), (0.95, 1.0), (0.3, 0.35)]),
+    S.interval_union_hole([(0.2, 0.4), (0.4, 0.5)]),
+    S.empty_hole(1),
+]
+_BOUNDARY_HOLES_2D = [
+    S.ball_hole_2d((0.0, 0.0), 0.1),      # straddles both seams
+    S.ball_hole_2d((0.98, 0.5), 0.07),
+    S.ball_hole_2d((0.25, 0.75), 0.1),
+    S.empty_hole(2),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=8))
+def test_boundary_distance_many_matches_scalar_1d(xs):
+    xs = np.array(xs)
+    for h in _BOUNDARY_HOLES_1D:
+        many = h.boundary_distance_many(xs)
+        assert many.shape == xs.shape
+        assert all(a == h.boundary_distance(x) for a, x in zip(many, xs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                          st.floats(0, 1, exclude_max=True)),
+                min_size=1, max_size=8))
+def test_boundary_distance_many_matches_scalar_2d(ps):
+    ps = np.array(ps)
+    for h in _BOUNDARY_HOLES_2D:
+        many = h.boundary_distance_many(ps)
+        assert many.shape == (len(ps),)
+        assert all(a == h.boundary_distance(p) for a, p in zip(many, ps))
+
+
+def test_boundary_distance_many_at_endpoints():
+    h = _BOUNDARY_HOLES_1D[1]
+    ends = np.array([0.0, 1 / 9, 2 / 9, 1 / 3, 8 / 9, np.nextafter(1.0, 0.0)])
+    assert list(h.boundary_distance_many(ends)) == \
+        [h.boundary_distance(x) for x in ends]
+    seam = _BOUNDARY_HOLES_2D[0]
+    ps = np.array([[0.0, 0.1], [0.9, 0.0], [0.999, 0.001], [0.05, 0.95]])
+    assert list(seam.boundary_distance_many(ps)) == \
+        [seam.boundary_distance(p) for p in ps]
+
+
 def test_ball_hole_2d():
     h = S.ball_hole_2d((0.5, 0.5), 0.1)
     assert h.contains(np.array([0.55, 0.5]))
@@ -136,6 +184,27 @@ def test_word_counts_fibonacci(golden_system, n):
     b = S.markov_words(golden_system, 2, n - 1, count_only=True)
     c = S.markov_words(golden_system, 2, n - 2, count_only=True)
     assert a == b + c
+
+
+def test_word_count_matches_recurrence():
+    # words avoiding "33" over 7 symbols: a_n = 6 a_{n-1} + 6 a_{n-2};
+    # a float64 count is off at n = 40
+    sys_obj = S.OpenSystem(S.adic_map(7), S.cylinder_union_hole(7, 2, [(3, 3)]))
+    a = [1, 7]
+    for _ in range(2, 61):
+        a.append(6 * a[-1] + 6 * a[-2])
+    assert a[40] == 3110823497873238621173755853930496
+    for n in (2, 3, 20, 40, 60):
+        assert S.markov_words(sys_obj, 2, n, count_only=True) == a[n]
+
+
+def test_parry_chain_rejects_vanishing_perron_vector():
+    # hole {01, 10}: the survivor subshift is two fixed points that never
+    # connect, and the Perron vector is zero on one of them
+    sys_obj = S.OpenSystem(S.doubling_map(),
+                           S.cylinder_union_hole(2, 2, [(0, 1), (1, 0)]))
+    with pytest.raises(S.HoleKindError, match="finite"):
+        S.parry_chain(sys_obj, 2)
 
 
 def test_survivor_transition_matrix(golden_system):
