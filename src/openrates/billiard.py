@@ -19,8 +19,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .escape import (EscapeEstimate, InsufficientSurvivorsError, MC_SHARDS,
-                     _fit_window, default_window)
+from .escape import (EscapeEstimate, InsufficientSurvivorsError,
+                     sharded_mc_estimates)
 
 TANGENT_GUARD = 1e-9        # |cos theta| below this flags a grazing collision
 _COPY_RANGE = 2             # search copies at offsets -2..2 (flights < 1.5)
@@ -51,11 +51,6 @@ class BilliardTable:
     @property
     def n_scatterers(self) -> int:
         return len(self.radii)
-
-    def boundary_point(self, sid, phi):
-        c = self.centers[sid]
-        r = self.radii[sid]
-        return c + r * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
 def _check_disjoint(centers, radii, clearance=1e-3):
@@ -134,10 +129,6 @@ class CollisionState:
     scatterer: int
     phi: float          # boundary angle of the collision point
     theta: float        # outgoing angle from the outward normal, (-pi/2, pi/2)
-
-    def arc_position(self, table: BilliardTable) -> float:
-        return float(self.phi % (2 * math.pi)) * float(
-            table.radii[self.scatterer])
 
 
 @dataclass(frozen=True)
@@ -235,11 +226,6 @@ def collision_map(table: BilliardTable,
     return CollisionState(int(sid2[0]), float(phi2[0]), float(theta2[0])), rec
 
 
-def reverse_state(s: CollisionState) -> CollisionState:
-    """Velocity-reversal involution I; I . T^n . I = T^{-n}."""
-    return CollisionState(s.scatterer, s.phi, -s.theta)
-
-
 # ---------------------------------------------------------------------------
 # holes
 
@@ -284,14 +270,6 @@ class BilliardHole:
         dphi = np.abs((phi - self.arc_center + math.pi) % (2 * math.pi)
                       - math.pi)
         return (sid == self.scatterer) & (dphi < self.arc_halfwidth)
-
-    def hit_flight(self, start, direction, length):
-        """Mask of flight segments crossing a disk hole (any periodic copy)."""
-        if self.kind != "disk":
-            return np.zeros(len(start), dtype=bool)
-        d = _segment_center_distance(start, direction, length,
-                                     np.array(self.center))
-        return d < self.radius
 
 
 def _disk_copy_centers(center: np.ndarray) -> np.ndarray:
@@ -342,72 +320,40 @@ def nested_disk_holes(table: BilliardTable, center, radii: Sequence[float]):
 
 def billiard_escape_multi(table: BilliardTable, holes: Sequence[BilliardHole],
                           samples: int, n_max: int, seed: int,
-                          window: Optional[Tuple[int, int]] = None,
-                          workers: int = 1):
+                          window: Optional[Tuple[int, int]] = None):
     """Escape estimates for several holes evaluated on shared trajectories.
 
     All holes see the same closed-system collision sequences, so for nested
     holes the monotonicity rho(small) >= rho(large) holds pathwise, not just
-    statistically.  Sharded over fixed seeded streams; worker count never
-    affects the result.
+    statistically.
     """
-    del workers
     for h in holes:
         h.validate(table)
-    if window is None:
-        window = default_window(n_max)
-    nh = len(holes)
-    counts = np.zeros((nh, n_max + 1), dtype=np.int64)
-    flagged_total = 0
 
-    ss = np.random.SeedSequence(seed)
-    shard_seeds = ss.spawn(MC_SHARDS)
-    shard_sizes = [samples // MC_SHARDS] * MC_SHARDS
-    shard_sizes[-1] += samples - sum(shard_sizes)
-
-    for sseed, size in zip(shard_seeds, shard_sizes):
-        rng = np.random.default_rng(sseed)
-        done = 0
-        while done < size:
-            chunk = min(size - done, _CHUNK)
-            done += chunk
-            c, fl = _simulate_chunk(table, holes, chunk, n_max, rng)
+    def simulate(rng, size):
+        counts = np.zeros((len(holes), n_max + 1), dtype=np.int64)
+        flagged = 0
+        for done in range(0, size, _CHUNK):
+            c, fl = _simulate_chunk(table, holes, min(size - done, _CHUNK),
+                                    n_max, rng)
             counts += c
-            flagged_total += fl
+            flagged += fl
+        return counts, flagged
 
-    denom = samples - flagged_total
-    estimates = []
-    for hi, hole in enumerate(holes):
-        if counts[hi, window[0]] < 100:
-            raise InsufficientSurvivorsError(
-                f"hole {hi}: only {counts[hi, window[0]]} survivors at the "
-                f"window start n={window[0]}")
-        masses = counts[hi] / denom
-        per_n = [(n, masses[n]) for n in range(n_max + 1)]
-        n_lo, n_hi = window
-        ns = np.arange(n_lo, n_hi + 1)
-        p = masses[n_lo:n_hi + 1]
-        var_log = (1.0 - p) / np.maximum(p * denom, 1.0)
-        xc = ns - ns.mean()
-        coef = xc / np.sum(xc ** 2)
-        stderr = float(np.sqrt(np.sum(coef ** 2 * var_log)))
-        est = _fit_window(per_n, window, "billiard_mc", stderr=stderr,
-                          meta={"samples": samples, "seed": seed,
-                                "flagged": flagged_total,
-                                "hole_kind": hole.kind,
-                                "shards": MC_SHARDS,
-                                "fit_residual": _exp_fit_residual(per_n,
-                                                                  window)})
-        estimates.append(est)
+    estimates = sharded_mc_estimates(simulate, samples, seed, n_max, window,
+                                     "billiard_mc")
+    for hole, est in zip(holes, estimates):
+        est.meta["hole_kind"] = hole.kind
+        est.meta["fit_residual"] = _exp_fit_residual(est.per_n_mass,
+                                                     est.window)
     return estimates
 
 
 def billiard_escape(table: BilliardTable, hole: BilliardHole, samples: int,
                     n_max: int, seed: int,
-                    window: Optional[Tuple[int, int]] = None,
-                    workers: int = 1) -> EscapeEstimate:
+                    window: Optional[Tuple[int, int]] = None) -> EscapeEstimate:
     return billiard_escape_multi(table, [hole], samples, n_max, seed,
-                                 window=window, workers=workers)[0]
+                                 window=window)[0]
 
 
 def _simulate_chunk(table, holes, size, n_max, rng, dtype=np.float32):

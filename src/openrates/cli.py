@@ -24,6 +24,7 @@ from . import escape as escape_mod
 from . import pressure as pressure_mod
 from . import tower as tower_mod
 from . import ulam as ulam_mod
+from .billiard import InfiniteHorizonError
 from .systems import parry_chain, system_from_config
 
 
@@ -177,11 +178,14 @@ def cmd_tower(cfg, args, out_dir, seed):
     return payload, 0
 
 
-def cmd_pressure(cfg, args, out_dir, seed):
-    sys_obj = system_from_config(cfg["system"])
-    results = _escape_estimates(sys_obj, cfg, seed, out_dir)
-    best = results.get("words") or results.get("grid") \
+def _best_estimate(results):
+    return results.get("words") or results.get("grid") \
         or next(iter(results.values()))
+
+
+def _nu_hat_verdict(sys_obj, cfg, best):
+    """Pressure of the Parry chain (nu_hat) and the variational verdict
+    against ``best``; exit code 2 when either check fails."""
     level = int(cfg.get("escape", {}).get("level", 2))
     states, P, pi = parry_chain(sys_obj, level)
     rep = pressure_mod.InvariantMeasureRep(
@@ -191,14 +195,20 @@ def cmd_pressure(cfg, args, out_dir, seed):
     reports, verdict = pressure_mod.variational_report(
         sys_obj, [rep], best, check_classes=False)
     rp = reports[0]
-    payload = {"escape": {m: _estimate_dict(e) for m, e in results.items()},
-               "pressure": {"entropy": rp.entropy,
-                            "lyapunov_sum": rp.lyapunov_sum,
-                            "value": rp.pressure, "gap": rp.gap},
-               "verdict": verdict}
     code = 0 if verdict["inequality"] == "PASS" and (
         verdict["equality"] is None
         or verdict["equality"]["status"] == "PASS") else 2
+    return {"pressure": {"entropy": rp.entropy,
+                         "lyapunov_sum": rp.lyapunov_sum,
+                         "value": rp.pressure, "gap": rp.gap},
+            "verdict": verdict}, code
+
+
+def cmd_pressure(cfg, args, out_dir, seed):
+    sys_obj = system_from_config(cfg["system"])
+    results = _escape_estimates(sys_obj, cfg, seed, out_dir)
+    payload, code = _nu_hat_verdict(sys_obj, cfg, _best_estimate(results))
+    payload["escape"] = {m: _estimate_dict(e) for m, e in results.items()}
     return payload, code
 
 
@@ -265,26 +275,10 @@ def cmd_verify(cfg, args, out_dir, seed):
                "ulam": {"spectral": spec.to_json_dict(),
                         "survivor_routes": route_info, "resolution": res}}
     code = 0
-    best = results.get("words") or results.get("grid") \
-        or next(iter(results.values()))
+    best = _best_estimate(results)
     if sys_obj.map.meta.get("markov") and sys_obj.dimension == 1:
-        level = int(cfg.get("escape", {}).get("level", 2))
-        states, P, pi = parry_chain(sys_obj, level)
-        rep = pressure_mod.InvariantMeasureRep(
-            kind="markov_chain", name="nu_hat", transition=P, stationary=pi,
-            lyapunov_exact=math.log(sys_obj.map.meta["branch_count"]),
-            is_nu_hat=True)
-        reports, verdict = pressure_mod.variational_report(
-            sys_obj, [rep], best, check_classes=False)
-        rp = reports[0]
-        payload["pressure"] = {"entropy": rp.entropy,
-                               "lyapunov_sum": rp.lyapunov_sum,
-                               "value": rp.pressure, "gap": rp.gap}
-        payload["verdict"] = verdict
-        if verdict["inequality"] != "PASS" or (
-                verdict["equality"] is not None
-                and verdict["equality"]["status"] != "PASS"):
-            code = 2
+        verdict_payload, code = _nu_hat_verdict(sys_obj, cfg, best)
+        payload.update(verdict_payload)
     # cross-route consistency
     rhos = [e.rho for e in results.values()]
     payload["rho_spread"] = max(rhos) - min(rhos) if len(rhos) > 1 else 0.0
@@ -351,8 +345,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed (OR_SEED wins over "
                             "both)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers; never affects numeric output")
     pc = sub.add_parser("compare")
     pc.add_argument("runs", nargs="+",
                     help="summary.json files or run directories")
@@ -375,7 +367,11 @@ def main(argv=None) -> int:
         payload["exit_code"] = code
         _write_summary(out_dir, cfg, payload)
         return code
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError,
+            escape_mod.InsufficientSurvivorsError,
+            escape_mod.DegenerateFitError, ulam_mod.ConvergenceError,
+            tower_mod.NoRootError, tower_mod.DivergenceError,
+            InfiniteHorizonError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -14,11 +14,12 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import OpenSystem, evolve_survivors
+from .systems import (OpenSystem, evolve_survivors, perron,
+                      survivor_transition_matrix, word_counts)
 from . import ulam as ulam_mod
 from .ulam import GridMeasure, UlamOperator
 
-MC_SHARDS = 32  # fixed shard count so results are worker-count independent
+MC_SHARDS = 32  # fixed shard count, so a result depends on the seed only
 
 
 class DegenerateFitError(RuntimeError):
@@ -106,49 +107,60 @@ def lebesgue_sampler(dimension: int) -> Callable:
 
 def escape_rate_mc(sys: OpenSystem, sampler: Callable, n_max: int,
                    samples: int, seed: int,
-                   window: Optional[Tuple[int, int]] = None,
-                   workers: int = 1) -> EscapeEstimate:
-    """Monte Carlo survival curve under i.i.d. draws from the sampler.
+                   window: Optional[Tuple[int, int]] = None) -> EscapeEstimate:
+    """Monte Carlo survival curve under i.i.d. draws from the sampler."""
+    def simulate(rng, size):
+        counts, flagged, _ = evolve_survivors(sys, sampler(rng, size), n_max)
+        return counts, flagged
 
-    Sharded over a fixed number of seeded streams and reduced in shard order,
-    so the result depends on the seed only, never on the worker count.
+    return sharded_mc_estimates(simulate, samples, seed, n_max, window,
+                                "monte_carlo")[0]
+
+
+def sharded_mc_estimates(simulate: Callable, samples: int, seed: int,
+                         n_max: int, window: Optional[Tuple[int, int]],
+                         method: str):
+    """Survival-curve fits from ``samples`` trajectories in MC_SHARDS seeded
+    shards, reduced in shard order, so the result depends on the seed only.
+
+    ``simulate(rng, size)`` returns (survival counts, flagged count); the
+    counts have shape (n_max+1,) or, for several holes on shared
+    trajectories, (holes, n_max+1).  Returns one estimate per hole, with the
+    binomial error propagated through the least-squares slope.
     """
-    del workers  # parallelism never changes the reduction order
     if window is None:
         window = default_window(n_max)
     ss = np.random.SeedSequence(seed)
-    shard_seeds = ss.spawn(MC_SHARDS)
     shard_sizes = [samples // MC_SHARDS] * MC_SHARDS
     shard_sizes[-1] += samples - sum(shard_sizes)
+    counts = 0
+    flagged = 0
+    for sseed, size in zip(ss.spawn(MC_SHARDS), shard_sizes):
+        c, fl = simulate(np.random.default_rng(sseed), size)
+        counts = counts + c
+        flagged += fl
 
-    counts = np.zeros(n_max + 1, dtype=np.int64)
-    flagged_total = 0
-    for sseed, size in zip(shard_seeds, shard_sizes):
-        rng = np.random.default_rng(sseed)
-        pts = sampler(rng, size)
-        c, flagged, _ = evolve_survivors(sys, pts, n_max)
-        counts += c
-        flagged_total += flagged
-
-    denom = samples - flagged_total
-    if counts[window[0]] < 100:
-        raise InsufficientSurvivorsError(
-            f"only {counts[window[0]]} survivors at window start n={window[0]}")
-    masses = counts / denom
-    per_n = [(n, masses[n]) for n in range(n_max + 1)]
-
-    # binomial error propagated through the least-squares slope
+    denom = samples - flagged
     n_lo, n_hi = window
     ns = np.arange(n_lo, n_hi + 1)
-    p = masses[n_lo:n_hi + 1]
-    var_log = (1.0 - p) / np.maximum(p * denom, 1.0)
     xc = ns - ns.mean()
     coef = xc / np.sum(xc ** 2)
-    stderr = float(np.sqrt(np.sum(coef ** 2 * var_log)))
-    est = _fit_window(per_n, window, "monte_carlo", stderr=stderr,
-                      meta={"samples": samples, "seed": seed,
-                            "flagged": flagged_total, "shards": MC_SHARDS})
-    return est
+    estimates = []
+    for i, row in enumerate(np.atleast_2d(counts)):
+        if row[n_lo] < 100:
+            where = f"hole {i}: " if np.ndim(counts) == 2 else ""
+            raise InsufficientSurvivorsError(
+                f"{where}only {row[n_lo]} survivors at window start n={n_lo}")
+        masses = row / denom
+        per_n = [(n, masses[n]) for n in range(n_max + 1)]
+        p = masses[n_lo:n_hi + 1]
+        var_log = (1.0 - p) / np.maximum(p * denom, 1.0)
+        stderr = float(np.sqrt(np.sum(coef ** 2 * var_log)))
+        estimates.append(_fit_window(
+            per_n, window, method, stderr=stderr,
+            meta={"samples": samples, "seed": seed, "flagged": flagged,
+                  "shards": MC_SHARDS}))
+    return estimates
 
 
 def escape_rate_words(sys: OpenSystem, k: int,
@@ -156,24 +168,17 @@ def escape_rate_words(sys: OpenSystem, k: int,
                       n_max: int = 40) -> EscapeEstimate:
     """Exact rate log(lambda_A / m) for Markov cylinder holes.
 
-    lambda_A is the leading eigenvalue of the survivor transition structure;
-    the per_n_mass diagnostics come from word counts N_n / m^n.
+    lambda_A is the Perron root of the survivor transition structure; the
+    per_n_mass diagnostics come from word counts N_n / m^n.
     """
-    from .systems import markov_words, survivor_transition_matrix
-
     m = sys.map.meta.get("branch_count")
-    A, states = survivor_transition_matrix(sys, k)
     if window is None:
         window = default_window(n_max)
-    if len(states) == 0:
-        raise DegenerateFitError("survivor subshift is empty")
-    lam = float(np.max(np.abs(np.linalg.eigvals(A))))
+    lam, _, _ = perron(survivor_transition_matrix(sys, k)[0])
     rho = float(np.log(lam) - np.log(m))
 
-    per_n = []
-    for n in range(k, n_max + 1):
-        cnt = markov_words(sys, k, n, count_only=True)
-        per_n.append((n, cnt / float(m) ** n))
+    per_n = [(n, cnt / float(m) ** n)
+             for n, cnt in enumerate(word_counts(sys, k, n_max), start=k)]
     est = _fit_window(per_n, (max(window[0], k), window[1]), "word_count",
                       meta={"lambda_A": lam, "branch_count": m, "level": k})
     est.rho = rho  # eigenvalue route is exact; fit kept for diagnostics

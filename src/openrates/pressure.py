@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .escape import EscapeEstimate
-from .systems import OpenSystem, torus_dist
+from .systems import OpenSystem, perron, torus_dist
 from .ulam import GridMeasure
 
 
@@ -80,9 +80,9 @@ class PressureReport:
 
 
 def stationary_vector(P: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eig(P.T)
-    k = int(np.argmin(np.abs(evals - 1.0)))
-    v = np.abs(np.real(evecs[:, k]))
+    """Stationary law of the chain's unique closed class (left Perron
+    vector); several closed classes raise HoleKindError."""
+    _, _, v = perron(P)
     return v / v.sum()
 
 

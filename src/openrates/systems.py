@@ -66,15 +66,11 @@ class MapModel:
     singularity_distance: Callable
     reference_density: Callable
     label: str
-    evaluate_many: Optional[Callable] = None
+    evaluate_many: Callable
     meta: dict = field(default_factory=dict)
 
     def step_many(self, pts):
-        if self.evaluate_many is not None:
-            return self.evaluate_many(pts)
-        if self.dimension == 1:
-            return np.array([self.evaluate(float(p)) for p in np.asarray(pts)])
-        return np.array([self.evaluate(p) for p in np.asarray(pts)])
+        return self.evaluate_many(pts)
 
 
 def adic_map(m: int) -> MapModel:
@@ -211,13 +207,11 @@ class HoleSpec:
     contains: Callable
     boundary_distance: Callable
     boundary_distance_many: Callable
+    contains_many: Callable
     meta: dict = field(default_factory=dict)
-    contains_many: Optional[Callable] = None
 
     def in_hole_many(self, pts):
-        if self.contains_many is not None:
-            return self.contains_many(pts)
-        return np.array([bool(self.contains(p)) for p in pts])
+        return self.contains_many(pts)
 
 
 def _interval_hole(intervals, kind, extra_meta=None):
@@ -268,7 +262,7 @@ def interval_union_hole(intervals) -> HoleSpec:
 
 
 def region_2d_hole(predicate, boundary_distance, boundary_distance_many,
-                   meta=None, predicate_many=None) -> HoleSpec:
+                   predicate_many, meta=None) -> HoleSpec:
     return HoleSpec(kind="region_2d", contains=predicate,
                     boundary_distance=boundary_distance,
                     meta=meta or {}, contains_many=predicate_many,
@@ -293,8 +287,8 @@ def ball_hole_2d(center, radius) -> HoleSpec:
         return np.abs(torus_dist_2d(np.asarray(ps), c[None, :]) - r)
 
     return region_2d_hole(contains, boundary_distance, boundary_distance_many,
-                          meta={"shape": "ball", "center": tuple(c), "radius": r},
-                          predicate_many=contains_many)
+                          contains_many,
+                          meta={"shape": "ball", "center": tuple(c), "radius": r})
 
 
 def empty_hole(dimension: int = 1) -> HoleSpec:
@@ -390,19 +384,14 @@ def markov_words(sys: OpenSystem, k: int, n: int, count_only: bool = False):
     """Surviving symbolic n-words for a Markov map with a cylinder-union hole.
 
     A word survives iff none of its length-k factors is a hole word.  With
-    ``count_only`` the count is an exact integer from a dynamic program over
-    (k-1)-grams.
+    ``count_only`` the count is an exact integer from ``word_counts``.
     """
     m = _check_markov_words_pre(sys, k)
     if n < k:
         raise ValueError(f"need word length n >= hole level k (got {n} < {k})")
-    forbidden = _hole_words_at_level(sys.hole, k)
-
     if count_only:
-        A, states = survivor_transition_matrix(sys, k)
-        if len(states) == 0:
-            return 0
-        return _count_words(A, states, m, k, n, forbidden)
+        return word_counts(sys, k, n)[-1]
+    forbidden = _hole_words_at_level(sys.hole, k)
 
     words = []
 
@@ -419,33 +408,30 @@ def markov_words(sys: OpenSystem, k: int, n: int, count_only: bool = False):
     return words
 
 
-def _count_words(A, states, m, k, n, forbidden):
-    """Count surviving n-words by dynamic programming over (k-1)-grams.
+def word_counts(sys: OpenSystem, k: int, n_max: int):
+    """Numbers of surviving n-words for n = k..n_max, in one dynamic program
+    over the (k-1)-gram graph.
 
     Counts are Python ints, so they stay exact beyond 2**53."""
+    A, states = survivor_transition_matrix(sys, k)
     if k == 1:
-        # states are allowed single symbols; every transition allowed
-        return len(states) ** n if states else 0
-    index = {s: i for i, s in enumerate(states)}
-    # seed: allowed k-words contribute a count of 1 at their suffix gram
-    v = [0] * len(states)
-    for w in itertools.product(range(m), repeat=k):
-        if w in forbidden:
-            continue
-        suf = w[1:]
-        if suf in index and w[:-1] in index:
-            v[index[suf]] += 1
+        return [len(states) ** n for n in range(k, n_max + 1)]
     predecessors = [np.flatnonzero(A[:, j]).tolist()
                     for j in range(len(states))]
-    for _ in range(n - k):
+    v = [1] * len(states)       # one (k-1)-word per gram
+    counts = []
+    for _ in range(k, n_max + 1):
         v = [sum(map(v.__getitem__, pred)) for pred in predecessors]
-    return sum(v)
+        counts.append(sum(v))
+    return counts
 
 
 def survivor_transition_matrix(sys: OpenSystem, k: int):
     """Transition matrix of the survivor subshift on (k-1)-grams.
 
-    For k = 1 the states are the allowed symbols with full transitions.
+    Every gram is a state, also one that no bi-infinite survivor word
+    passes through; ``perron`` restricts to the dominant class.  For k = 1
+    the states are the allowed symbols with full transitions.
     Returns (matrix, state list).
     """
     m = _check_markov_words_pre(sys, k)
@@ -454,28 +440,74 @@ def survivor_transition_matrix(sys: OpenSystem, k: int):
         states = [(c,) for c in range(m) if (c,) not in forbidden]
         A = np.ones((len(states), len(states)))
         return A, states
-    grams = list(itertools.product(range(m), repeat=k - 1))
-    # keep grams that can appear inside an allowed word
-    allowed = [g for g in grams]
-    index = {g: i for i, g in enumerate(allowed)}
-    A = np.zeros((len(allowed), len(allowed)))
-    for g in allowed:
+    states = list(itertools.product(range(m), repeat=k - 1))
+    index = {g: i for i, g in enumerate(states)}
+    A = np.zeros((len(states), len(states)))
+    for g in states:
         for c in range(m):
             w = g + (c,)
-            if w in forbidden:
-                continue
-            A[index[g], index[w[1:]]] = 1.0
-    # prune grams with no in/out edges repeatedly (transient symbols)
-    keep = np.ones(len(allowed), dtype=bool)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(allowed)):
-            if keep[i] and (not A[i, keep].any() or not A[keep, i].any()):
-                keep[i] = False
-                changed = True
-    states = [g for i, g in enumerate(allowed) if keep[i]]
-    return A[np.ix_(keep, keep)], states
+            if w not in forbidden:
+                A[index[g], index[w[1:]]] = 1.0
+    return A, states
+
+
+def perron(A):
+    """Perron root and vectors of the unique dominant strongly connected
+    class of a nonnegative matrix.
+
+    The spectral radius is the largest Perron root over the strongly
+    connected classes (sets of mutually reachable states) that carry a
+    cycle.  Returns (root, right, left): the right and left Perron vectors
+    of the dominant class, strictly positive on it and zero elsewhere, in
+    the state order of ``A``.  Raises HoleKindError when no class carries a
+    cycle (an empty subshift) or when two classes tie within a relative
+    1e-12.
+    """
+    A = np.asarray(A, dtype=float)
+
+    def leading(M):
+        # eigenvalue of largest real part: a periodic class has others of
+        # the same modulus
+        evals, evecs = np.linalg.eig(M)
+        i = int(np.argmax(np.real(evals)))
+        vec = np.real(evecs[:, i])
+        return float(np.real(evals[i])), vec if vec.sum() > 0 else -vec
+
+    # classes from the transitive closure; importing scipy.sparse.csgraph
+    # would pull scipy.linalg into every process (measured 11 MB of peak
+    # RSS and 0.1 s of import on a 2-core x86 VM)
+    reach = A > 0
+    while True:
+        closure = reach | (reach.astype(float) @ reach.astype(float) > 0)
+        if np.array_equal(closure, reach):
+            break
+        reach = closure
+    classes = []
+    for cls in np.unique(reach & reach.T | np.eye(len(A), dtype=bool),
+                         axis=0):
+        idx = np.flatnonzero(cls)
+        sub = A[np.ix_(idx, idx)]
+        if sub.any():
+            classes.append((*leading(sub), idx, sub))
+    if not classes:
+        raise HoleKindError(
+            "survivor subshift is empty: no strongly connected class "
+            "carries a cycle")
+    classes.sort(key=lambda c: -c[0])
+    lam, u, idx, sub = classes[0]
+    if len(classes) > 1 and classes[1][0] >= lam * (1.0 - 1e-12):
+        raise HoleKindError(
+            f"two strongly connected classes tie at spectral radius {lam!r}: "
+            "no unique Perron vector, hence no Parry chain with finite "
+            "entries")
+    _, v = leading(sub.T)
+    if not (np.all(u > 0) and np.all(v > 0)):
+        raise HoleKindError("Perron vector of the dominant class is not "
+                            "strictly positive")
+    right, left = np.zeros((2, len(A)))
+    right[idx] = u
+    left[idx] = v
+    return lam, right, left
 
 
 def parry_chain(sys: OpenSystem, k: int):
@@ -483,27 +515,18 @@ def parry_chain(sys: OpenSystem, k: int):
 
     For constant-slope Markov maps with cylinder holes this chain generates
     the survivor-set invariant measure (the symbolic form of the left-right
-    eigenvector product).  Returns (states, transition matrix, stationary).
+    eigenvector product).  It lives on the dominant strongly connected
+    class.  Returns (states, transition matrix, stationary).
     """
     A, states = survivor_transition_matrix(sys, k)
-    if len(states) == 0:
-        raise HoleKindError("survivor subshift is empty")
-    evals, evecs = np.linalg.eig(A)
-    kmax = int(np.argmax(np.real(evals)))
-    lam = float(np.real(evals[kmax]))
-    u = np.abs(np.real(evecs[:, kmax]))
+    lam, u, v = perron(A)
+    idx = np.flatnonzero(u)
+    A, u, v = A[np.ix_(idx, idx)], u[idx], v[idx]
     P = A * u[None, :] / (lam * u[:, None])
     P = P / P.sum(axis=1, keepdims=True)
-    levals, levecs = np.linalg.eig(A.T)
-    kl = int(np.argmax(np.real(levals)))
-    v = np.abs(np.real(levecs[:, kl]))
     pi = v * u
     pi = pi / pi.sum()
-    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(pi))):
-        raise HoleKindError(
-            "survivor subshift has no Parry chain with finite entries "
-            "(its Perron vector vanishes on some state)")
-    return states, P, pi
+    return [states[i] for i in idx], P, pi
 
 
 def sample_survivor_points(sys: OpenSystem, k: int, size: int,
@@ -562,8 +585,6 @@ def evolve_survivors(sys: OpenSystem, pts, n_max: int):
         inh = sys.hole.in_hole_many(cur)
         cur = cur[~inh]
         counts[n] = len(cur)
-    else:
-        pass
     return counts, flagged, cur
 
 

@@ -17,6 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .systems import perron
+
 
 class NoRootError(RuntimeError):
     """All mass escapes: the eigenvalue equation has no root in (0, 1)."""
@@ -63,14 +65,6 @@ class TowerSpec:
 
     def tail_mass(self, n: int) -> float:
         return sum(b.mass for b in self.branches if b.R > n)
-
-    def separation_beta(self) -> float:
-        """Symbolic metric base: beta > max(theta0, sqrt(alpha)), clamped < 1."""
-        return min(max(self.theta0, math.sqrt(self.alpha)) + 0.01,
-                   1.0 - 1e-9)
-
-    def full_branch_normalized(self, tol=1e-9) -> bool:
-        return all(abs(b.mass * b.J - 1.0) <= tol for b in self.branches)
 
 
 def tower_from_config(cfg: dict) -> TowerSpec:
@@ -172,16 +166,13 @@ def gibbs_measure(T: TowerSpec, r: float, depth: int = 3) -> TowerMeasure:
                     np.prod([w[i] for i in word]))
     else:
         W = T.transition * w[None, :]
-        evals, evecs = np.linalg.eig(W)
-        kmax = int(np.argmax(np.abs(evals)))
-        u = np.abs(np.real(evecs[:, kmax]))
-        levalsT, levecsT = np.linalg.eig(W.T)
-        kL = int(np.argmax(np.abs(levalsT)))
-        l = np.abs(np.real(levecsT[:, kL]))
+        _, u, l = perron(W)
         pi = l * u
         pi = pi / np.sum(pi)
-        p = W * u[None, :] / u[:, None]  # row-stochastic at the eigenvalue
-        p = p / p.sum(axis=1, keepdims=True)
+        # row-stochastic at the eigenvalue on the dominant class; pi
+        # vanishes off it, so rows there are never used
+        p = W * u[None, :] / np.where(u > 0, u, 1.0)[:, None]
+        p = p / np.where(u > 0, p.sum(axis=1), 1.0)[:, None]
         for n in range(1, depth + 1):
             for word in itertools.product(range(len(ids)), repeat=n):
                 wt = pi[word[0]]

@@ -48,9 +48,6 @@ class GridMeasure:
     def ncells(self):
         return self.resolution ** self.dimension
 
-    def cell_volume(self):
-        return 1.0 / self.ncells
-
     def density(self):
         return self.masses * self.ncells
 

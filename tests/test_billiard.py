@@ -114,7 +114,7 @@ def test_escape_deterministic(small_table):
     hole = B.BilliardHole("arc", scatterer=0, arc_center=0.5,
                           arc_halfwidth=0.1)
     a = B.billiard_escape(small_table, hole, 30_000, 10, seed=7)
-    b = B.billiard_escape(small_table, hole, 30_000, 10, seed=7, workers=4)
+    b = B.billiard_escape(small_table, hole, 30_000, 10, seed=7)
     assert a.rho == b.rho
     assert a.per_n_mass == b.per_n_mass
 

@@ -87,6 +87,19 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_estimator_error_exits_1(tmp_path, capsys):
+    # a hole covering 90% of the circle leaves no survivors at n = 10
+    cfg = {"seed": 1,
+           "system": {"map": {"name": "doubling"},
+                      "hole": {"kind": "interval_union",
+                               "intervals": [[0.05, 0.95]]}},
+           "escape": {"methods": ["mc"], "samples": 2000}}
+    path = _write(tmp_path, cfg)
+    assert main(["escape", "--config", str(path),
+                 "--out-dir", str(tmp_path / "r")]) == 1
+    assert "error: only 0 survivors" in capsys.readouterr().err
+
+
 def test_hole_sweep_monotone(tmp_path):
     cfg = json.loads(json.dumps(GOLDEN))
     cfg["system"]["hole"] = [

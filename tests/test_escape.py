@@ -41,14 +41,12 @@ def test_mc_matches_exact(golden_system):
     assert est.meta["shards"] == E.MC_SHARDS
 
 
-def test_mc_deterministic_and_worker_independent(golden_system):
+def test_mc_deterministic(golden_system):
     kw = dict(n_max=20, samples=50_000, seed=9)
     a = E.escape_rate_mc(golden_system, E.lebesgue_sampler(1), **kw)
     b = E.escape_rate_mc(golden_system, E.lebesgue_sampler(1), **kw)
-    c = E.escape_rate_mc(golden_system, E.lebesgue_sampler(1), workers=7,
-                         **kw)
-    assert a.rho == b.rho == c.rho
-    assert a.per_n_mass == b.per_n_mass == c.per_n_mass
+    assert a.rho == b.rho
+    assert a.per_n_mass == b.per_n_mass
 
 
 def test_monotone_rho_nested_holes():

@@ -10,8 +10,9 @@ import pytest
 from openrates import escape as E
 from openrates import pressure as P
 from openrates import ulam as U
-from openrates.systems import (OpenSystem, cat_map, doubling_map, empty_hole,
-                               parry_chain, sample_survivor_points)
+from openrates.systems import (HoleKindError, OpenSystem, cat_map,
+                               doubling_map, empty_hole, parry_chain,
+                               sample_survivor_points)
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -45,6 +46,12 @@ def test_stationary_vector():
     pi = P.stationary_vector(Pm)
     assert np.allclose(pi @ Pm, pi)
     assert pi.sum() == pytest.approx(1.0)
+
+
+def test_stationary_vector_rejects_two_closed_classes():
+    Pm = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(HoleKindError, match="tie"):
+        P.stationary_vector(Pm)
 
 
 def test_invariant_rep_validates_stationary():

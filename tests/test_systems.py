@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openrates import escape as E
 from openrates import systems as S
 
 
@@ -198,6 +199,20 @@ def test_word_count_matches_recurrence():
         assert S.markov_words(sys_obj, 2, n, count_only=True) == a[n]
 
 
+@pytest.mark.parametrize("words", [[(1, 1)], [(1, 1, 0), (1, 1, 1)],
+                                   [(0, 1, 1)]])
+def test_word_count_matches_enumeration(words):
+    # hole {110, 111} leaves the gram 11 without successors; words ending
+    # in it still count
+    k = len(words[0])
+    sys_obj = S.OpenSystem(S.doubling_map(),
+                           S.cylinder_union_hole(2, k, words))
+    for n in range(k, 10):
+        assert S.markov_words(sys_obj, k, n, count_only=True) == \
+            len(S.markov_words(sys_obj, k, n))
+
+
+@pytest.mark.filterwarnings("error")
 def test_parry_chain_rejects_vanishing_perron_vector():
     # hole {01, 10}: the survivor subshift is two fixed points that never
     # connect, and the Perron vector is zero on one of them
@@ -205,6 +220,26 @@ def test_parry_chain_rejects_vanishing_perron_vector():
                            S.cylinder_union_hole(2, 2, [(0, 1), (1, 0)]))
     with pytest.raises(S.HoleKindError, match="finite"):
         S.parry_chain(sys_obj, 2)
+
+
+def test_parry_chain_keeps_only_dominant_class():
+    # hole {011}: the fixed point 1^inf is a class of its own, below the
+    # dominant class {00, 01, 10}
+    sys_obj = S.OpenSystem(S.doubling_map(),
+                           S.cylinder_union_hole(2, 3, [(0, 1, 1)]))
+    states, P, pi = S.parry_chain(sys_obj, 3)
+    assert states == [(0, 0), (0, 1), (1, 0)]
+    assert np.all(pi > 0)
+    assert np.allclose(pi @ P, pi)
+
+
+def test_empty_survivor_subshift_raises():
+    sys_obj = S.OpenSystem(S.doubling_map(), S.cylinder_union_hole(
+        2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]))
+    with pytest.raises(S.HoleKindError, match="empty"):
+        S.parry_chain(sys_obj, 2)
+    with pytest.raises(S.HoleKindError, match="empty"):
+        E.escape_rate_words(sys_obj, 2)
 
 
 def test_survivor_transition_matrix(golden_system):

@@ -56,6 +56,23 @@ def test_depth1_weights_sum_to_one(gm):
     assert total == pytest.approx(1.0, abs=1e-14)
 
 
+def test_gibbs_measure_periodic_transition():
+    # a 3-cycle has three leading eigenvalues of equal modulus; the Perron
+    # root is the real one
+    spec = T.TowerSpec(branches=[
+        T.TowerBranch("A", R=1, J=2.0, mass=0.25),
+        T.TowerBranch("B", R=2, J=3.0, mass=0.25),
+        T.TowerBranch("C", R=3, J=2.0, mass=0.25),
+    ], transition=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                            [1.0, 0.0, 0.0]]))
+    r = T.tower_eigenvalue(spec)
+    nu0 = T.gibbs_measure(spec, r, depth=2)
+    for bid in "ABC":
+        assert nu0.cylinder_weights[(bid,)] == pytest.approx(1 / 3,
+                                                             abs=1e-12)
+    T.abramov_check(spec, nu0, r)
+
+
 def test_gurevich_pressure_zero(gm):
     r = T.tower_eigenvalue(gm)
     seq = T.gurevich_pressure(gm, r, n_max=20)
