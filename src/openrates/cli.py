@@ -25,7 +25,7 @@ from . import pressure as pressure_mod
 from . import tower as tower_mod
 from . import ulam as ulam_mod
 from .billiard import InfiniteHorizonError
-from .systems import parry_chain, system_from_config
+from .systems import _reject_unknown, parry_chain, system_from_config
 
 
 class ConfigError(ValueError):
@@ -51,6 +51,39 @@ def _canonical(obj) -> str:
 
 def config_hash(cfg: dict) -> str:
     return hashlib.sha256(_canonical(cfg).encode()).hexdigest()
+
+
+# keys each config section may hold; "tower" is checked where it is parsed
+_SECTION_KEYS = {
+    "system": {"map", "hole"},
+    "escape": {"methods", "n_max", "resolution", "level", "samples"},
+    "ulam": {"resolution"},
+    "tower_options": {"depth", "n_max"},
+    "balls": {"eps", "n_values", "samples", "centers"},
+    "billiard": {"scatterers", "validation_rays", "holes", "samples",
+                 "n_max"},
+}
+_BILLIARD_HOLE_KEYS = {
+    "arc": {"kind", "scatterer", "arc_center", "arc_halfwidth"},
+    "disk": {"kind", "center", "radius"},
+}
+
+
+def _check_keys(cfg: dict):
+    """Reject misspelt keys, which would otherwise fall back silently to
+    their defaults."""
+    _reject_unknown(cfg, {"seed", "tower", *_SECTION_KEYS}, "config")
+    for section, allowed in _SECTION_KEYS.items():
+        body = cfg.get(section, {})
+        if not isinstance(body, dict):
+            raise ConfigError(f"{section} config must be a JSON object")
+        _reject_unknown(body, allowed, f"{section} config")
+    for hc in cfg.get("billiard", {}).get("holes", []):
+        if not isinstance(hc, dict):
+            raise ConfigError("each billiard hole must be a JSON object")
+        if hc.get("kind") in _BILLIARD_HOLE_KEYS:
+            _reject_unknown(hc, _BILLIARD_HOLE_KEYS[hc["kind"]],
+                            f"billiard {hc['kind']} hole")
 
 
 def _resolve_seed(cfg: dict, args) -> int:
@@ -359,6 +392,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         if not isinstance(cfg, dict):
             raise ConfigError("top-level config must be a JSON object")
+        _check_keys(cfg)
         seed = _resolve_seed(cfg, args)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import OpenSystem, torus_dist
+from .systems import OpenSystem, orbit_tableau, torus_dist
 
 
 @dataclass(frozen=True)
@@ -27,38 +27,27 @@ class BallSpec:
     gamma: float = 0.0
 
 
-def g_cutoff(sys: OpenSystem, x, eps: float) -> float:
-    """g_eps(x) = min(eps, d(x, S)) / 3."""
-    return min(eps, sys.map.singularity_distance(x)) / 3.0
+def g_cutoff(sys: OpenSystem, xs, eps: float):
+    """g_eps(x) = min(eps, d(x, S)) / 3 at an array of points."""
+    return np.minimum(eps, sys.map.singularity_distance(xs)) / 3.0
 
 
-def _orbit(sys: OpenSystem, x, n: int):
-    pts = [x]
-    cur = x
-    for _ in range(n):
-        cur = sys.map.evaluate(cur)
-        pts.append(cur)
-    return pts
+def _radii(sys: OpenSystem, spec: BallSpec, orbit):
+    """Ball radius at each step of the center orbit."""
+    if spec.mode == "g_eps":
+        return g_cutoff(sys, orbit, spec.eps)
+    return np.array([spec.eps * math.exp(-spec.gamma * i)
+                     for i in range(spec.n + 1)])
 
 
 def ball_member(sys: OpenSystem, spec: BallSpec, y) -> bool:
-    dim = sys.map.dimension
-    ox = _orbit(sys, spec.center, spec.n)
-    oy = _orbit(sys, y, spec.n)
-    for i in range(spec.n + 1):
-        d = float(torus_dist(ox[i], oy[i], dim))
-        if spec.mode == "g_eps":
-            if d >= g_cutoff(sys, ox[i], spec.eps):
-                return False
-        else:
-            if d >= spec.eps * math.exp(-spec.gamma * i):
-                return False
-    if spec.mode == "g_eps":
-        # membership requires y in M^n
-        for p in oy:
-            if sys.hole.contains(p):
-                return False
-    return True
+    orbits = orbit_tableau(sys.map, [spec.center, y], spec.n)
+    ox, oy = orbits[:, 0], orbits[:, 1]
+    if np.any(torus_dist(ox, oy, sys.map.dimension)
+              >= _radii(sys, spec, ox)):
+        return False
+    # membership in g_eps mode requires y in M^n
+    return not (spec.mode == "g_eps" and sys.hole.in_hole_many(oy).any())
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +61,8 @@ def _derivative_cocycle(sys: OpenSystem, orbit):
     """Products D f^i along the orbit, i = 0..n."""
     dim = sys.map.dimension
     Js = [np.eye(dim)]
-    J = np.eye(dim)
-    for p in orbit[:-1]:
-        J = sys.map.derivative(p) @ J
-        Js.append(J.copy())
+    for D in sys.map.derivative(orbit[:-1]):
+        Js.append(D @ Js[-1])
     return Js
 
 
@@ -115,12 +102,8 @@ def ball_measure(sys: OpenSystem, spec: BallSpec, samples: int = 20000,
         rng = np.random.default_rng(1)
     dim = sys.map.dimension
     x = spec.center
-    orbit = _orbit(sys, x, spec.n)
-    if spec.mode == "g_eps":
-        g_vals = [g_cutoff(sys, p, spec.eps) for p in orbit]
-    else:
-        g_vals = [spec.eps * math.exp(-spec.gamma * i)
-                  for i in range(spec.n + 1)]
+    orbit = orbit_tableau(sys.map, [x], spec.n)[:, 0]
+    g_vals = _radii(sys, spec, orbit)
     axes, widths, vol = _envelope(sys, orbit, g_vals)
 
     u = rng.uniform(-1.0, 1.0, size=(samples, dim)) * widths[None, :]
@@ -231,23 +214,14 @@ def separated_set_size(sys: OpenSystem, candidates, n: int, eps: float) -> int:
     the sum of the cutoff radii.
     """
     dim = sys.map.dimension
-    orbits = []
-    gs = []
-    for x in candidates:
-        o = _orbit(sys, x, n)
-        orbits.append(o)
-        gs.append([g_cutoff(sys, p, eps) for p in o])
+    orbits = orbit_tableau(sys.map, candidates, n)     # (n + 1, N[, 2])
+    gs = g_cutoff(sys, orbits.reshape((-1,) + orbits.shape[2:]),
+                  eps).reshape(orbits.shape[:2])
     kept = []
     for j in range(len(candidates)):
-        ok = True
-        for i in kept:
-            disjoint = any(
-                float(torus_dist(orbits[i][t], orbits[j][t], dim))
-                > gs[i][t] + gs[j][t]
-                for t in range(n + 1))
-            if not disjoint:
-                ok = False
-                break
-        if ok:
+        # disjoint from every kept ball: at some step the orbits are
+        # farther apart than the sum of the radii
+        d = torus_dist(orbits[:, kept], orbits[:, j:j + 1], dim)
+        if np.all(np.any(d > gs[:, kept] + gs[:, j:j + 1], axis=0)):
             kept.append(j)
     return len(kept)

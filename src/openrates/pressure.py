@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .escape import EscapeEstimate
-from .systems import OpenSystem, perron, torus_dist
+from .systems import OpenSystem, orbit_tableau, perron, torus_dist
 from .ulam import GridMeasure
 
 
@@ -120,16 +120,6 @@ def entropy_markov_sparse(Q, pi) -> float:
     return h
 
 
-def _g_hat(sys: OpenSystem, pts, eps):
-    """Cutoff min(eps, d(., S)) evaluated on an array of points."""
-    sd0 = sys.map.singularity_distance
-    probe = pts[0] if np.ndim(pts) else pts
-    if not np.isfinite(sd0(probe)):
-        return np.full(np.shape(pts)[0] if np.ndim(pts) else (), eps)
-    d = np.array([sd0(p) for p in np.atleast_1d(pts)])
-    return np.minimum(eps, d)
-
-
 def entropy_brin_katok(sys: OpenSystem, samples: np.ndarray,
                        eps_list: Sequence[float], n_max: int,
                        centers: int = 100, min_count: int = 30,
@@ -149,27 +139,24 @@ def entropy_brin_katok(sys: OpenSystem, samples: np.ndarray,
         raise ValueError("need at least 1000 samples")
     dim = sys.map.dimension
 
-    # orbit tableau of all samples
-    orbits = np.empty((n_max + 1,) + samples.shape)
-    cur = samples
-    orbits[0] = cur
-    for i in range(1, n_max + 1):
-        cur = sys.map.step_many(cur)
-        orbits[i] = cur
-
+    orbits = orbit_tableau(sys.map, samples, n_max)
     center_idx = rng.choice(nsamp, size=min(centers, nsamp), replace=False)
+    # d(f^i x, S) along every center orbit, shape (n_max + 1, centers)
+    sing = sys.map.singularity_distance(
+        orbits[:, center_idx].reshape((-1,) + samples.shape[1:])).reshape(
+        n_max + 1, len(center_idx))
     per_eps = []
     for eps in eps_list:
+        # cutoff g_hat = min(eps, d(., S)) at each center
+        cutoff = np.minimum(eps, sing)
         slopes = []
-        for ci in center_idx:
+        for k, ci in enumerate(center_idx):
             # indices still inside the ball; leave-one-out drops the center
             close = np.delete(np.arange(nsamp), ci)
             counts = []
             for i in range(n_max + 1):
-                g = min(eps, float(np.atleast_1d(
-                    _g_hat(sys, orbits[i, ci], eps))[0]))
                 d = torus_dist(orbits[i, close], orbits[i, ci], dim)
-                close = close[d < g]
+                close = close[d < cutoff[i, k]]
                 counts.append(len(close))
                 if counts[-1] < min_count:
                     break
@@ -208,25 +195,21 @@ def lyapunov_sum(sys: OpenSystem, rep: InvariantMeasureRep, n: int = 50,
         rng = np.random.default_rng(7)
     pts = rep.draw(rng, orbit_samples, sys)
     dim = sys.map.dimension
-    # all orbits advance together, one stacked QR per step; evaluate and
-    # derivative stay per point so every orbit is computed as on its own
-    cur = list(np.atleast_1d(pts))
+    # the live orbits advance together, one stacked QR per step
+    cur = np.asarray(pts, dtype=float)
     live = np.arange(len(cur))
     acc = np.zeros((len(cur), dim))
     Q = np.broadcast_to(np.eye(dim), (len(cur), dim, dim))
     for _ in range(n):
         # singularity-proximity: drop the orbit
-        near = [sys.map.singularity_distance(cur[j]) <= 1e-9 for j in live]
-        if any(near):
-            keep = ~np.array(near)
-            live, Q = live[keep], Q[keep]
+        keep = sys.map.singularity_distance(cur) > 1e-9
+        if not keep.all():
+            live, Q, cur = live[keep], Q[keep], cur[keep]
         if len(live) == 0:
             break
-        D = np.array([sys.map.derivative(cur[j]) for j in live])
-        Q, R = np.linalg.qr(D @ Q)
+        Q, R = np.linalg.qr(sys.map.derivative(cur) @ Q)
         acc[live] += np.log(np.abs(np.diagonal(R, axis1=1, axis2=2)))
-        for j in live:
-            cur[j] = sys.map.evaluate(cur[j])
+        cur = sys.map.step_many(cur)
     vals = []
     for j in live:
         exps = acc[j] / n
@@ -275,11 +258,10 @@ def class_membership(sys: OpenSystem, rep: InvariantMeasureRep,
     eps_grid = np.logspace(-3, -2, 8)
 
     if "G_S" in targets:
-        probe = pts[0]
-        if not np.isfinite(sys.map.singularity_distance(probe)):
+        d = sys.map.singularity_distance(pts)
+        if np.all(np.isinf(d)):
             flags["G_S"] = {"status": "pass", "reason": "S empty"}
         else:
-            d = np.array([sys.map.singularity_distance(p) for p in pts])
             mass = np.array([(d < e).mean() for e in eps_grid])
             fit = _power_law_fit(eps_grid, mass)
             if np.all(mass == 0):
@@ -291,7 +273,7 @@ def class_membership(sys: OpenSystem, rep: InvariantMeasureRep,
                 flags["G_S"] = {"status": "pass", "fit": fit}
 
     if "G_H" in targets:
-        bd = sys.hole.boundary_distance_many(pts)
+        bd = sys.hole.boundary_distance(pts)
         mass = np.array([(bd < e).mean() for e in eps_grid])
         fit = _power_law_fit(eps_grid, mass)
         if np.all(mass == 0):
@@ -312,7 +294,7 @@ def class_membership(sys: OpenSystem, rep: InvariantMeasureRep,
         cur = pts[:nsub]
         dist_h, in_h = [], []
         for _ in range(horizon + 1):
-            dist_h.append(sys.hole.boundary_distance_many(cur))
+            dist_h.append(sys.hole.boundary_distance(cur))
             in_h.append(sys.hole.in_hole_many(cur))
             cur = sys.map.step_many(cur)
         outside = ~np.array(in_h)
@@ -343,7 +325,7 @@ def class_membership(sys: OpenSystem, rep: InvariantMeasureRep,
         cell_probes = probes[pidx == best]
         if len(cell_probes) == 0:
             cell_probes = probes[:16]
-        dens = np.array([sys.map.reference_density(p) for p in cell_probes])
+        dens = sys.map.reference_density(cell_probes)
         c_nu = float(np.min(dens))
         flags["G_phi"] = {"status": "pass" if c_nu > 0 else "fail",
                           "c_nu": c_nu, "cell": best,

@@ -51,26 +51,38 @@ def torus_dist(a, b, dimension):
 # ---------------------------------------------------------------------------
 # map models
 
+def _no_singularities(xs):
+    return np.full(len(xs), INF)
+
+
+def _lebesgue(xs):
+    return np.ones(len(xs))
+
+
+def _constant_derivative(M):
+    return lambda xs: np.tile(M, (len(xs), 1, 1))
+
+
 @dataclass(frozen=True)
 class MapModel:
     """An evaluable dynamical system on [0,1) or [0,1)^2.
 
-    ``evaluate`` is partial: it is defined exactly where
-    ``singularity_distance`` is positive.  ``reference_density`` is the density
-    of the initial mass distribution with respect to Lebesgue (1 for Lebesgue).
+    Every callable takes an array of N points, shape (N,) on the circle and
+    (N, 2) on the torus, and returns one value per point: ``step_many`` the
+    images, ``derivative`` the Jacobians as an (N, d, d) array,
+    ``singularity_distance`` the distances d(x, S) (inf where S is empty)
+    and ``reference_density`` the density of the initial mass distribution
+    with respect to Lebesgue (1 for Lebesgue).  The map is defined exactly
+    where ``singularity_distance`` is positive.
     """
 
     dimension: int
-    evaluate: Callable
+    step_many: Callable
     derivative: Callable
     singularity_distance: Callable
     reference_density: Callable
     label: str
-    evaluate_many: Callable
     meta: dict = field(default_factory=dict)
-
-    def step_many(self, pts):
-        return self.evaluate_many(pts)
 
 
 def adic_map(m: int) -> MapModel:
@@ -79,12 +91,11 @@ def adic_map(m: int) -> MapModel:
 
     return MapModel(
         dimension=1,
-        evaluate=lambda x: (mf * x) % 1.0,
-        derivative=lambda x: np.array([[mf]]),
-        singularity_distance=lambda x: INF,
-        reference_density=lambda x: 1.0,
+        step_many=lambda xs: (mf * np.asarray(xs)) % 1.0,
+        derivative=_constant_derivative(np.array([[mf]])),
+        singularity_distance=_no_singularities,
+        reference_density=_lebesgue,
         label=f"{m}-adic",
-        evaluate_many=lambda xs: (mf * np.asarray(xs)) % 1.0,
         meta={"branch_count": m, "piecewise_linear": True, "markov": True},
     )
 
@@ -96,21 +107,20 @@ def doubling_map() -> MapModel:
 def logistic_like(a: float = 3.9) -> MapModel:
     """Non-Markov interval map a*x*(1-x); diagnostics only."""
 
-    def f(x):
-        return min(a * x * (1.0 - x), np.nextafter(1.0, 0.0))
-
     def f_many(xs):
         return np.minimum(a * np.asarray(xs) * (1.0 - np.asarray(xs)),
                           np.nextafter(1.0, 0.0))
 
+    def derivative(xs):
+        return (a * (1.0 - 2.0 * np.asarray(xs))).reshape(-1, 1, 1)
+
     return MapModel(
         dimension=1,
-        evaluate=f,
-        derivative=lambda x: np.array([[a * (1.0 - 2.0 * x)]]),
-        singularity_distance=lambda x: INF,
-        reference_density=lambda x: 1.0,
+        step_many=f_many,
+        derivative=derivative,
+        singularity_distance=_no_singularities,
+        reference_density=_lebesgue,
         label=f"logistic-{a}",
-        evaluate_many=f_many,
         meta={"piecewise_linear": False, "markov": False},
     )
 
@@ -123,38 +133,28 @@ def cat_map() -> MapModel:
 
     return MapModel(
         dimension=2,
-        evaluate=lambda p: (A @ np.asarray(p, dtype=float)) % 1.0,
-        derivative=lambda p: A.copy(),
-        singularity_distance=lambda p: INF,
-        reference_density=lambda p: 1.0,
+        step_many=lambda ps: (np.asarray(ps, dtype=float) @ A.T) % 1.0,
+        derivative=_constant_derivative(A),
+        singularity_distance=_no_singularities,
+        reference_density=_lebesgue,
         label="cat",
-        evaluate_many=lambda ps: (np.asarray(ps, dtype=float) @ A.T) % 1.0,
         meta={"piecewise_linear": True, "markov": False, "matrix": A},
     )
 
 
 def baker_map() -> MapModel:
-    def f(p):
-        x, y = p
-        b = np.floor(2.0 * x)
-        return np.array([(2.0 * x) % 1.0, (y + b) / 2.0])
-
     def f_many(ps):
         ps = np.asarray(ps, dtype=float)
         b = np.floor(2.0 * ps[:, 0])
         return np.column_stack([(2.0 * ps[:, 0]) % 1.0, (ps[:, 1] + b) / 2.0])
 
-    def deriv(p):
-        return np.array([[2.0, 0.0], [0.0, 0.5]])
-
     return MapModel(
         dimension=2,
-        evaluate=f,
-        derivative=deriv,
-        singularity_distance=lambda p: INF,
-        reference_density=lambda p: 1.0,
+        step_many=f_many,
+        derivative=_constant_derivative(np.array([[2.0, 0.0], [0.0, 0.5]])),
+        singularity_distance=_no_singularities,
+        reference_density=_lebesgue,
         label="baker",
-        evaluate_many=f_many,
         meta={"piecewise_linear": True, "markov": False},
     )
 
@@ -197,21 +197,18 @@ def _merge_intervals(intervals):
 class HoleSpec:
     """Open subset of phase space with structural metadata.
 
-    Boundary convention: points exactly on the boundary count as *not* in the
-    hole, so estimators are stable under floating-point ties.
-    ``boundary_distance_many`` maps an array of points to the array of their
-    ``boundary_distance`` values, bit for bit.
+    Both callables take an array of N points, shape (N,) on the circle and
+    (N, 2) on the torus: ``in_hole_many`` returns N booleans and
+    ``boundary_distance`` the N distances to the hole boundary (inf for the
+    empty hole).  Boundary convention: points exactly on the boundary count
+    as *not* in the hole, so estimators are stable under floating-point
+    ties.
     """
 
     kind: str
-    contains: Callable
+    in_hole_many: Callable
     boundary_distance: Callable
-    boundary_distance_many: Callable
-    contains_many: Callable
     meta: dict = field(default_factory=dict)
-
-    def in_hole_many(self, pts):
-        return self.contains_many(pts)
 
 
 def _interval_hole(intervals, kind, extra_meta=None):
@@ -219,30 +216,22 @@ def _interval_hole(intervals, kind, extra_meta=None):
     lo = np.array([a for a, _ in merged])
     hi = np.array([b for _, b in merged])
 
-    def contains(x):
-        return bool(np.any((lo < x) & (x < hi)))
-
-    def contains_many(xs):
+    def in_hole_many(xs):
         xs = np.asarray(xs)
         return np.any((lo[None, :] < xs[:, None]) & (xs[:, None] < hi[None, :]),
                       axis=1)
 
     endpoints = np.unique(np.concatenate([lo, hi])) % 1.0
 
-    def boundary_distance(x):
-        return float(np.min(torus_dist_1d(x, endpoints)))
-
-    def boundary_distance_many(xs):
+    def boundary_distance(xs):
         xs = np.asarray(xs, dtype=float)
         return np.min(torus_dist_1d(xs[:, None], endpoints[None, :]), axis=1)
 
     meta = {"intervals": merged}
     if extra_meta:
         meta.update(extra_meta)
-    return HoleSpec(kind=kind, contains=contains,
-                    boundary_distance=boundary_distance, meta=meta,
-                    contains_many=contains_many,
-                    boundary_distance_many=boundary_distance_many)
+    return HoleSpec(kind=kind, in_hole_many=in_hole_many,
+                    boundary_distance=boundary_distance, meta=meta)
 
 
 def cylinder_union_hole(base: int, level: int, words) -> HoleSpec:
@@ -261,44 +250,27 @@ def interval_union_hole(intervals) -> HoleSpec:
                           "interval_union")
 
 
-def region_2d_hole(predicate, boundary_distance, boundary_distance_many,
-                   predicate_many, meta=None) -> HoleSpec:
-    return HoleSpec(kind="region_2d", contains=predicate,
-                    boundary_distance=boundary_distance,
-                    meta=meta or {}, contains_many=predicate_many,
-                    boundary_distance_many=boundary_distance_many)
-
-
 def ball_hole_2d(center, radius) -> HoleSpec:
     """Open torus ball; the workhorse region hole for 2D maps."""
     c = np.asarray(center, dtype=float)
     r = float(radius)
 
-    def contains(p):
-        return bool(torus_dist_2d(p, c) < r)
-
-    def contains_many(ps):
+    def in_hole_many(ps):
         return torus_dist_2d(np.asarray(ps), c[None, :]) < r
 
-    def boundary_distance(p):
-        return abs(float(torus_dist_2d(p, c)) - r)
-
-    def boundary_distance_many(ps):
+    def boundary_distance(ps):
         return np.abs(torus_dist_2d(np.asarray(ps), c[None, :]) - r)
 
-    return region_2d_hole(contains, boundary_distance, boundary_distance_many,
-                          contains_many,
-                          meta={"shape": "ball", "center": tuple(c), "radius": r})
+    return HoleSpec(kind="region_2d", in_hole_many=in_hole_many,
+                    boundary_distance=boundary_distance,
+                    meta={"shape": "ball", "center": tuple(c), "radius": r})
 
 
 def empty_hole(dimension: int = 1) -> HoleSpec:
-    contains_many = (lambda ps: np.zeros(len(ps), dtype=bool))
     return HoleSpec(kind="interval_union" if dimension == 1 else "region_2d",
-                    contains=lambda p: False,
-                    boundary_distance=lambda p: INF,
-                    meta={"empty": True, "intervals": []},
-                    contains_many=contains_many,
-                    boundary_distance_many=lambda ps: np.full(len(ps), INF))
+                    in_hole_many=lambda ps: np.zeros(len(ps), dtype=bool),
+                    boundary_distance=lambda ps: np.full(len(ps), INF),
+                    meta={"empty": True, "intervals": []})
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +298,32 @@ def iterate(sys: OpenSystem, x, n: int) -> TrajectoryRecord:
     first arrival within the guard band of the singularity set."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if sys.map.singularity_distance(x) <= 0.0:
+    cur = np.asarray(x, dtype=float)[None]      # a one-point array
+    if sys.map.singularity_distance(cur)[0] <= 0.0:
         raise DomainError(f"{x!r} lies on the singularity set")
     pts = [x]
-    if sys.hole.contains(x):
+    if sys.hole.in_hole_many(cur)[0]:
         return TrajectoryRecord(pts, 0, None)
-    cur = x
     for i in range(1, n + 1):
-        if sys.map.singularity_distance(cur) <= SINGULARITY_GUARD:
+        if sys.map.singularity_distance(cur)[0] <= SINGULARITY_GUARD:
             return TrajectoryRecord(pts, None, i - 1)
-        cur = sys.map.evaluate(cur)
-        pts.append(cur)
-        if sys.hole.contains(cur):
+        cur = sys.map.step_many(cur)
+        pts.append(cur[0])
+        if sys.hole.in_hole_many(cur)[0]:
             return TrajectoryRecord(pts, i, None)
     return TrajectoryRecord(pts, None, None)
+
+
+def orbit_tableau(m: MapModel, xs, n: int):
+    """f^i x for i = 0..n and every point x of an array: shape
+    (n + 1,) + xs.shape."""
+    cur = np.asarray(xs, dtype=float)
+    out = np.empty((n + 1,) + cur.shape)
+    out[0] = cur
+    for i in range(1, n + 1):
+        cur = m.step_many(cur)
+        out[i] = cur
+    return out
 
 
 def survival_time(sys: OpenSystem, x, horizon: int):
@@ -575,10 +559,8 @@ def evolve_survivors(sys: OpenSystem, pts, n_max: int):
         if len(cur) == 0:
             counts[n:] = 0
             break
-        sd = np.array([sys.map.singularity_distance(p) for p in cur]) \
-            if np.isfinite(sys.map.singularity_distance(cur[0])) else None
-        if sd is not None:
-            ok = sd > SINGULARITY_GUARD
+        ok = sys.map.singularity_distance(cur) > SINGULARITY_GUARD
+        if not ok.all():
             flagged += int(np.count_nonzero(~ok))
             cur = cur[ok]
         cur = sys.map.step_many(cur)

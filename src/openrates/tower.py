@@ -353,24 +353,27 @@ def validate_hypotheses(T: TowerSpec, r: Optional[float] = None,
     # (iii) approach-rate bound (H.2) on sampled base orbits
     if map_attachment is not None:
         sysm = map_attachment["system"]
-        pts = map_attachment["base_points"]
+        pts = np.asarray(map_attachment["base_points"], dtype=float)
         horizon = map_attachment.get("horizon", 30)
         delta = map_attachment["delta"]
         xi1 = map_attachment["xi1"]
-        ok, worst = True, None
-        for x in pts:
-            cur = x
-            for n in range(horizon + 1):
-                d_s = sysm.map.singularity_distance(cur)
-                d_h = sysm.hole.boundary_distance(cur)
-                bound = delta * xi1 ** (-n)
-                if min(d_s, d_h) < bound:
-                    ok = False
-                    worst = (float(np.atleast_1d(x)[0]), n)
-                    break
-                cur = sysm.map.evaluate(cur)
-            if not ok:
+        # first step at which each orbit comes closer than delta xi1^-n to
+        # S or to the hole boundary (-1: never)
+        first = np.full(len(pts), -1)
+        live, cur = np.arange(len(pts)), pts
+        for n in range(horizon + 1):
+            near = np.minimum(sysm.map.singularity_distance(cur),
+                              sysm.hole.boundary_distance(cur)) \
+                < delta * xi1 ** (-n)
+            first[live[near]] = n
+            live, cur = live[~near], cur[~near]
+            if n == horizon or len(live) == 0:
                 break
+            cur = sysm.map.step_many(cur)
+        failed = np.flatnonzero(first >= 0)
+        ok = len(failed) == 0
+        worst = None if ok else (float(np.atleast_1d(pts[failed[0]])[0]),
+                                 int(first[failed[0]]))
         report["checks"]["approach_rate"] = {"pass": ok, "witness": worst,
                                              "delta": delta, "xi1": xi1}
 

@@ -48,15 +48,8 @@ class GridMeasure:
     def ncells(self):
         return self.resolution ** self.dimension
 
-    def density(self):
-        return self.masses * self.ncells
-
     def total(self):
         return float(np.sum(self.masses))
-
-    def normalized(self):
-        t = self.total()
-        return GridMeasure(self.dimension, self.resolution, self.masses / t)
 
     def l1_distance(self, other: "GridMeasure") -> float:
         if (other.dimension, other.resolution) != (self.dimension, self.resolution):

@@ -316,6 +316,7 @@ def test_criterion_5_ball_estimators():
 # ---------------------------------------------------------------------------
 # criterion 6: billiard property suite
 
+@pytest.mark.slow
 def test_criterion_6_billiard_properties():
     from openrates import billiard as B
 

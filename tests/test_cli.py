@@ -87,6 +87,42 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, edit, message", [
+    ("escape", lambda c: c["escape"].update(sample=10),     # for "samples"
+     "error: unknown keys ['sample'] in escape config"),
+    ("verify", lambda c: c.update(ulma={"resolution": 8}),
+     "error: unknown keys ['ulma'] in config"),
+    ("tower", lambda c: c.update(tower_options={"dpeth": 2}),
+     "error: unknown keys ['dpeth'] in tower_options config"),
+    ("balls", lambda c: c.update(balls={"center": [0.3]}),
+     "error: unknown keys ['center'] in balls config"),
+    ("billiard", lambda c: c.update(billiard={"holes": [
+        {"kind": "disk", "center": [0.5, 0.5], "radius": 0.1,
+         "scatterer": 0}]}),
+     "error: unknown keys ['scatterer'] in billiard disk hole"),
+    ("escape", lambda c: c.update(escape=40),
+     "error: escape config must be a JSON object"),
+    ("billiard", lambda c: c.update(billiard={"holes": [5]}),
+     "error: each billiard hole must be a JSON object"),
+    ("escape", lambda c: c.update(system=5),
+     "error: system config must be a JSON object"),
+    # a hole sweep parses map and holes on its own
+    ("escape", lambda c: c["system"].update(hole=[c["system"]["hole"]],
+                                            holes=2),
+     "error: unknown keys ['holes'] in system config"),
+])
+def test_unknown_section_key_exits_1(tmp_path, capsys, command, edit,
+                                     message):
+    cfg = json.loads(json.dumps(GOLDEN))
+    edit(cfg)
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "r"
+    assert main([command, "--config", str(path), "--out-dir",
+                 str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_estimator_error_exits_1(tmp_path, capsys):
     # a hole covering 90% of the circle leaves no survivors at n = 10
     cfg = {"seed": 1,

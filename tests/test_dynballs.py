@@ -5,7 +5,8 @@ import pytest
 
 from openrates import dynballs as D
 from openrates.systems import (OpenSystem, cat_map, cylinder_union_hole,
-                               doubling_map, empty_hole)
+                               doubling_map, empty_hole,
+                               sample_survivor_points)
 
 LAMBDA_CAT = math.log((3 + math.sqrt(5)) / 2)
 
@@ -22,7 +23,8 @@ def closed_cat():
 
 def test_cutoff_definition(closed_doubling):
     # no singularities: cutoff is eps / 3 everywhere
-    assert D.g_cutoff(closed_doubling, 0.3, 0.09) == pytest.approx(0.03)
+    assert D.g_cutoff(closed_doubling, np.array([0.3, 0.7]), 0.09) == \
+        pytest.approx([0.03, 0.03])
 
 
 def test_ball_measure_1d_exact(closed_doubling):
@@ -94,10 +96,25 @@ def test_triangle_check_zero_violations():
 
 
 def test_separated_set(golden_system, rng):
-    from openrates.systems import sample_survivor_points
     cand = list(sample_survivor_points(golden_system, 2, 30, rng))
     size = D.separated_set_size(golden_system, cand, 6, 0.1)
     assert 1 <= size <= 30
     # shrinking n can only make separation harder to achieve
     size_small_n = D.separated_set_size(golden_system, cand, 2, 0.1)
     assert size_small_n <= size
+
+
+def test_orbit_helpers_pinned(golden_system, closed_cat):
+    # literals recorded with the per-point orbit, cutoff and cocycle loops
+    # these helpers replaced; the arithmetic is unchanged, so they compare
+    # equal with no tolerance
+    cand = sample_survivor_points(golden_system, 2, 200,
+                                  np.random.default_rng(1))
+    assert D.separated_set_size(golden_system, cand, 6, 0.1) == 81
+    cand_2d = np.random.default_rng(2).random((150, 2))
+    assert D.separated_set_size(closed_cat, cand_2d, 4, 0.1) == 145
+    out = D.ball_slope(closed_cat, np.array([0.3137, 0.271]), 0.1, [3, 5, 7],
+                       samples=20_000, rng=np.random.default_rng(3))
+    assert out == (0.9620483685876409, [(3, 0.0002473088794037332),
+                                        (5, 3.613427655486916e-05),
+                                        (7, 5.2721835095210094e-06)])

@@ -10,7 +10,7 @@ import pytest
 from openrates import escape as E
 from openrates import pressure as P
 from openrates import ulam as U
-from openrates.systems import (HoleKindError, OpenSystem, cat_map,
+from openrates.systems import (HoleKindError, MapModel, OpenSystem, cat_map,
                                doubling_map, empty_hole, parry_chain,
                                sample_survivor_points)
 
@@ -136,6 +136,40 @@ def test_brin_katok_golden_survivor(golden_system, rng):
                                     eps_list=(0.1, 0.05), n_max=10,
                                     centers=40, rng=rng)
     assert h == pytest.approx(LOG_PHI, abs=0.04)
+
+
+def _squeeze_towards_s():
+    """(x, y) -> (x, 1/2 + (y - 1/2) / 2) with S = {y = 1/2}: x stays put and
+    the distance of y to S halves at every step."""
+    def step(ps):
+        ps = np.asarray(ps, dtype=float)
+        return np.column_stack([ps[:, 0], 0.5 + (ps[:, 1] - 0.5) / 2.0])
+
+    return MapModel(
+        dimension=2, step_many=step,
+        derivative=lambda ps: np.tile(np.diag([1.0, 0.5]), (len(ps), 1, 1)),
+        singularity_distance=lambda ps: np.abs(np.asarray(ps)[:, 1] - 0.5),
+        reference_density=lambda ps: np.ones(len(ps)), label="squeeze")
+
+
+def test_brin_katok_cutoff_is_distance_of_center_to_s():
+    # all samples lie on the grid x = k / N of the line y = 1/2 + 0.02, so
+    # d(f^i c, S) = 0.02 / 2^i at every center c, and the ball of step i
+    # keeps the 2 floor(N min(eps, 0.02 / 2^i)) grid points nearest c.
+    # A cutoff taken at a coordinate instead of the point gives other counts.
+    N = 2 ** 17
+    samples = np.column_stack([np.arange(N) / N, np.full(N, 0.52)])
+    _, _, per_eps = P.entropy_brin_katok(
+        OpenSystem(_squeeze_towards_s(), empty_hole(2)), samples,
+        eps_list=(0.1, 0.015), n_max=7, centers=10,
+        rng=np.random.default_rng(0))
+    steps = np.arange(8)
+    for eps, slope, _ in per_eps:
+        counts = 2 * np.floor(N * np.minimum(eps, 0.02 / 2.0 ** steps))
+        expected = np.polyfit(steps.astype(float), -np.log(counts / N), 1)[0]
+        assert slope == pytest.approx(expected, rel=1e-12)
+    # eps = 0.1 never binds: the count halves at every step
+    assert per_eps[0][1] == pytest.approx(math.log(2), abs=0.01)
 
 
 def test_class_membership_golden(golden_system, rng):

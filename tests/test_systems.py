@@ -14,42 +14,50 @@ from openrates import systems as S
 
 def test_doubling_map_values():
     f = S.doubling_map()
-    assert f.evaluate(0.3) == pytest.approx(0.6)
-    assert f.evaluate(0.7) == pytest.approx(0.4)
-    assert f.derivative(0.3)[0, 0] == 2.0
+    assert f.step_many(np.array([0.3, 0.7])) == pytest.approx([0.6, 0.4])
+    assert f.derivative(np.array([0.3]))[0, 0, 0] == 2.0
 
 
 def test_adic_map_meta_and_derivative():
     f = S.adic_map(5)
     assert f.meta["branch_count"] == 5
-    assert f.derivative(0.123)[0, 0] == 5.0
-    assert f.evaluate(0.25) == pytest.approx(0.25)
+    assert f.derivative(np.array([0.123]))[0, 0, 0] == 5.0
+    assert f.step_many(np.array([0.25]))[0] == pytest.approx(0.25)
 
 
 def test_cat_map_matrix_action():
     f = S.cat_map()
-    p = np.array([0.2, 0.3])
-    q = f.evaluate(p)
-    assert np.allclose(q, np.array([2 * 0.2 + 0.3, 0.2 + 0.3]) % 1.0)
-    assert np.allclose(f.derivative(p), [[2, 1], [1, 1]])
+    p = np.array([[0.2, 0.3]])
+    q = f.step_many(p)
+    assert np.allclose(q, np.array([[2 * 0.2 + 0.3, 0.2 + 0.3]]) % 1.0)
+    assert np.allclose(f.derivative(p), [[[2, 1], [1, 1]]])
 
 
 def test_baker_map_two_branches():
     f = S.baker_map()
-    a = f.evaluate(np.array([0.2, 0.6]))
-    b = f.evaluate(np.array([0.7, 0.6]))
+    a, b = f.step_many(np.array([[0.2, 0.6], [0.7, 0.6]]))
     assert a[0] == pytest.approx(0.4)
     assert b[0] == pytest.approx(0.4)
     assert not np.allclose(a[1], b[1])
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
-def test_evaluate_many_matches_scalar(x):
-    for name in ("doubling", "adic", "logistic"):
-        f = S.MAP_ZOO[name]() if name != "adic" else S.adic_map(3)
-        many = f.evaluate_many(np.array([x]))
-        assert float(many[0]) == pytest.approx(float(f.evaluate(x)), abs=1e-12)
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                max_size=8))
+def test_step_many_is_pointwise(xs):
+    # a point's image does not depend on the other points of the array;
+    # iterate relies on this when it wraps one point as an array
+    for name, f in S.MAP_ZOO.items():
+        f = f() if name != "adic" else S.adic_map(3)
+        pts = np.array(xs) if f.dimension == 1 \
+            else np.column_stack([xs, xs[::-1]])
+        many = f.step_many(pts)
+        assert many.shape == pts.shape
+        for i in range(len(pts)):
+            assert np.array_equal(many[i], f.step_many(pts[i:i + 1])[0])
+        assert f.derivative(pts).shape == (len(pts),) + (f.dimension,) * 2
+        assert f.singularity_distance(pts).shape == (len(pts),)
+        assert f.reference_density(pts).shape == (len(pts),)
 
 
 @settings(max_examples=50, deadline=None)
@@ -75,25 +83,25 @@ def test_torus_dist_triangle(a, b, c):
 
 def test_cylinder_hole_membership():
     h = S.cylinder_union_hole(2, 2, [(1, 1)])   # [3/4, 1)
-    assert h.contains(0.8)
-    assert not h.contains(0.74999)
-    assert not h.contains(0.5)
+    assert list(h.in_hole_many(np.array([0.8, 0.74999, 0.5]))) == \
+        [True, False, False]
     # open set: boundary points excluded
-    assert not h.contains(0.75) or h.boundary_distance(0.75) == 0.0
+    assert not h.in_hole_many(np.array([0.75]))[0]
+    assert h.boundary_distance(np.array([0.75]))[0] == 0.0
 
 
 def test_hole_boundary_distance():
     h = S.interval_union_hole([(0.2, 0.4)])
-    assert h.boundary_distance(0.3) == pytest.approx(0.1)
-    assert h.boundary_distance(0.1) == pytest.approx(0.1)
-    assert h.boundary_distance(0.55) == pytest.approx(0.15)
+    assert h.boundary_distance(np.array([0.3, 0.1, 0.55])) == \
+        pytest.approx([0.1, 0.1, 0.15])
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.01, 0.99))
-def test_hole_contains_many_matches_scalar(x):
-    h = S.cylinder_union_hole(2, 2, [(1, 1), (0, 1)])
-    assert bool(h.in_hole_many(np.array([x]))[0]) == h.contains(x)
+def test_in_hole_many_matches_cylinders(x):
+    h = S.cylinder_union_hole(2, 2, [(1, 1), (0, 1)])  # (1/4, 1/2) u (3/4, 1)
+    inside = 0.25 < x < 0.5 or 0.75 < x < 1.0
+    assert bool(h.in_hole_many(np.array([x]))[0]) == inside
 
 
 _BOUNDARY_HOLES_1D = [
@@ -113,44 +121,50 @@ _BOUNDARY_HOLES_2D = [
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=8))
-def test_boundary_distance_many_matches_scalar_1d(xs):
+def test_boundary_distance_is_pointwise_1d(xs):
     xs = np.array(xs)
     for h in _BOUNDARY_HOLES_1D:
-        many = h.boundary_distance_many(xs)
+        many = h.boundary_distance(xs)
         assert many.shape == xs.shape
-        assert all(a == h.boundary_distance(x) for a, x in zip(many, xs))
+        assert all(a == h.boundary_distance(xs[i:i + 1])[0]
+                   for i, a in enumerate(many))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
                           st.floats(0, 1, exclude_max=True)),
                 min_size=1, max_size=8))
-def test_boundary_distance_many_matches_scalar_2d(ps):
+def test_boundary_distance_is_pointwise_2d(ps):
     ps = np.array(ps)
     for h in _BOUNDARY_HOLES_2D:
-        many = h.boundary_distance_many(ps)
+        many = h.boundary_distance(ps)
         assert many.shape == (len(ps),)
-        assert all(a == h.boundary_distance(p) for a, p in zip(many, ps))
+        assert all(a == h.boundary_distance(ps[i:i + 1])[0]
+                   for i, a in enumerate(many))
 
 
-def test_boundary_distance_many_at_endpoints():
+def test_boundary_distance_at_endpoints_and_seams():
+    # hole (0, 1/9) u (1/3, 4/9) u (8/9, 1): the end 1 is the point 0
     h = _BOUNDARY_HOLES_1D[1]
     ends = np.array([0.0, 1 / 9, 2 / 9, 1 / 3, 8 / 9, np.nextafter(1.0, 0.0)])
-    assert list(h.boundary_distance_many(ends)) == \
-        [h.boundary_distance(x) for x in ends]
+    assert list(h.boundary_distance(ends)) == pytest.approx(
+        [0.0, 0.0, 1 / 9, 0.0, 0.0, 0.0], abs=1e-15)
+    assert h.boundary_distance(ends[-1:])[0] == 2.0 ** -53
+    # ball of radius 0.1 around the corner (0, 0)
     seam = _BOUNDARY_HOLES_2D[0]
     ps = np.array([[0.0, 0.1], [0.9, 0.0], [0.999, 0.001], [0.05, 0.95]])
-    assert list(seam.boundary_distance_many(ps)) == \
-        [seam.boundary_distance(p) for p in ps]
+    assert list(seam.boundary_distance(ps)) == pytest.approx(
+        [0.0, 0.0, 0.1 - 0.001 * math.sqrt(2), 0.1 - 0.05 * math.sqrt(2)],
+        abs=1e-15)
 
 
 def test_ball_hole_2d():
     h = S.ball_hole_2d((0.5, 0.5), 0.1)
-    assert h.contains(np.array([0.55, 0.5]))
-    assert not h.contains(np.array([0.9, 0.9]))
+    assert list(h.in_hole_many(np.array([[0.55, 0.5], [0.9, 0.9]]))) == \
+        [True, False]
     # wraps around the torus
     h2 = S.ball_hole_2d((0.0, 0.0), 0.1)
-    assert h2.contains(np.array([0.95, 0.02]))
+    assert h2.in_hole_many(np.array([[0.95, 0.02]]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +293,7 @@ def test_system_from_config_roundtrip():
                     "words": [[1, 1]]}}
     sys_obj = S.system_from_config(cfg)
     assert sys_obj.map.meta["branch_count"] == 2
-    assert sys_obj.hole.contains(0.9)
+    assert sys_obj.hole.in_hole_many(np.array([0.9]))[0]
 
 
 def test_config_rejects_unknown_keys():
