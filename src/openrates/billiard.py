@@ -21,6 +21,7 @@ import numpy as np
 
 from .escape import (EscapeEstimate, InsufficientSurvivorsError,
                      sharded_mc_estimates)
+from .systems import _reject_unknown
 
 TANGENT_GUARD = 1e-9        # |cos theta| below this flags a grazing collision
 _COPY_RANGE = 2             # search copies at offsets -2..2 (flights < 1.5)
@@ -313,6 +314,26 @@ def nested_disk_holes(table: BilliardTable, center, radii: Sequence[float]):
     for h in holes:
         h.validate(table)
     return holes
+
+
+# each hole kind's config keys, with the conversion of each value
+_HOLE_FIELDS = {
+    "arc": {"scatterer": int, "arc_center": float, "arc_halfwidth": float},
+    "disk": {"center": tuple, "radius": float},
+}
+
+
+def hole_from_config(cfg: dict) -> BilliardHole:
+    """A hole from one entry of the ``holes`` list of a billiard config."""
+    _reject_unknown(cfg, {"kind"}.union(*_HOLE_FIELDS.values()),
+                    "each billiard hole")
+    kind = cfg.get("kind")
+    if kind not in _HOLE_FIELDS:
+        raise ValueError(f"unknown billiard hole kind {kind!r}")
+    fields = _HOLE_FIELDS[kind]
+    _reject_unknown(cfg, {"kind", *fields}, f"billiard {kind} hole")
+    return BilliardHole(kind, **{key: convert(cfg[key])
+                                 for key, convert in fields.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Experiment runner: parse a JSON config, execute a pipeline, persist
 results.
 
-Every run writes ``summary.json`` embedding the fully resolved config and its
+Every run writes ``summary.json`` embedding the config as written and its
 SHA-256 hash, so reruns can be compared and any output traced back to its
 inputs.  Exit codes: 0 success, 1 error, 2 theorem-check verdict violated.
 No timestamps or environment data go into outputs; rerunning a config
@@ -14,17 +14,17 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys as _sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
+from . import billiard as billiard_mod
 from . import escape as escape_mod
 from . import pressure as pressure_mod
 from . import tower as tower_mod
 from . import ulam as ulam_mod
-from .billiard import InfiniteHorizonError
 from .systems import _reject_unknown, parry_chain, system_from_config
 
 
@@ -35,8 +35,7 @@ class ConfigError(ValueError):
 def _load_config(path):
     try:
         with open(path) as fh:
-            text = fh.read()
-        return json.loads(text)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -45,54 +44,62 @@ def _load_config(path):
             f"{exc.msg}")
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(_canonical(cfg).encode()).hexdigest()
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# keys each config section may hold; "tower" is checked where it is parsed
-_SECTION_KEYS = {
-    "system": {"map", "hole"},
-    "escape": {"methods", "n_max", "resolution", "level", "samples"},
-    "ulam": {"resolution"},
-    "tower_options": {"depth", "n_max"},
-    "balls": {"eps", "n_values", "samples", "centers"},
-    "billiard": {"scatterers", "validation_rays", "holes", "samples",
-                 "n_max"},
+# default null of a key whose value, when set, has JSON type ``kind``
+_NullOr = namedtuple("_NullOr", "kind")
+
+# every key each config section may hold, with the value it takes when absent
+_DEFAULTS = {
+    "escape": {"methods": ["grid"], "n_max": 40,
+               "resolution": _NullOr("number"), "level": 2,
+               "samples": 100_000},
+    "ulam": {"resolution": 512},
+    "tower_options": {"depth": 3, "n_max": 20},
+    "balls": {"eps": 0.1, "n_values": [4, 6, 8], "samples": 40_000,
+              "centers": [0.3137]},
+    "billiard": {"scatterers": _NullOr("array"),
+                 "validation_rays": 1_000_000, "holes": [],
+                 "samples": 1_000_000, "n_max": 40},
 }
-_BILLIARD_HOLE_KEYS = {
-    "arc": {"kind", "scatterer", "arc_center", "arc_halfwidth"},
-    "disk": {"kind", "center", "radius"},
-}
+# JSON type of each Python type that json.loads returns
+_KINDS = {type(None): "null", bool: "boolean", int: "number", float: "number",
+          str: "string", list: "array", dict: "object"}
 
 
-def _check_keys(cfg: dict):
-    """Reject misspelt keys, which would otherwise fall back silently to
-    their defaults."""
-    _reject_unknown(cfg, {"seed", "tower", *_SECTION_KEYS}, "config")
-    for section, allowed in _SECTION_KEYS.items():
-        body = cfg.get(section, {})
-        if not isinstance(body, dict):
-            raise ConfigError(f"{section} config must be a JSON object")
-        _reject_unknown(body, allowed, f"{section} config")
-    for hc in cfg.get("billiard", {}).get("holes", []):
-        if not isinstance(hc, dict):
-            raise ConfigError("each billiard hole must be a JSON object")
-        if hc.get("kind") in _BILLIARD_HOLE_KEYS:
-            _reject_unknown(hc, _BILLIARD_HOLE_KEYS[hc["kind"]],
-                            f"billiard {hc['kind']} hole")
+def _check_kind(value, kinds, name: str):
+    if _KINDS[type(value)] not in kinds:
+        raise ConfigError(f"{name} must be a JSON {' or '.join(kinds)}, "
+                          f"not {_KINDS[type(value)]}")
 
 
-def _resolve_seed(cfg: dict, args) -> int:
-    env = os.environ.get("OR_SEED")
-    if env is not None:
-        return int(env)
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return int(cfg.get("seed", 0))
+def _section(body, defaults: dict, where: str) -> dict:
+    """``body`` checked against ``defaults`` and filled in from them: each
+    value has the JSON type of its default, or is null if that is a
+    ``_NullOr``."""
+    _reject_unknown(body, defaults, where)
+    out = {}
+    for key, default in defaults.items():
+        null_or = isinstance(default, _NullOr)
+        out[key] = body.get(key, None if null_or else default)
+        _check_kind(out[key], ("null", default.kind) if null_or
+                    else (_KINDS[type(default)],), f"{key} in {where}")
+    return out
+
+
+def _resolve(cfg) -> dict:
+    """The config with its seed and every ``_DEFAULTS`` section checked and
+    filled in."""
+    _reject_unknown(cfg, {"seed", "system", "tower", *_DEFAULTS}, "config")
+    resolved = {"seed": 0, **cfg}
+    _check_kind(resolved["seed"], ("number",), "seed")
+    resolved.update({name: _section(cfg.get(name, {}), defaults,
+                                    f"{name} config")
+                     for name, defaults in _DEFAULTS.items()})
+    return resolved
 
 
 def _json_ready(x):
@@ -119,23 +126,21 @@ def _write_summary(out_dir: Path, cfg: dict, payload: dict):
     return summary
 
 
-def _escape_estimates(sys_obj, cfg: dict, seed: int, out_dir: Path):
-    ecfg = cfg.get("escape", {})
+def _escape_estimates(sys_obj, ecfg: dict, seed: int, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_max = int(ecfg.get("n_max", 40))
-    methods = ecfg.get("methods", ["grid"])
+    n_max = int(ecfg["n_max"])
     results = {}
-    for method in methods:
+    for method in ecfg["methods"]:
         if method == "grid":
             est = escape_mod.escape_rate_grid(
-                sys_obj, n_max, resolution=ecfg.get("resolution"))
+                sys_obj, n_max, resolution=ecfg["resolution"])
         elif method == "words":
             est = escape_mod.escape_rate_words(
-                sys_obj, int(ecfg.get("level", 2)), n_max=n_max)
+                sys_obj, int(ecfg["level"]), n_max=n_max)
         elif method == "mc":
             est = escape_mod.escape_rate_mc(
                 sys_obj, escape_mod.lebesgue_sampler(sys_obj.dimension),
-                n_max, int(ecfg.get("samples", 100_000)), seed)
+                n_max, int(ecfg["samples"]), seed)
         else:
             raise ConfigError(f"unknown escape method {method!r}")
         est.write_csv(out_dir / f"survival_{method}.csv")
@@ -149,77 +154,26 @@ def _estimate_dict(est):
             "method": est.method, "meta": est.meta}
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-def cmd_escape(cfg, args, out_dir, seed):
-    hole_cfg = cfg["system"].get("hole")
-    if isinstance(hole_cfg, list):
-        # hole sweep: one estimate per hole, shared map
-        from .escape import monotone_rho
-        from .systems import OpenSystem, hole_from_config, map_from_config
-
-        map_obj = map_from_config(cfg["system"]["map"])
-        rows = []
-        estimates = []
-        for i, hc in enumerate(hole_cfg):
-            sys_obj = OpenSystem(map=map_obj, hole=hole_from_config(hc))
-            results = _escape_estimates(sys_obj, cfg, seed,
-                                        out_dir / f"hole_{i}")
-            est = results.get("grid") or next(iter(results.values()))
-            estimates.append(est)
-            rows.append({"hole": hc, "rho": est.rho, "stderr": est.stderr})
-        return {"sweep": rows, "monotone": monotone_rho(estimates)}, 0
-    sys_obj = system_from_config(cfg["system"])
-    results = _escape_estimates(sys_obj, cfg, seed, out_dir)
-    return {"escape": {m: _estimate_dict(e) for m, e in results.items()}}, 0
-
-
-def cmd_ulam(cfg, args, out_dir, seed):
-    sys_obj = system_from_config(cfg["system"])
-    res = int(cfg.get("ulam", {}).get("resolution", 512))
-    op = ulam_mod.build_ulam(sys_obj, res)
-    spec = ulam_mod.leading_eigenpair(op)
-    op.export_coo(out_dir / "operator_coo.csv")
-    np.savetxt(out_dir / "qsd.csv",
-               np.column_stack([np.arange(op.ncells), spec.right]),
-               delimiter=",", header="cell,mass", comments="")
-    nu_hat, info = ulam_mod.survivor_measure(op, spec)
-    np.savetxt(out_dir / "survivor_measure.csv",
-               np.column_stack([np.arange(op.ncells), nu_hat.masses]),
-               delimiter=",", header="cell,mass", comments="")
-    return {"ulam": {"spectral": spec.to_json_dict(),
-                     "survivor_routes": info,
-                     "resolution": res}}, 0
-
-
-def cmd_tower(cfg, args, out_dir, seed):
-    T = tower_mod.tower_from_config(cfg["tower"])
-    r = tower_mod.tower_eigenvalue(T)
-    nu0 = tower_mod.gibbs_measure(T, r, depth=int(
-        cfg.get("tower_options", {}).get("depth", 3)))
-    seq = tower_mod.gurevich_pressure(T, r, n_max=int(
-        cfg.get("tower_options", {}).get("n_max", 20)))
-    abram = tower_mod.abramov_check(T, nu0, r)
-    hyp = tower_mod.validate_hypotheses(T, r)
-    payload = {"tower": {
-        "eigenvalue": r, "log_eigenvalue": math.log(r),
-        "gurevich_max_abs": max(abs(p) for _, p in seq),
-        "abramov": abram, "hypotheses": hyp,
-        "depth1_weights": {bid: nu0.cylinder_weights.get((bid,), 0.0)
-                           for bid in nu0.branch_ids}}}
-    return payload, 0
-
-
 def _best_estimate(results):
+    if not results:
+        raise ConfigError("escape methods is empty")
     return results.get("words") or results.get("grid") \
         or next(iter(results.values()))
 
 
-def _nu_hat_verdict(sys_obj, cfg, best):
+def _ulam_run(sys_obj, res: int):
+    """Ulam operator, its leading eigenpair and survivor measure, plus the
+    ``"ulam"`` summary payload."""
+    op = ulam_mod.build_ulam(sys_obj, res)
+    spec = ulam_mod.leading_eigenpair(op)
+    nu_hat, info = ulam_mod.survivor_measure(op, spec)
+    return op, spec, nu_hat, {"spectral": spec.to_json_dict(),
+                              "survivor_routes": info, "resolution": res}
+
+
+def _nu_hat_verdict(sys_obj, level: int, best):
     """Pressure of the Parry chain (nu_hat) and the variational verdict
     against ``best``; exit code 2 when either check fails."""
-    level = int(cfg.get("escape", {}).get("level", 2))
     states, P, pi = parry_chain(sys_obj, level)
     rep = pressure_mod.InvariantMeasureRep(
         kind="markov_chain", name="nu_hat", transition=P, stationary=pi,
@@ -237,80 +191,108 @@ def _nu_hat_verdict(sys_obj, cfg, best):
             "verdict": verdict}, code
 
 
-def cmd_pressure(cfg, args, out_dir, seed):
+# ---------------------------------------------------------------------------
+# subcommands: each takes the resolved config
+
+def cmd_escape(cfg, out_dir, seed):
+    system = cfg["system"]
+    if isinstance(system, dict) and isinstance(system.get("hole"), list):
+        # hole sweep: one estimate per hole, same map
+        ests = [_best_estimate(_escape_estimates(
+            system_from_config({**system, "hole": hc}), cfg["escape"], seed,
+            out_dir / f"hole_{i}")) for i, hc in enumerate(system["hole"])]
+        return {"sweep": [{"hole": hc, "rho": e.rho, "stderr": e.stderr}
+                          for hc, e in zip(system["hole"], ests)],
+                "monotone": escape_mod.monotone_rho(ests)}, 0
+    sys_obj = system_from_config(system)
+    results = _escape_estimates(sys_obj, cfg["escape"], seed, out_dir)
+    return {"escape": {m: _estimate_dict(e) for m, e in results.items()}}, 0
+
+
+def cmd_ulam(cfg, out_dir, seed):
     sys_obj = system_from_config(cfg["system"])
-    results = _escape_estimates(sys_obj, cfg, seed, out_dir)
-    payload, code = _nu_hat_verdict(sys_obj, cfg, _best_estimate(results))
+    op, spec, nu_hat, ulam = _ulam_run(sys_obj,
+                                       int(cfg["ulam"]["resolution"]))
+    op.export_coo(out_dir / "operator_coo.csv")
+    for name, masses in (("qsd", spec.right),
+                         ("survivor_measure", nu_hat.masses)):
+        np.savetxt(out_dir / f"{name}.csv",
+                   np.column_stack([np.arange(op.ncells), masses]),
+                   delimiter=",", header="cell,mass", comments="")
+    return {"ulam": ulam}, 0
+
+
+def cmd_tower(cfg, out_dir, seed):
+    T = tower_mod.tower_from_config(cfg["tower"])
+    opts = cfg["tower_options"]
+    r = tower_mod.tower_eigenvalue(T)
+    nu0 = tower_mod.gibbs_measure(T, r, depth=int(opts["depth"]))
+    seq = tower_mod.gurevich_pressure(T, r, n_max=int(opts["n_max"]))
+    abram = tower_mod.abramov_check(T, nu0, r)
+    hyp = tower_mod.validate_hypotheses(T, r)
+    payload = {"tower": {
+        "eigenvalue": r, "log_eigenvalue": math.log(r),
+        "gurevich_max_abs": max(abs(p) for _, p in seq),
+        "abramov": abram, "hypotheses": hyp,
+        "depth1_weights": {bid: nu0.cylinder_weights.get((bid,), 0.0)
+                           for bid in nu0.branch_ids}}}
+    return payload, 0
+
+
+def cmd_pressure(cfg, out_dir, seed):
+    sys_obj = system_from_config(cfg["system"])
+    results = _escape_estimates(sys_obj, cfg["escape"], seed, out_dir)
+    payload, code = _nu_hat_verdict(sys_obj, int(cfg["escape"]["level"]),
+                                    _best_estimate(results))
     payload["escape"] = {m: _estimate_dict(e) for m, e in results.items()}
     return payload, code
 
 
-def cmd_balls(cfg, args, out_dir, seed):
+def cmd_balls(cfg, out_dir, seed):
     from . import dynballs as db
 
     sys_obj = system_from_config(cfg["system"])
-    bcfg = cfg.get("balls", {})
-    eps = float(bcfg.get("eps", 0.1))
-    n_values = bcfg.get("n_values", [4, 6, 8])
+    bcfg = cfg["balls"]
+    eps = float(bcfg["eps"])
     rng = np.random.default_rng(seed)
     rows = []
-    for center in bcfg.get("centers", [0.3137]):
+    for center in bcfg["centers"]:
         c = np.asarray(center, dtype=float) if sys_obj.dimension == 2 \
             else float(center)
-        slope, masses = db.ball_slope(sys_obj, c, eps, n_values,
-                                      samples=int(bcfg.get("samples", 40000)),
-                                      rng=rng)
+        slope, masses = db.ball_slope(sys_obj, c, eps, bcfg["n_values"],
+                                      samples=int(bcfg["samples"]), rng=rng)
         rows.append({"center": center, "slope": slope, "masses": masses})
     return {"balls": {"eps": eps, "results": rows}}, 0
 
 
-def cmd_billiard(cfg, args, out_dir, seed):
-    from . import billiard as bl
-
-    bcfg = cfg.get("billiard", {})
-    scatterers = bcfg.get("scatterers")
-    table = bl.build_table(
+def cmd_billiard(cfg, out_dir, seed):
+    bcfg = cfg["billiard"]
+    holes = [billiard_mod.hole_from_config(hc) for hc in bcfg["holes"]]
+    scatterers = bcfg["scatterers"]
+    table = billiard_mod.build_table(
         scatterers=(tuple((tuple(c), r) for c, r in scatterers)
-                    if scatterers else bl.DEFAULT_SCATTERERS),
-        validation_rays=int(bcfg.get("validation_rays", 1_000_000)))
-    holes = []
-    for hc in bcfg.get("holes", []):
-        if hc["kind"] == "arc":
-            holes.append(bl.BilliardHole(
-                "arc", scatterer=int(hc["scatterer"]),
-                arc_center=float(hc["arc_center"]),
-                arc_halfwidth=float(hc["arc_halfwidth"])))
-        elif hc["kind"] == "disk":
-            holes.append(bl.BilliardHole(
-                "disk", center=tuple(hc["center"]),
-                radius=float(hc["radius"])))
-        else:
-            raise ConfigError(f"unknown billiard hole kind {hc['kind']!r}")
-    ests = bl.billiard_escape_multi(
-        table, holes, int(bcfg.get("samples", 1_000_000)),
-        int(bcfg.get("n_max", 40)), seed)
+                    if scatterers else billiard_mod.DEFAULT_SCATTERERS),
+        validation_rays=int(bcfg["validation_rays"]))
+    ests = billiard_mod.billiard_escape_multi(
+        table, holes, int(bcfg["samples"]), int(bcfg["n_max"]), seed)
     for i, est in enumerate(ests):
         est.write_csv(out_dir / f"survival_billiard_{i}.csv")
     return {"billiard": {"tau_max": table.tau_max,
                          "holes": [_estimate_dict(e) for e in ests]}}, 0
 
 
-def cmd_verify(cfg, args, out_dir, seed):
+def cmd_verify(cfg, out_dir, seed):
     """Full pipeline: escape + spectral + pressure + verdict."""
     sys_obj = system_from_config(cfg["system"])
-    results = _escape_estimates(sys_obj, cfg, seed, out_dir)
-    res = int(cfg.get("ulam", {}).get("resolution", 512))
-    op = ulam_mod.build_ulam(sys_obj, res)
-    spec = ulam_mod.leading_eigenpair(op)
-    nu_hat, route_info = ulam_mod.survivor_measure(op, spec)
-
+    results = _escape_estimates(sys_obj, cfg["escape"], seed, out_dir)
+    _, spec, _, ulam = _ulam_run(sys_obj, int(cfg["ulam"]["resolution"]))
     payload = {"escape": {m: _estimate_dict(e) for m, e in results.items()},
-               "ulam": {"spectral": spec.to_json_dict(),
-                        "survivor_routes": route_info, "resolution": res}}
+               "ulam": ulam}
     code = 0
     best = _best_estimate(results)
     if sys_obj.map.meta.get("markov") and sys_obj.dimension == 1:
-        verdict_payload, code = _nu_hat_verdict(sys_obj, cfg, best)
+        verdict_payload, code = _nu_hat_verdict(
+            sys_obj, int(cfg["escape"]["level"]), best)
         payload.update(verdict_payload)
     # cross-route consistency
     rhos = [e.rho for e in results.values()]
@@ -376,8 +358,7 @@ def build_parser():
         p.add_argument("--config", required=True)
         p.add_argument("--out-dir", default="results")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed (OR_SEED wins over "
-                            "both)")
+                       help="override the config seed")
     pc = sub.add_parser("compare")
     pc.add_argument("runs", nargs="+",
                     help="summary.json files or run directories")
@@ -390,13 +371,11 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(args)
         cfg = _load_config(args.config)
-        if not isinstance(cfg, dict):
-            raise ConfigError("top-level config must be a JSON object")
-        _check_keys(cfg)
-        seed = _resolve_seed(cfg, args)
+        run = _resolve(cfg)
+        seed = args.seed if args.seed is not None else int(run["seed"])
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        payload, code = _COMMANDS[args.command](cfg, args, out_dir, seed)
+        payload, code = _COMMANDS[args.command](run, out_dir, seed)
         payload["seed"] = seed
         payload["exit_code"] = code
         _write_summary(out_dir, cfg, payload)
@@ -405,7 +384,7 @@ def main(argv=None) -> int:
             escape_mod.InsufficientSurvivorsError,
             escape_mod.DegenerateFitError, ulam_mod.ConvergenceError,
             tower_mod.NoRootError, tower_mod.DivergenceError,
-            InfiniteHorizonError) as exc:
+            billiard_mod.InfiniteHorizonError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -21,15 +21,14 @@ from .ulam import GridMeasure
 
 @dataclass
 class InvariantMeasureRep:
-    """A candidate invariant measure: exact Markov chain, empirical orbit
-    sample, or a grid measure from the Ulam module."""
+    """A candidate invariant measure: exact Markov chain or empirical orbit
+    sample."""
 
-    kind: str                       # markov_chain | empirical | grid
+    kind: str                       # markov_chain | empirical
     name: str = ""
     transition: Optional[np.ndarray] = None
     stationary: Optional[np.ndarray] = None
     samples: Optional[np.ndarray] = None
-    grid: Optional[GridMeasure] = None
     supported_in_survivor: bool = True
     # optional exact values, used instead of sample estimates when present
     entropy_exact: Optional[float] = None
@@ -47,13 +46,10 @@ class InvariantMeasureRep:
             if not err <= 1e-12:   # a NaN residual fails too
                 raise ValueError(f"stationary vector residual {err:.2e}")
 
-    def draw(self, rng, size, sys: Optional[OpenSystem] = None):
-        if self.kind == "empirical":
-            idx = rng.integers(0, len(self.samples), size)
-            return self.samples[idx]
-        if self.kind == "grid":
-            return self.grid.sample(rng, size)
-        raise ValueError("markov_chain rep has no generic point sampler")
+    def draw(self, rng, size):
+        if self.kind != "empirical":
+            raise ValueError("markov_chain rep has no generic point sampler")
+        return self.samples[rng.integers(0, len(self.samples), size)]
 
 
 @dataclass
@@ -193,7 +189,7 @@ def lyapunov_sum(sys: OpenSystem, rep: InvariantMeasureRep, n: int = 50,
         return rep.lyapunov_exact, 0.0
     if rng is None:
         rng = np.random.default_rng(7)
-    pts = rep.draw(rng, orbit_samples, sys)
+    pts = rep.draw(rng, orbit_samples)
     dim = sys.map.dimension
     # the live orbits advance together, one stacked QR per step
     cur = np.asarray(pts, dtype=float)
@@ -252,7 +248,7 @@ def class_membership(sys: OpenSystem, rep: InvariantMeasureRep,
         rng = np.random.default_rng(11)
     if rep.kind == "markov_chain":
         raise ValueError("class_membership needs a point-sampleable rep")
-    pts = rep.draw(rng, sample_size, sys)
+    pts = rep.draw(rng, sample_size)
     dim = sys.map.dimension
     flags = {}
     eps_grid = np.logspace(-3, -2, 8)
@@ -350,9 +346,7 @@ def pressure_report(sys: OpenSystem, rep: InvariantMeasureRep,
     else:
         kw = dict(eps_list=(0.1, 0.05), n_max=14, centers=60)
         kw.update(bk_kwargs or {})
-        samples = (rep.samples if rep.kind == "empirical"
-                   else rep.grid.sample(rng, 200_000))
-        h, h_err, _ = entropy_brin_katok(sys, samples, rng=rng, **kw)
+        h, h_err, _ = entropy_brin_katok(sys, rep.samples, rng=rng, **kw)
     lam, lam_err = lyapunov_sum(sys, rep, rng=rng)
     flags = {}
     if check_classes and rep.kind != "markov_chain":

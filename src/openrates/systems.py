@@ -591,6 +591,9 @@ _HOLE_SCHEMAS = {
 
 
 def _reject_unknown(d: dict, allowed, where: str):
+    """Check that ``d`` is a JSON object holding only ``allowed`` keys."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
@@ -611,21 +614,23 @@ def map_from_config(cfg: dict) -> MapModel:
 
 
 def hole_from_config(cfg: dict) -> HoleSpec:
+    _reject_unknown(cfg, {"kind"}.union(*_HOLE_SCHEMAS.values()),
+                    "hole config")
     kind = cfg.get("kind")
     if kind not in _HOLE_SCHEMAS:
         raise ValueError(f"unknown hole kind {kind!r}")
-    body = {k: v for k, v in cfg.items() if k != "kind"}
-    _reject_unknown(body, _HOLE_SCHEMAS[kind], f"hole config for {kind}")
+    _reject_unknown(cfg, {"kind", *_HOLE_SCHEMAS[kind]},
+                    f"hole config for {kind}")
     if kind == "cylinder_union":
-        return cylinder_union_hole(int(body["base"]), int(body["level"]),
-                                   body["words"])
+        return cylinder_union_hole(int(cfg["base"]), int(cfg["level"]),
+                                   cfg["words"])
     if kind == "interval_union":
-        return interval_union_hole(body["intervals"])
+        return interval_union_hole(cfg["intervals"])
     if kind == "region_2d":
-        if body.get("shape", "ball") != "ball":
+        if cfg.get("shape", "ball") != "ball":
             raise ValueError("only ball-shaped region_2d holes are supported")
-        return ball_hole_2d(body["center"], body["radius"])
-    return empty_hole(int(body.get("dimension", 1)))
+        return ball_hole_2d(cfg["center"], cfg["radius"])
+    return empty_hole(int(cfg.get("dimension", 1)))
 
 
 def system_from_config(cfg: dict) -> OpenSystem:

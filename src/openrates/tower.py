@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .systems import perron
+from .systems import _reject_unknown, perron
 
 
 class NoRootError(RuntimeError):
@@ -68,15 +68,13 @@ class TowerSpec:
 
 
 def tower_from_config(cfg: dict) -> TowerSpec:
-    allowed = {"branches", "C0", "theta0", "C1", "alpha", "transition"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} in tower config")
+    _reject_unknown(cfg, {"branches", "C0", "theta0", "C1", "alpha",
+                          "transition"}, "tower config")
+    if not isinstance(cfg["branches"], list):
+        raise ValueError("tower branches must be a JSON array")
     branches = []
     for i, b in enumerate(cfg["branches"]):
-        bu = set(b) - {"id", "R", "J", "mass", "holed"}
-        if bu:
-            raise ValueError(f"unknown keys {sorted(bu)} in branch {i}")
+        _reject_unknown(b, {"id", "R", "J", "mass", "holed"}, f"branch {i}")
         branches.append(TowerBranch(
             id=str(b.get("id", i)), R=int(b["R"]), J=float(b["J"]),
             mass=float(b["mass"]), holed=bool(b.get("holed", False))))

@@ -1,9 +1,13 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from openrates.cli import config_hash, main
+from openrates.cli import _DEFAULTS, _section, config_hash, main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 GOLDEN = {
     "seed": 11,
@@ -52,17 +56,18 @@ def test_rerun_is_byte_identical(tmp_path):
         (b / "survival_grid.csv").read_bytes()
 
 
-def test_seed_precedence(tmp_path, monkeypatch):
+def test_seed_precedence(tmp_path):
     cfg = _write(tmp_path, GOLDEN)
+    unseeded = _write(tmp_path, {k: v for k, v in GOLDEN.items()
+                                 if k != "seed"}, "unseeded.json")
 
-    def run(extra, out):
-        main(["escape", "--config", str(cfg), "--out-dir", str(out)] + extra)
+    def run(path, extra, out):
+        main(["escape", "--config", str(path), "--out-dir", str(out)] + extra)
         return json.loads((out / "summary.json").read_text())["seed"]
 
-    assert run([], tmp_path / "r1") == 11
-    assert run(["--seed", "42"], tmp_path / "r2") == 42
-    monkeypatch.setenv("OR_SEED", "99")
-    assert run(["--seed", "42"], tmp_path / "r3") == 99
+    assert run(cfg, [], tmp_path / "r1") == 11
+    assert run(cfg, ["--seed", "42"], tmp_path / "r2") == 42
+    assert run(unseeded, [], tmp_path / "r3") == 0
 
 
 def test_malformed_config(tmp_path, capsys):
@@ -110,6 +115,29 @@ def test_unknown_config_key(tmp_path, capsys):
     ("escape", lambda c: c["system"].update(hole=[c["system"]["hole"]],
                                             holes=2),
      "error: unknown keys ['holes'] in system config"),
+    # a value of the wrong JSON type names its section or key
+    ("tower", lambda c: c.update(tower=5),
+     "error: tower config must be a JSON object"),
+    ("tower", lambda c: c.update(tower={"branches": 5}),
+     "error: tower branches must be a JSON array"),
+    ("tower", lambda c: c.update(tower={"branches": [5]}),
+     "error: branch 0 must be a JSON object"),
+    ("escape", lambda c: c["system"].update(hole=5),
+     "error: hole config must be a JSON object"),
+    ("escape", lambda c: c["system"].update(map=5),
+     "error: map config must be a JSON object"),
+    ("escape", lambda c: c["system"]["map"].update(params=5),
+     "error: map params for adic must be a JSON object"),
+    ("billiard", lambda c: c.update(billiard={"holes": 5}),
+     "error: holes in billiard config must be a JSON array, not number"),
+    ("balls", lambda c: c.update(balls={"centers": 5}),
+     "error: centers in balls config must be a JSON array, not number"),
+    ("escape", lambda c: c["escape"].update(n_max=None),
+     "error: n_max in escape config must be a JSON number, not null"),
+    ("escape", lambda c: c["escape"].update(methods="grid"),
+     "error: methods in escape config must be a JSON array, not string"),
+    ("escape", lambda c: c.update(seed=[1]),
+     "error: seed must be a JSON number, not array"),
 ])
 def test_unknown_section_key_exits_1(tmp_path, capsys, command, edit,
                                      message):
@@ -153,6 +181,19 @@ def test_hole_sweep_monotone(tmp_path):
     rhos = [row["rho"] for row in summary["sweep"]]
     assert rhos[0] > rhos[1]
     assert (out / "hole_0" / "survival_grid.csv").exists()
+
+
+def test_hole_sweep_reports_words_estimate(tmp_path):
+    # each sweep row takes the best estimate: words before grid
+    cfg = json.loads(json.dumps(GOLDEN))
+    cfg["system"]["hole"] = [cfg["system"]["hole"]]
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "sweep"
+    assert main(["escape", "--config", str(path), "--out-dir",
+                 str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["sweep"][0]["rho"] == pytest.approx(
+        math.log((1 + math.sqrt(5)) / 4), abs=1e-14)
 
 
 def test_tower_subcommand(tmp_path):
@@ -244,3 +285,17 @@ def test_compare_schema_mismatch(tmp_path, capsys):
     main(["escape", "--config", str(p2), "--out-dir", str(b)])
     assert main(["compare", str(a), str(b)]) == 1
     assert "schema mismatch" in capsys.readouterr().err
+
+
+def test_readme_example_config_verifies(tmp_path):
+    example = re.search(r"```json\n(.*?)```", README, re.S).group(1)
+    path = tmp_path / "readme.json"
+    path.write_text(example)
+    assert main(["verify", "--config", str(path), "--out-dir",
+                 str(tmp_path / "r")]) == 0
+
+
+@pytest.mark.parametrize("section", _DEFAULTS)
+def test_readme_lists_section_defaults(section):
+    filled = _section({}, _DEFAULTS[section], section)
+    assert f"| `{section}` | `{json.dumps(filled)}` |" in README

@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openrates import escape as E
 from openrates import ulam as U
-from openrates.systems import (OpenSystem, cylinder_union_hole, doubling_map,
+from openrates.systems import (HoleKindError, OpenSystem, adic_map,
+                               cylinder_union_hole, doubling_map,
                                interval_union_hole)
 
 
@@ -97,3 +101,47 @@ def test_grid_uses_prebuilt_operator(golden_system):
     assert est.meta["resolution"] == 32
     exact = math.log((1 + math.sqrt(5)) / 4)
     assert est.rho == pytest.approx(exact, abs=1e-6)
+
+
+@st.composite
+def nested_cylinder_holes(draw):
+    """(m, level, words, more words): two nested cylinder holes of the
+    m-adic map at one level, m in {2, 3}, level <= 3."""
+    m = draw(st.sampled_from([2, 3]))
+    level = draw(st.integers(1, 3))
+    words = st.sampled_from(list(itertools.product(range(m), repeat=level)))
+    small = draw(st.lists(words, min_size=1, unique=True))
+    extra = draw(st.lists(words, unique=True))
+    return m, level, small, sorted(set(small) | set(extra))
+
+
+def _adic_system(m, level, words):
+    return OpenSystem(adic_map(m), cylinder_union_hole(m, level, words))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nested_cylinder_holes())
+def test_nested_cylinder_holes_monotone_rho(case):
+    m, level, small, big = case
+    try:
+        rhos = [E.escape_rate_words(_adic_system(m, level, w), level).rho
+                for w in (small, big)]
+    except HoleKindError:     # empty or tied survivor subshift
+        return
+    assert rhos[1] <= rhos[0] + 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(nested_cylinder_holes())
+def test_exact_ulam_matches_words_rate(case):
+    # each case gives the rate or raises: HoleKindError for an empty or
+    # tied survivor subshift, ConvergenceError for a periodic survivor class
+    m, level, words, _ = case
+    sys_obj = _adic_system(m, level, words)
+    try:
+        rho = E.escape_rate_words(sys_obj, level).rho
+        spec = U.leading_eigenpair(U.build_ulam(sys_obj, m ** level),
+                                   max_iters=5000)
+    except (HoleKindError, U.ConvergenceError):
+        return
+    assert abs(math.log(spec.eigenvalue) - rho) < 1e-9
