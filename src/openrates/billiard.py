@@ -19,9 +19,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .escape import (EscapeEstimate, InsufficientSurvivorsError,
-                     sharded_mc_estimates)
-from .systems import _reject_unknown
+from .escape import InsufficientSurvivorsError, sharded_mc_estimates
+from .systems import _lookup, _reject_unknown
 
 TANGENT_GUARD = 1e-9        # |cos theta| below this flags a grazing collision
 _COPY_RANGE = 2             # search copies at offsets -2..2 (flights < 1.5)
@@ -132,13 +131,6 @@ class CollisionState:
     theta: float        # outgoing angle from the outward normal, (-pi/2, pi/2)
 
 
-@dataclass(frozen=True)
-class FlightRecord:
-    start: np.ndarray
-    direction: np.ndarray
-    length: float
-
-
 def sample_srb(table: BilliardTable, size: int, rng):
     """Stationary samples: scatterer by circumference, phi uniform,
     theta with density proportional to cos(theta)."""
@@ -212,19 +204,6 @@ def _step_arrays(table, sid, phi, theta):
     guard = max(TANGENT_GUARD, 64.0 * float(np.finfo(dt).eps))
     grazing = np.abs(cos_t) < guard
     return sid2, phi2, theta2, t, p, v, grazing
-
-
-def collision_map(table: BilliardTable,
-                  s: CollisionState) -> Tuple[CollisionState, FlightRecord]:
-    sid = np.array([s.scatterer])
-    phi = np.array([s.phi])
-    theta = np.array([s.theta])
-    sid2, phi2, theta2, t, p, v, grazing = _step_arrays(table, sid, phi, theta)
-    if grazing[0]:
-        raise ValueError("grazing collision (|theta| ~ pi/2); orbit must be "
-                         "discarded from statistics")
-    rec = FlightRecord(start=p[0] % 1.0, direction=v[0], length=float(t[0]))
-    return CollisionState(int(sid2[0]), float(phi2[0]), float(theta2[0])), rec
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +307,7 @@ def hole_from_config(cfg: dict) -> BilliardHole:
     _reject_unknown(cfg, {"kind"}.union(*_HOLE_FIELDS.values()),
                     "each billiard hole")
     kind = cfg.get("kind")
-    if kind not in _HOLE_FIELDS:
-        raise ValueError(f"unknown billiard hole kind {kind!r}")
-    fields = _HOLE_FIELDS[kind]
+    fields = _lookup(_HOLE_FIELDS, kind, "billiard hole kind")
     _reject_unknown(cfg, {"kind", *fields}, f"billiard {kind} hole")
     return BilliardHole(kind, **{key: convert(cfg[key])
                                  for key, convert in fields.items()})
@@ -368,13 +345,6 @@ def billiard_escape_multi(table: BilliardTable, holes: Sequence[BilliardHole],
         est.meta["fit_residual"] = _exp_fit_residual(est.per_n_mass,
                                                      est.window)
     return estimates
-
-
-def billiard_escape(table: BilliardTable, hole: BilliardHole, samples: int,
-                    n_max: int, seed: int,
-                    window: Optional[Tuple[int, int]] = None) -> EscapeEstimate:
-    return billiard_escape_multi(table, [hole], samples, n_max, seed,
-                                 window=window)[0]
 
 
 def _simulate_chunk(table, holes, size, n_max, rng, dtype=np.float32):

@@ -127,6 +127,8 @@ def _write_summary(out_dir: Path, cfg: dict, payload: dict):
 
 
 def _escape_estimates(sys_obj, ecfg: dict, seed: int, out_dir: Path):
+    if not ecfg["methods"]:
+        raise ConfigError("escape methods is empty")
     out_dir.mkdir(parents=True, exist_ok=True)
     n_max = int(ecfg["n_max"])
     results = {}
@@ -155,8 +157,6 @@ def _estimate_dict(est):
 
 
 def _best_estimate(results):
-    if not results:
-        raise ConfigError("escape methods is empty")
     return results.get("words") or results.get("grid") \
         or next(iter(results.values()))
 
@@ -230,13 +230,22 @@ def cmd_tower(cfg, out_dir, seed):
     seq = tower_mod.gurevich_pressure(T, r, n_max=int(opts["n_max"]))
     abram = tower_mod.abramov_check(T, nu0, r)
     hyp = tower_mod.validate_hypotheses(T, r)
+    # P(nu) <= log r at the uniform Bernoulli measure on the unholed
+    # branches; a transition matrix may forbid some of its words
+    inequality = None
+    if T.transition is None:
+        k = len(T.unholed)
+        cand = tower_mod.pressure_of_induced_measure(T, np.full(k, 1.0 / k))
+        inequality = {"candidate_pressure": cand, "log_r": math.log(r),
+                      "status": "PASS" if cand <= math.log(r) + 1e-12
+                      else "FAIL"}
     payload = {"tower": {
         "eigenvalue": r, "log_eigenvalue": math.log(r),
         "gurevich_max_abs": max(abs(p) for _, p in seq),
-        "abramov": abram, "hypotheses": hyp,
+        "abramov": abram, "hypotheses": hyp, "inequality": inequality,
         "depth1_weights": {bid: nu0.cylinder_weights.get((bid,), 0.0)
                            for bid in nu0.branch_ids}}}
-    return payload, 0
+    return payload, 2 if inequality and inequality["status"] == "FAIL" else 0
 
 
 def cmd_pressure(cfg, out_dir, seed):

@@ -335,10 +335,6 @@ def survival_time(sys: OpenSystem, x, horizon: int):
             f"{rec.singularity_hit}")
     return rec.escape_step if rec.escape_step is not None else INF
 
-def survivor_indicator(sys: OpenSystem, x, n: int) -> bool:
-    """True iff f^i x avoids the hole for 0 <= i <= n (x in M^n)."""
-    return survival_time(sys, x, n) > n
-
 
 def _hole_words_at_level(hole: HoleSpec, k: int):
     """Forbidden level-k words: all extensions of the hole's cylinder words."""
@@ -351,45 +347,6 @@ def _hole_words_at_level(hole: HoleSpec, k: int):
         for ext in itertools.product(range(base), repeat=k - level):
             forbidden.add(tuple(w) + ext)
     return forbidden
-
-
-def _check_markov_words_pre(sys: OpenSystem, k: int):
-    m = sys.map.meta.get("branch_count")
-    if m is None or not sys.map.meta.get("markov"):
-        raise HoleKindError("map is not Markov with a symbolic branch structure")
-    if sys.hole.kind != "cylinder_union":
-        raise HoleKindError("hole is not a cylinder union")
-    if sys.hole.meta["base"] != m:
-        raise HoleKindError("hole cylinder base does not match map branch count")
-    return m
-
-
-def markov_words(sys: OpenSystem, k: int, n: int, count_only: bool = False):
-    """Surviving symbolic n-words for a Markov map with a cylinder-union hole.
-
-    A word survives iff none of its length-k factors is a hole word.  With
-    ``count_only`` the count is an exact integer from ``word_counts``.
-    """
-    m = _check_markov_words_pre(sys, k)
-    if n < k:
-        raise ValueError(f"need word length n >= hole level k (got {n} < {k})")
-    if count_only:
-        return word_counts(sys, k, n)[-1]
-    forbidden = _hole_words_at_level(sys.hole, k)
-
-    words = []
-
-    def extend(prefix):
-        if len(prefix) >= k and prefix[-k:] in forbidden:
-            return
-        if len(prefix) == n:
-            words.append(prefix)
-            return
-        for c in range(m):
-            extend(prefix + (c,))
-
-    extend(())
-    return words
 
 
 def word_counts(sys: OpenSystem, k: int, n_max: int):
@@ -418,7 +375,13 @@ def survivor_transition_matrix(sys: OpenSystem, k: int):
     the states are the allowed symbols with full transitions.
     Returns (matrix, state list).
     """
-    m = _check_markov_words_pre(sys, k)
+    m = sys.map.meta.get("branch_count")
+    if m is None or not sys.map.meta.get("markov"):
+        raise HoleKindError("map is not Markov with a symbolic branch structure")
+    if sys.hole.kind != "cylinder_union":
+        raise HoleKindError("hole is not a cylinder union")
+    if sys.hole.meta["base"] != m:
+        raise HoleKindError("hole cylinder base does not match map branch count")
     forbidden = _hole_words_at_level(sys.hole, k)
     if k == 1:
         states = [(c,) for c in range(m) if (c,) not in forbidden]
@@ -599,13 +562,20 @@ def _reject_unknown(d: dict, allowed, where: str):
         raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _lookup(table: dict, key, what: str):
+    """``table[key]`` for a string ``key``, else a ValueError naming
+    ``what``."""
+    if not isinstance(key, str) or key not in table:
+        raise ValueError(f"unknown {what} {key!r}")
+    return table[key]
+
+
 def map_from_config(cfg: dict) -> MapModel:
     _reject_unknown(cfg, {"name", "params"}, "map config")
     name = cfg["name"]
     params = cfg.get("params", {})
-    if name not in _MAP_SCHEMAS:
-        raise ValueError(f"unknown map {name!r}")
-    _reject_unknown(params, _MAP_SCHEMAS[name], f"map params for {name}")
+    _reject_unknown(params, _lookup(_MAP_SCHEMAS, name, "map"),
+                    f"map params for {name}")
     if name == "adic":
         return adic_map(int(params["m"]))
     if name == "logistic":
@@ -617,9 +587,7 @@ def hole_from_config(cfg: dict) -> HoleSpec:
     _reject_unknown(cfg, {"kind"}.union(*_HOLE_SCHEMAS.values()),
                     "hole config")
     kind = cfg.get("kind")
-    if kind not in _HOLE_SCHEMAS:
-        raise ValueError(f"unknown hole kind {kind!r}")
-    _reject_unknown(cfg, {"kind", *_HOLE_SCHEMAS[kind]},
+    _reject_unknown(cfg, {"kind", *_lookup(_HOLE_SCHEMAS, kind, "hole kind")},
                     f"hole config for {kind}")
     if kind == "cylinder_union":
         return cylinder_union_hole(int(cfg["base"]), int(cfg["level"]),

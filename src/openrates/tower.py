@@ -10,9 +10,8 @@ branches unless a transition matrix is supplied.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,11 +86,6 @@ def tower_from_config(cfg: dict) -> TowerSpec:
                                                                       float))
 
 
-def load_tower(path) -> TowerSpec:
-    with open(path) as fh:
-        return tower_from_config(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # leading eigenvalue
 
@@ -103,13 +97,12 @@ def _spectral_radius_at(T: TowerSpec, r: float) -> float:
     w = _weights(T, r)
     if T.transition is None:
         return float(np.sum(w))
-    W = T.transition * w[None, :]
-    return float(np.max(np.abs(np.linalg.eigvals(W))))
+    return perron(T.transition * w[None, :])[0]
 
 
 def tower_eigenvalue(T: TowerSpec, tol: float = 1e-14) -> float:
     """Root of sum_i r^{-R_i} / J_i = 1 over unholed branches (full-shift
-    induced case), or of spectral-radius = 1 with a transition matrix.
+    induced case), or of Perron root = 1 with a transition matrix.
 
     The function is strictly decreasing in r, so bisection applies.
     """
@@ -194,23 +187,6 @@ def gibbs_measure(T: TowerSpec, r: float, depth: int = 3) -> TowerMeasure:
         for l in range(lmax)])
     return TowerMeasure(cylinder_weights=weights, level_masses=levels,
                         branch_ids=ids, depth=depth)
-
-
-def gibbs_bounds_ok(T: TowerSpec, r: float, measured_weights: dict,
-                    depth: int) -> bool:
-    """Two-sided Gibbs bound with C = exp(C1) against the exact potential."""
-    C = math.exp(T.C1) if T.C1 > 0 else 1.0 + 1e-12
-    lookup = {b.id: b for b in T.unholed}
-    for word, wt in measured_weights.items():
-        if len(word) > depth:
-            continue
-        ideal = 1.0
-        for bid in word:
-            b = lookup[bid]
-            ideal *= r ** (-b.R) / b.J
-        if not (ideal / C - 1e-15 <= wt <= ideal * C + 1e-15):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

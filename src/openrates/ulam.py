@@ -10,7 +10,6 @@ modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,11 +49,6 @@ class GridMeasure:
 
     def total(self):
         return float(np.sum(self.masses))
-
-    def l1_distance(self, other: "GridMeasure") -> float:
-        if (other.dimension, other.resolution) != (self.dimension, self.resolution):
-            raise ValueError("grid mismatch")
-        return float(np.sum(np.abs(self.masses - other.masses)))
 
     def cell_centers(self):
         n = self.resolution
@@ -262,14 +256,17 @@ def leading_eigenpair(U: UlamOperator, tol: float = 1e-13,
     left = u / np.max(u)
     residual = float(np.sum(np.abs(PT @ right - lam * right)))
 
-    gap = _subdominant_ratio(P, PT, lam, right, left)
+    gap = _subdominant_ratio(PT, lam, right, left)
     return SpectralData(eigenvalue=lam, right=right, left=left,
                         residual=residual, gap_estimate=gap,
                         iterations=it1 + it2)
 
 
-def _subdominant_ratio(P, PT, lam, right, left, iters: int = 400):
-    """|lambda_2| / r from power iteration with the dominant pair deflated."""
+def _subdominant_ratio(PT, lam, right, left, iters: int = 400):
+    """|lambda_2| / r from power iteration with the dominant pair deflated.
+
+    An iterate that vanishes gives 0 (no subdominant spectrum); one that
+    turns non-finite raises ConvergenceError."""
     rng = np.random.default_rng(12345)
     w = rng.standard_normal(len(right))
     denom = float(left @ right)
@@ -282,8 +279,11 @@ def _subdominant_ratio(P, PT, lam, right, left, iters: int = 400):
         w = PT @ w
         w = w - right * (left @ w) / denom
         cur = np.sum(np.abs(w))
-        if cur == 0.0 or not np.isfinite(cur):
+        if cur == 0.0:
             return 0.0
+        if not np.isfinite(cur):
+            raise ConvergenceError("deflated iterate became non-finite: no "
+                                   "spectral gap estimate")
         ratio = cur / prev
         w = w / cur
         prev = 1.0
@@ -307,29 +307,6 @@ def evolve_mass(U: UlamOperator, v: np.ndarray, n: int):
         cur = PT @ cur
         masses.append(float(np.sum(cur)))
     return np.array(masses), cur
-
-
-def conditionally_invariant_check(sys: OpenSystem, U: UlamOperator,
-                                  S: SpectralData, n: int):
-    """Max deviation checks for the quasi-stationary density.
-
-    Returns (one_step_distance, distance_of_m^(n)_to_h), both in L^1 on
-    masses."""
-    PT = U.matrix.T.tocsr()
-    h = S.right
-    pushed = PT @ h
-    t = np.sum(pushed)
-    d1 = float(np.sum(np.abs(pushed / t - h))) if t > 0 else float("inf")
-
-    v = np.full(U.ncells, 1.0 / U.ncells)
-    for _ in range(n):
-        v = PT @ v
-        tv = np.sum(v)
-        if tv == 0.0:
-            return d1, float("inf")
-        v = v / tv
-    d2 = float(np.sum(np.abs(v - h)))
-    return d1, d2
 
 
 def survivor_measure(U: UlamOperator, S: SpectralData, tol: float = 1e-8,

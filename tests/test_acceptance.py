@@ -395,8 +395,8 @@ def test_criterion_7_determinism():
     assert t1.tau_max == t2.tau_max
     hole = B.BilliardHole("arc", scatterer=0, arc_center=1.0,
                           arc_halfwidth=0.15)
-    e1 = B.billiard_escape(t1, hole, 60_000, 10, seed=7)
-    e2 = B.billiard_escape(t1, hole, 60_000, 10, seed=7)
+    e1 = B.billiard_escape_multi(t1, [hole], 60_000, 10, seed=7)[0]
+    e2 = B.billiard_escape_multi(t1, [hole], 60_000, 10, seed=7)[0]
     assert e1.rho == e2.rho and e1.per_n_mass == e2.per_n_mass
     notes.append("billiard: identical across reruns")
 

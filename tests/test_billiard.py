@@ -23,15 +23,16 @@ def test_tau_max_below_bound(small_table):
 
 def test_diameter_period_two_orbit(small_table):
     # bounce along the diagonal between the two scatterers
-    s0 = B.CollisionState(0, math.pi / 4, 0.0)
-    s1, rec = B.collision_map(small_table, s0)
-    assert s1.scatterer == 1
+    sid1, phi1, theta1, t, _, _, grazing = B._step_arrays(
+        small_table, np.array([0]), np.array([math.pi / 4]), np.array([0.0]))
+    assert sid1[0] == 1 and not grazing[0]
     gap = math.sqrt(0.5) - 0.45 - 0.15
-    assert rec.length == pytest.approx(gap, abs=1e-12)
-    assert abs(s1.theta) < 1e-12
-    s2, _ = B.collision_map(small_table, s1)
-    assert s2.scatterer == 0
-    assert s2.phi % (2 * math.pi) == pytest.approx(math.pi / 4, abs=1e-12)
+    assert t[0] == pytest.approx(gap, abs=1e-12)
+    assert abs(theta1[0]) < 1e-12
+    sid2, phi2, _, _, _, _, _ = B._step_arrays(small_table, sid1, phi1,
+                                               theta1)
+    assert sid2[0] == 0
+    assert phi2[0] % (2 * math.pi) == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_reversibility_certificate(small_table):
@@ -86,8 +87,8 @@ def test_segment_distance_matches_bruteforce(rng):
 
 
 def test_empty_hole_never_escapes(small_table):
-    est = B.billiard_escape(small_table, B.BilliardHole("empty"),
-                            samples=5_000, n_max=8, seed=2)
+    est = B.billiard_escape_multi(small_table, [B.BilliardHole("empty")],
+                                  samples=5_000, n_max=8, seed=2)[0]
     assert est.rho == pytest.approx(0.0, abs=1e-12)
     assert est.per_n_mass[-1][1] > 0.99
 
@@ -113,8 +114,8 @@ def test_nested_disk_holes_monotone(small_table):
 def test_escape_deterministic(small_table):
     hole = B.BilliardHole("arc", scatterer=0, arc_center=0.5,
                           arc_halfwidth=0.1)
-    a = B.billiard_escape(small_table, hole, 30_000, 10, seed=7)
-    b = B.billiard_escape(small_table, hole, 30_000, 10, seed=7)
+    a = B.billiard_escape_multi(small_table, [hole], 30_000, 10, seed=7)[0]
+    b = B.billiard_escape_multi(small_table, [hole], 30_000, 10, seed=7)[0]
     assert a.rho == b.rho
     assert a.per_n_mass == b.per_n_mass
 
@@ -123,13 +124,14 @@ def test_insufficient_survivors(small_table):
     hole = B.BilliardHole("arc", scatterer=0, arc_center=0.5,
                           arc_halfwidth=2.5)
     with pytest.raises(B.InsufficientSurvivorsError):
-        B.billiard_escape(small_table, hole, 2_000, 20, seed=1)
+        B.billiard_escape_multi(small_table, [hole], 2_000, 20, seed=1)
 
 
 def test_arc_rho_tracks_hole_mass(small_table):
     # small holes: rho close to log(1 - stationary fraction)
     hole = B.BilliardHole("arc", scatterer=0, arc_center=1.0,
                           arc_halfwidth=0.25)
-    est = B.billiard_escape(small_table, hole, 120_000, 12, seed=11)
+    est = B.billiard_escape_multi(small_table, [hole], 120_000, 12,
+                                  seed=11)[0]
     crude = math.log(1 - hole.arc_measure_fraction(small_table))
     assert est.rho == pytest.approx(crude, abs=0.02)

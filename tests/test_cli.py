@@ -138,6 +138,15 @@ def test_unknown_config_key(tmp_path, capsys):
      "error: methods in escape config must be a JSON array, not string"),
     ("escape", lambda c: c.update(seed=[1]),
      "error: seed must be a JSON number, not array"),
+    ("escape", lambda c: c["escape"].update(methods=[]),
+     "error: escape methods is empty"),
+    # a name or kind that is not a string cannot be looked up
+    ("escape", lambda c: c["system"]["map"].update(name=["a"]),
+     "error: unknown map ['a']"),
+    ("escape", lambda c: c["system"]["hole"].update(kind=["a"]),
+     "error: unknown hole kind ['a']"),
+    ("billiard", lambda c: c.update(billiard={"holes": [{"kind": ["a"]}]}),
+     "error: unknown billiard hole kind ['a']"),
 ])
 def test_unknown_section_key_exits_1(tmp_path, capsys, command, edit,
                                      message):
@@ -210,6 +219,39 @@ def test_tower_subcommand(tmp_path):
         (1 + math.sqrt(5)) / 4, abs=1e-12)
     assert summary["tower"]["gurevich_max_abs"] < 1e-9
     assert summary["tower"]["abramov"]["gap"] < 1e-12
+
+
+def test_tower_reports_inequality(tmp_path, monkeypatch):
+    # P(nu) <= log r at the uniform Bernoulli measure on branches A and B:
+    # (log 2 - 1.5 log 2) / 1.5 = -0.23105 against log r = -0.21194
+    golden = {"tower": {"branches": [
+        {"id": "A", "R": 1, "J": 2.0, "mass": 0.5},
+        {"id": "B", "R": 2, "J": 4.0, "mass": 0.25},
+        {"id": "C", "R": 2, "J": 4.0, "mass": 0.25, "holed": True}]}}
+    out = tmp_path / "tower"
+    assert main(["tower", "--config", str(_write(tmp_path, golden)),
+                 "--out-dir", str(out)]) == 0
+    ineq = json.loads((out / "summary.json").read_text())["tower"][
+        "inequality"]
+    assert ineq["status"] == "PASS"
+    assert ineq["candidate_pressure"] == pytest.approx(-math.log(2) / 3,
+                                                       abs=1e-14)
+    assert ineq["log_r"] == pytest.approx(math.log((1 + math.sqrt(5)) / 4),
+                                          abs=1e-14)
+    # a Bernoulli measure is not supported on the words of a transition
+    cyclic = json.loads(json.dumps(golden))
+    cyclic["tower"]["transition"] = [[0, 1], [1, 0]]
+    assert main(["tower", "--config", str(_write(tmp_path, cyclic, "c.json")),
+                 "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["tower"]["inequality"] is None
+    # a candidate above log r is a violated verdict
+    monkeypatch.setattr("openrates.tower.pressure_of_induced_measure",
+                        lambda T, probs: 0.0)
+    assert main(["tower", "--config", str(_write(tmp_path, golden)),
+                 "--out-dir", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["tower"]["inequality"]["status"] == "FAIL"
 
 
 def test_pressure_subcommand_verdict(tmp_path):

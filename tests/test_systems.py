@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -173,7 +174,7 @@ def test_ball_hole_2d():
 def test_iterate_and_survival(golden_system):
     rec = S.iterate(golden_system, 2 / 3, 10)
     assert rec.escape_step is None and len(rec.points) == 11
-    assert S.survivor_indicator(golden_system, 2 / 3, 50)
+    assert S.survival_time(golden_system, 2 / 3, 50) > 50
     # 0.8 lies inside the hole
     assert S.survival_time(golden_system, 0.8, 10) == 0
 
@@ -187,17 +188,24 @@ def test_survival_time_finite(golden_system):
 # ---------------------------------------------------------------------------
 # symbolic machinery
 
+def _surviving_words(words, m, n):
+    """Brute-force reference: the n-words over m symbols with no factor in
+    ``words`` (hole words of one length)."""
+    k = len(words[0])
+    hole = {tuple(w) for w in words}
+    return [w for w in itertools.product(range(m), repeat=n)
+            if not any(w[i:i + k] in hole for i in range(n - k + 1))]
+
+
 def test_markov_words_golden(golden_system):
-    words = S.markov_words(golden_system, 2, 3)
-    got = {tuple(w) for w in words}
+    got = set(_surviving_words([(1, 1)], 2, 3))
     assert got == {(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)}
+    assert S.word_counts(golden_system, 2, 3)[-1] == 5
 
 
 @pytest.mark.parametrize("n", range(4, 12))
 def test_word_counts_fibonacci(golden_system, n):
-    a = S.markov_words(golden_system, 2, n, count_only=True)
-    b = S.markov_words(golden_system, 2, n - 1, count_only=True)
-    c = S.markov_words(golden_system, 2, n - 2, count_only=True)
+    *_, c, b, a = S.word_counts(golden_system, 2, n)
     assert a == b + c
 
 
@@ -209,8 +217,9 @@ def test_word_count_matches_recurrence():
     for _ in range(2, 61):
         a.append(6 * a[-1] + 6 * a[-2])
     assert a[40] == 3110823497873238621173755853930496
+    counts = S.word_counts(sys_obj, 2, 60)
     for n in (2, 3, 20, 40, 60):
-        assert S.markov_words(sys_obj, 2, n, count_only=True) == a[n]
+        assert counts[n - 2] == a[n]
 
 
 @pytest.mark.parametrize("words", [[(1, 1)], [(1, 1, 0), (1, 1, 1)],
@@ -221,9 +230,9 @@ def test_word_count_matches_enumeration(words):
     k = len(words[0])
     sys_obj = S.OpenSystem(S.doubling_map(),
                            S.cylinder_union_hole(2, k, words))
+    counts = S.word_counts(sys_obj, k, 9)
     for n in range(k, 10):
-        assert S.markov_words(sys_obj, k, n, count_only=True) == \
-            len(S.markov_words(sys_obj, k, n))
+        assert counts[n - k] == len(_surviving_words(words, 2, n))
 
 
 @pytest.mark.filterwarnings("error")
@@ -272,7 +281,7 @@ def test_parry_chain_stationary(golden_system):
 
 def test_sample_survivor_points_survive(golden_system, rng):
     pts = S.sample_survivor_points(golden_system, 2, 300, rng)
-    assert all(S.survivor_indicator(golden_system, x, 25) for x in pts)
+    assert all(S.survival_time(golden_system, x, 25) > 25 for x in pts)
 
 
 def test_evolve_survivors_counts(golden_system, rng):
