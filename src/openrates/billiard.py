@@ -13,17 +13,22 @@ the free space ("disk"), triggered when a flight segment crosses it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .escape import InsufficientSurvivorsError, sharded_mc_estimates
-from .systems import _lookup, _reject_unknown
+from .systems import _is_number, _is_numbers, _lookup, _reject_unknown
 
 TANGENT_GUARD = 1e-9        # |cos theta| below this flags a grazing collision
-_COPY_RANGE = 2             # search copies at offsets -2..2 (flights < 1.5)
+TAU_BOUND = 1.5             # every free flight of a valid table is shorter
+# least gap between two scatterers, or a disk hole and a scatterer; hence
+# also the shortest free flight
+CLEARANCE = 1e-3
+_COPY_RANGE = 2             # search copies at offsets -2..2 (< TAU_BOUND)
 _CHUNK = 1 << 15
 
 
@@ -53,7 +58,7 @@ class BilliardTable:
         return len(self.radii)
 
 
-def _check_disjoint(centers, radii, clearance=1e-3):
+def _check_disjoint(centers, radii):
     k = len(radii)
     offs = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
     for a in range(k):
@@ -63,19 +68,19 @@ def _check_disjoint(centers, radii, clearance=1e-3):
                     continue
                 d = np.linalg.norm(centers[a] - (centers[b] + np.array(off)))
                 gap = d - radii[a] - radii[b]
-                if gap < clearance:
+                if gap < CLEARANCE:
                     raise TableGeometryError(
                         f"scatterers {a} and {b} (offset {off}) have "
-                        f"clearance {gap:.4g} < {clearance}")
+                        f"clearance {gap:.4g} < {CLEARANCE}")
 
 
 def build_table(scatterers=DEFAULT_SCATTERERS, validation_rays: int = 1_000_000,
-                seed: int = 20240901, tau_bound: float = 1.5) -> BilliardTable:
+                seed: int = 20240901) -> BilliardTable:
     """Construct and validate a table.
 
     Disjointness is checked exactly; the finite-horizon bound is validated
     by free flights of `validation_rays` stationary samples (construction
-    aborts if any flight reaches `tau_bound`).
+    aborts if any flight reaches TAU_BOUND).
     """
     centers = np.array([c for c, _ in scatterers], dtype=float)
     radii = np.array([r for _, r in scatterers], dtype=float)
@@ -94,7 +99,7 @@ def build_table(scatterers=DEFAULT_SCATTERERS, validation_rays: int = 1_000_000,
     box_hi = np.max(centers + radii[:, None], axis=0)
     lo = np.clip(copy_centers, box_lo, box_hi)
     reach = (np.linalg.norm(copy_centers - lo, axis=1) - copy_radii
-             < tau_bound + 0.05)
+             < TAU_BOUND + 0.05)
     copy_centers = copy_centers[reach]
     copy_sid = copy_sid[reach]
     copy_radii = copy_radii[reach]
@@ -111,14 +116,12 @@ def build_table(scatterers=DEFAULT_SCATTERERS, validation_rays: int = 1_000_000,
         sid, phi, theta = sample_srb(table, size, rng)
         p, v = _states_to_rays(table, sid, phi, theta)
         t, _, _ = _next_collision(table, p, v)
-        if np.any(~np.isfinite(t)) or float(np.max(t)) >= tau_bound:
+        if np.any(~np.isfinite(t)) or float(np.max(t)) >= TAU_BOUND:
             raise InfiniteHorizonError(
-                f"free flight of length >= {tau_bound} found; the table does "
+                f"free flight of length >= {TAU_BOUND} found; the table does "
                 "not have a verified finite horizon")
         worst = max(worst, float(np.max(t)))
-    return BilliardTable(centers=centers, radii=radii, tau_max=worst,
-                         copy_centers=copy_centers, copy_sid=copy_sid,
-                         copy_radii=copy_radii)
+    return dataclasses.replace(table, tau_max=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,7 @@ def _next_collision(table, p, v):
         t = -b - np.sqrt(disc)
     # true flights are never shorter than the scatterer clearance, so the
     # self-intersection guard can sit far above either dtype's roundoff
-    t = np.where((disc > 0) & (t > 1e-3), t, np.inf)
+    t = np.where((disc > 0) & (t > CLEARANCE), t, np.inf)
     hit = np.argmin(t, axis=1)
     rows = np.arange(len(p))
     tmin = t[rows, hit]
@@ -218,7 +221,7 @@ class BilliardHole:
     center: Tuple[float, float] = (0.0, 0.0)   # disk only
     radius: float = 0.0                         # disk only
 
-    def validate(self, table: BilliardTable, clearance: float = 1e-3):
+    def validate(self, table: BilliardTable):
         if self.kind == "empty":
             return
         if self.kind == "arc":
@@ -230,7 +233,7 @@ class BilliardHole:
             c = np.array(self.center)
             d = np.linalg.norm(table.copy_centers - c[None, :], axis=1)
             gap = float(np.min(d - table.copy_radii)) - self.radius
-            if gap < clearance:
+            if gap < CLEARANCE:
                 raise ValueError(
                     f"disk hole closure within {gap:.4g} of a scatterer")
         else:
@@ -256,11 +259,11 @@ def _disk_copy_centers(center: np.ndarray) -> np.ndarray:
     """Periodic copies of a disk center reachable by a flight segment.
 
     Flights start on scatterer boundaries (within [-0.5, 1.5]^2 for any
-    admissible table) and are shorter than 1.5."""
+    admissible table) and are shorter than TAU_BOUND."""
     span = range(-_COPY_RANGE, _COPY_RANGE + 1)
     copies = np.array([center + (i, j) for i in span for j in span])
     lo = np.clip(copies, -0.5, 1.5)
-    reach = np.linalg.norm(copies - lo, axis=1) < 1.5 + 0.1
+    reach = np.linalg.norm(copies - lo, axis=1) < TAU_BOUND + 0.1
     return copies[reach]
 
 
@@ -309,6 +312,13 @@ def hole_from_config(cfg: dict) -> BilliardHole:
     kind = cfg.get("kind")
     fields = _lookup(_HOLE_FIELDS, kind, "billiard hole kind")
     _reject_unknown(cfg, {"kind", *fields}, f"billiard {kind} hole")
+    for key, convert in fields.items():
+        if not (_is_numbers(cfg[key], 2) if convert is tuple
+                else _is_number(cfg[key], integer=convert is int)):
+            what = {tuple: "two numbers", int: "an integer",
+                    float: "a number"}[convert]
+            raise ValueError(f"{key} of a billiard {kind} hole must be "
+                             f"{what}")
     return BilliardHole(kind, **{key: convert(cfg[key])
                                  for key, convert in fields.items()})
 
@@ -317,8 +327,7 @@ def hole_from_config(cfg: dict) -> BilliardHole:
 # escape statistics
 
 def billiard_escape_multi(table: BilliardTable, holes: Sequence[BilliardHole],
-                          samples: int, n_max: int, seed: int,
-                          window: Optional[Tuple[int, int]] = None):
+                          samples: int, n_max: int, seed: int):
     """Escape estimates for several holes evaluated on shared trajectories.
 
     All holes see the same closed-system collision sequences, so for nested
@@ -338,7 +347,7 @@ def billiard_escape_multi(table: BilliardTable, holes: Sequence[BilliardHole],
             flagged += fl
         return counts, flagged
 
-    estimates = sharded_mc_estimates(simulate, samples, seed, n_max, window,
+    estimates = sharded_mc_estimates(simulate, samples, seed, n_max,
                                      "billiard_mc")
     for hole, est in zip(holes, estimates):
         est.meta["hole_kind"] = hole.kind
@@ -347,7 +356,7 @@ def billiard_escape_multi(table: BilliardTable, holes: Sequence[BilliardHole],
     return estimates
 
 
-def _simulate_chunk(table, holes, size, n_max, rng, dtype=np.float32):
+def _simulate_chunk(table, holes, size, n_max, rng):
     """Simulate one chunk of trajectories against all holes at once.
 
     The bulk simulation runs in float32: collision geometry is accurate to
@@ -355,8 +364,7 @@ def _simulate_chunk(table, holes, size, n_max, rng, dtype=np.float32):
     memory traffic of the dominant ray-circle sweep."""
     nh = len(holes)
     sid, phi, theta = sample_srb(table, size, rng)
-    phi = phi.astype(dtype)
-    theta = theta.astype(dtype)
+    phi, theta = phi.astype(np.float32), theta.astype(np.float32)
     valid = np.ones(size, dtype=bool)
     alive = np.ones((nh, size), dtype=bool)
     counts = np.zeros((nh, n_max + 1), dtype=np.int64)
@@ -409,15 +417,14 @@ def _exp_fit_residual(per_n, window):
 # ---------------------------------------------------------------------------
 # stationarity diagnostics
 
-def theta_chi2(table: BilliardTable, samples: int, seed: int,
-               bins: int = 24):
-    """Chi-square p-value of the post-collision theta histogram against the
-    stationary cos(theta) law."""
+def theta_chi2(table: BilliardTable, samples: int, seed: int):
+    """Chi-square p-value of the 24-bin post-collision theta histogram
+    against the stationary cos(theta) law."""
     from scipy import stats
 
     rng = np.random.default_rng(seed)
-    edges = np.linspace(-math.pi / 2, math.pi / 2, bins + 1)
-    observed = np.zeros(bins, dtype=np.int64)
+    edges = np.linspace(-math.pi / 2, math.pi / 2, 25)
+    observed = np.zeros(len(edges) - 1, dtype=np.int64)
     total = 0
     remaining = samples
     while remaining > 0:

@@ -25,7 +25,8 @@ from . import escape as escape_mod
 from . import pressure as pressure_mod
 from . import tower as tower_mod
 from . import ulam as ulam_mod
-from .systems import _reject_unknown, parry_chain, system_from_config
+from .systems import (_is_number, _is_numbers, _reject_unknown, parry_chain,
+                      system_from_config)
 
 
 class ConfigError(ValueError):
@@ -177,7 +178,7 @@ def _nu_hat_verdict(sys_obj, level: int, best):
     states, P, pi = parry_chain(sys_obj, level)
     rep = pressure_mod.InvariantMeasureRep(
         kind="markov_chain", name="nu_hat", transition=P, stationary=pi,
-        lyapunov_exact=math.log(sys_obj.map.meta["branch_count"]),
+        lyapunov_exact=math.log(sys_obj.map.branch_count),
         is_nu_hat=True)
     reports, verdict = pressure_mod.variational_report(
         sys_obj, [rep], best, check_classes=False)
@@ -265,7 +266,14 @@ def cmd_balls(cfg, out_dir, seed):
     eps = float(bcfg["eps"])
     rng = np.random.default_rng(seed)
     rows = []
+    if not _is_numbers(bcfg["n_values"], integer=True):
+        raise ConfigError("n_values in balls config must be an array of "
+                          "integers")
     for center in bcfg["centers"]:
+        if not (_is_numbers(center, 2) if sys_obj.dimension == 2
+                else _is_number(center)):
+            raise ConfigError("each centre in balls config must be a point "
+                              "of the map: one number in 1D, two in 2D")
         c = np.asarray(center, dtype=float) if sys_obj.dimension == 2 \
             else float(center)
         slope, masses = db.ball_slope(sys_obj, c, eps, bcfg["n_values"],
@@ -278,6 +286,10 @@ def cmd_billiard(cfg, out_dir, seed):
     bcfg = cfg["billiard"]
     holes = [billiard_mod.hole_from_config(hc) for hc in bcfg["holes"]]
     scatterers = bcfg["scatterers"]
+    for s in scatterers or ():
+        if not (isinstance(s, list) and len(s) == 2 and _is_numbers(s[0], 2)
+                and _is_number(s[1])):
+            raise ConfigError("each billiard scatterer must be [[x, y], r]")
     table = billiard_mod.build_table(
         scatterers=(tuple((tuple(c), r) for c, r in scatterers)
                     if scatterers else billiard_mod.DEFAULT_SCATTERERS),
@@ -299,7 +311,7 @@ def cmd_verify(cfg, out_dir, seed):
                "ulam": ulam}
     code = 0
     best = _best_estimate(results)
-    if sys_obj.map.meta.get("markov") and sys_obj.dimension == 1:
+    if sys_obj.map.branch_count is not None:
         verdict_payload, code = _nu_hat_verdict(
             sys_obj, int(cfg["escape"]["level"]), best)
         payload.update(verdict_payload)

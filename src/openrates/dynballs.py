@@ -40,30 +40,11 @@ def _radii(sys: OpenSystem, spec: BallSpec, orbit):
                      for i in range(spec.n + 1)])
 
 
-def ball_member(sys: OpenSystem, spec: BallSpec, y) -> bool:
-    orbits = orbit_tableau(sys.map, [spec.center, y], spec.n)
-    ox, oy = orbits[:, 0], orbits[:, 1]
-    if np.any(torus_dist(ox, oy, sys.map.dimension)
-              >= _radii(sys, spec, ox)):
-        return False
-    # membership in g_eps mode requires y in M^n
-    return not (spec.mode == "g_eps" and sys.hole.in_hole_many(oy).any())
-
-
 # ---------------------------------------------------------------------------
 # ball mass
 
 class ZeroCountError(RuntimeError):
     pass
-
-
-def _derivative_cocycle(sys: OpenSystem, orbit):
-    """Products D f^i along the orbit, i = 0..n."""
-    dim = sys.map.dimension
-    Js = [np.eye(dim)]
-    for D in sys.map.derivative(orbit[:-1]):
-        Js.append(D @ Js[-1])
-    return Js
 
 
 def _envelope(sys: OpenSystem, orbit, g_vals):
@@ -75,7 +56,9 @@ def _envelope(sys: OpenSystem, orbit, g_vals):
     Exact for the piecewise-linear zoo (linearization is exact at ball
     scales); returns (directions, halfwidths, volume)."""
     dim = sys.map.dimension
-    Js = _derivative_cocycle(sys, orbit)
+    Js = [np.eye(dim)]          # D f^i along the orbit, i = 0..n
+    for D in sys.map.derivative(orbit[:-1]):
+        Js.append(D @ Js[-1])
     if dim == 1:
         r = min(g / abs(float(J[0, 0])) for g, J in zip(g_vals, Js))
         return np.eye(1), np.array([r]), 2.0 * r
@@ -91,12 +74,12 @@ def _envelope(sys: OpenSystem, orbit, g_vals):
 
 
 def ball_measure(sys: OpenSystem, spec: BallSpec, samples: int = 20000,
-                 rng: Optional[np.random.Generator] = None,
-                 min_hits: int = 30):
+                 rng: Optional[np.random.Generator] = None):
     """Monte Carlo mass of the ball under Lebesgue, with stderr.
 
     Samples uniformly in the linearization envelope (an unbiased superset of
-    the ball) and multiplies the hit fraction by the envelope volume.
+    the ball) and multiplies the hit fraction by the envelope volume; fewer
+    than 30 hits raise ZeroCountError.
     """
     if rng is None:
         rng = np.random.default_rng(1)
@@ -113,7 +96,7 @@ def ball_measure(sys: OpenSystem, spec: BallSpec, samples: int = 20000,
         ys = (np.asarray(x)[None, :] + u @ axes.T) % 1.0
 
     hits = _count_members(sys, orbit, g_vals, ys, spec)
-    if hits < min_hits:
+    if hits < 30:
         raise ZeroCountError(
             f"only {hits} hits in the envelope; increase samples or eps")
     frac = hits / samples
@@ -123,6 +106,8 @@ def ball_measure(sys: OpenSystem, spec: BallSpec, samples: int = 20000,
 
 
 def _count_members(sys: OpenSystem, orbit, g_vals, ys, spec):
+    """Number of the points ``ys`` within ``g_vals[i]`` of ``orbit[i]`` at
+    every step i; in g_eps mode a member must also survive to time n."""
     dim = sys.map.dimension
     alive = np.ones(len(ys), dtype=bool)
     cur = ys

@@ -78,23 +78,18 @@ def _fit_window(per_n_mass, window, method, stderr=0.0, meta=None):
 
 
 def escape_rate_grid(sys: OpenSystem, n_max: int,
-                     window: Optional[Tuple[int, int]] = None,
                      resolution: Optional[int] = None,
-                     m: Optional[GridMeasure] = None,
                      operator: Optional[UlamOperator] = None) -> EscapeEstimate:
-    """m(M^n) by pushing survivor mass through the Ulam cell transition."""
+    """m(M^n) by pushing Lebesgue mass through the Ulam cell transition."""
     if operator is None:
         if resolution is None:
             resolution = 512 if sys.map.dimension == 1 else 128
         operator = ulam_mod.build_ulam(sys, resolution)
-    if m is None:
-        m = GridMeasure.lebesgue(operator.dimension, operator.resolution)
-    if window is None:
-        window = default_window(n_max)
+    m = GridMeasure.lebesgue(operator.dimension, operator.resolution)
     # ||v P^{k}|| is the mass of M^{k-1}; record per_n_mass[n] = m(M^n)
     masses, _ = ulam_mod.evolve_mass(operator, m.masses, n_max + 1)
     per_n = [(n, masses[n]) for n in range(n_max + 1)]
-    return _fit_window(per_n, window, "grid",
+    return _fit_window(per_n, default_window(n_max), "grid",
                        meta={"resolution": operator.resolution,
                              "assembly": operator.assembly})
 
@@ -106,30 +101,28 @@ def lebesgue_sampler(dimension: int) -> Callable:
 
 
 def escape_rate_mc(sys: OpenSystem, sampler: Callable, n_max: int,
-                   samples: int, seed: int,
-                   window: Optional[Tuple[int, int]] = None) -> EscapeEstimate:
+                   samples: int, seed: int) -> EscapeEstimate:
     """Monte Carlo survival curve under i.i.d. draws from the sampler."""
     def simulate(rng, size):
         counts, flagged, _ = evolve_survivors(sys, sampler(rng, size), n_max)
         return counts, flagged
 
-    return sharded_mc_estimates(simulate, samples, seed, n_max, window,
+    return sharded_mc_estimates(simulate, samples, seed, n_max,
                                 "monte_carlo")[0]
 
 
 def sharded_mc_estimates(simulate: Callable, samples: int, seed: int,
-                         n_max: int, window: Optional[Tuple[int, int]],
-                         method: str):
+                         n_max: int, method: str):
     """Survival-curve fits from ``samples`` trajectories in MC_SHARDS seeded
     shards, reduced in shard order, so the result depends on the seed only.
 
     ``simulate(rng, size)`` returns (survival counts, flagged count); the
     counts have shape (n_max+1,) or, for several holes on shared
     trajectories, (holes, n_max+1).  Returns one estimate per hole, with the
-    binomial error propagated through the least-squares slope.
+    binomial error propagated through the least-squares slope, fitted over
+    ``default_window(n_max)``.
     """
-    if window is None:
-        window = default_window(n_max)
+    n_lo, n_hi = window = default_window(n_max)
     ss = np.random.SeedSequence(seed)
     shard_sizes = [samples // MC_SHARDS] * MC_SHARDS
     shard_sizes[-1] += samples - sum(shard_sizes)
@@ -141,7 +134,6 @@ def sharded_mc_estimates(simulate: Callable, samples: int, seed: int,
         flagged += fl
 
     denom = samples - flagged
-    n_lo, n_hi = window
     ns = np.arange(n_lo, n_hi + 1)
     xc = ns - ns.mean()
     coef = xc / np.sum(xc ** 2)
@@ -164,22 +156,20 @@ def sharded_mc_estimates(simulate: Callable, samples: int, seed: int,
 
 
 def escape_rate_words(sys: OpenSystem, k: int,
-                      window: Optional[Tuple[int, int]] = None,
                       n_max: int = 40) -> EscapeEstimate:
     """Exact rate log(lambda_A / m) for Markov cylinder holes.
 
     lambda_A is the Perron root of the survivor transition structure; the
     per_n_mass diagnostics come from word counts N_n / m^n.
     """
-    m = sys.map.meta.get("branch_count")
-    if window is None:
-        window = default_window(n_max)
+    m = sys.map.branch_count
+    n_lo, n_hi = default_window(n_max)
     lam, _, _ = perron(survivor_transition_matrix(sys, k)[0])
     rho = float(np.log(lam) - np.log(m))
 
     per_n = [(n, cnt / float(m) ** n)
              for n, cnt in enumerate(word_counts(sys, k, n_max), start=k)]
-    est = _fit_window(per_n, (max(window[0], k), window[1]), "word_count",
+    est = _fit_window(per_n, (max(n_lo, k), n_hi), "word_count",
                       meta={"lambda_A": lam, "branch_count": m, "level": k})
     est.rho = rho  # eigenvalue route is exact; fit kept for diagnostics
     est.stderr = 0.0

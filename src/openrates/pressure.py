@@ -18,6 +18,9 @@ from .escape import EscapeEstimate
 from .systems import OpenSystem, orbit_tableau, perron, torus_dist
 from .ulam import GridMeasure
 
+# Brin-Katok fits use the steps whose ball keeps at least this many samples
+MIN_BALL_COUNT = 30
+
 
 @dataclass
 class InvariantMeasureRep:
@@ -29,7 +32,6 @@ class InvariantMeasureRep:
     transition: Optional[np.ndarray] = None
     stationary: Optional[np.ndarray] = None
     samples: Optional[np.ndarray] = None
-    supported_in_survivor: bool = True
     # optional exact values, used instead of sample estimates when present
     entropy_exact: Optional[float] = None
     lyapunov_exact: Optional[float] = None
@@ -118,13 +120,14 @@ def entropy_markov_sparse(Q, pi) -> float:
 
 def entropy_brin_katok(sys: OpenSystem, samples: np.ndarray,
                        eps_list: Sequence[float], n_max: int,
-                       centers: int = 100, min_count: int = 30,
+                       centers: int = 100,
                        rng: Optional[np.random.Generator] = None):
     """Local entropy from dynamical-ball masses of the empirical measure.
 
     For each center x the mass of the ball B(x, n, g_hat_eps) is estimated by
     leave-one-out counting over the sample; the entropy estimate is the slope
-    of -log(mass) versus n over the range where counts stay >= min_count.
+    of -log(mass) versus n over the range where counts stay >=
+    MIN_BALL_COUNT.
     Returns (h, stderr, per_eps list).
     """
     if rng is None:
@@ -154,10 +157,10 @@ def entropy_brin_katok(sys: OpenSystem, samples: np.ndarray,
                 d = torus_dist(orbits[i, close], orbits[i, ci], dim)
                 close = close[d < cutoff[i, k]]
                 counts.append(len(close))
-                if counts[-1] < min_count:
+                if counts[-1] < MIN_BALL_COUNT:
                     break
             ns = np.arange(len(counts))
-            ok = np.array(counts) >= min_count
+            ok = np.array(counts) >= MIN_BALL_COUNT
             if np.count_nonzero(ok) < 3:
                 continue
             y = -np.log(np.array(counts, dtype=float)[ok] / nsamp)
@@ -233,8 +236,7 @@ def _power_law_fit(eps, mass):
 
 def class_membership(sys: OpenSystem, rep: InvariantMeasureRep,
                      targets=("G_H", "G_S", "G_phi"),
-                     sample_size: int = 20000, horizon: int = 25,
-                     gamma: Optional[float] = None,
+                     sample_size: int = 20000,
                      rng: Optional[np.random.Generator] = None) -> dict:
     """Diagnostics for membership in the hole/singularity/density classes.
 
@@ -281,10 +283,9 @@ def class_membership(sys: OpenSystem, rep: InvariantMeasureRep,
         else:
             sub = {"status": "pass", "fit": fit}
         # E_{eps,gamma} diagnostic on a subsample of orbits
-        if gamma is None:
-            gamma = 0.05 * max(lyapunov_sum(sys, rep, n=20,
-                                            orbit_samples=50, rng=rng)[0],
-                               1e-3)
+        horizon = 25
+        gamma = 0.05 * max(lyapunov_sum(sys, rep, n=20, orbit_samples=50,
+                                        rng=rng)[0], 1e-3)
         nsub = min(2000, len(pts))
         # one orbit pass serves every eps
         cur = pts[:nsub]
@@ -361,13 +362,13 @@ def pressure_report(sys: OpenSystem, rep: InvariantMeasureRep,
 def variational_report(sys: OpenSystem,
                        candidates: Sequence[InvariantMeasureRep],
                        escape: EscapeEstimate,
-                       equality_tol: float = 1e-4,
                        rng: Optional[np.random.Generator] = None,
                        **kwargs):
     """Pressure reports for all candidates plus the theorem verdict.
 
     (i) rho_lower >= max pressure - 3 sigma over class-passing candidates;
-    (ii) |P_nu_hat - rho| < tol when a nu_hat candidate is present.
+    (ii) |P_nu_hat - rho| < max(1e-4, 3 sigma) when a nu_hat candidate is
+    present.
     """
     if rng is None:
         rng = np.random.default_rng(42)
@@ -381,8 +382,7 @@ def variational_report(sys: OpenSystem,
         # oscillation is bounded by the per-step slope spread in the window
         spread = escape.rho_upper - escape.rho_lower
         class_ok = all(v.get("status") != "fail"
-                       for v in rp.class_flags.values()) \
-            and rep.supported_in_survivor
+                       for v in rp.class_flags.values())
         if class_ok and escape.rho_lower < rp.pressure - 3 * sigma - spread \
                 - 1e-9:
             verdict["inequality"] = "violated"
@@ -390,7 +390,7 @@ def variational_report(sys: OpenSystem,
                 "candidate": rp.name, "pressure": rp.pressure,
                 "rho_lower": escape.rho_lower, "sigma": sigma})
         if rep.is_nu_hat:
-            tol = max(equality_tol, 3 * sigma)
+            tol = max(1e-4, 3 * sigma)
             verdict["equality"] = {
                 "gap": rp.gap, "tol": tol,
                 "status": "PASS" if rp.gap < tol else "violated"}

@@ -73,7 +73,8 @@ class MapModel:
     ``singularity_distance`` the distances d(x, S) (inf where S is empty)
     and ``reference_density`` the density of the initial mass distribution
     with respect to Lebesgue (1 for Lebesgue).  The map is defined exactly
-    where ``singularity_distance`` is positive.
+    where ``singularity_distance`` is positive.  ``branch_count`` is the
+    number of full linear branches of a Markov interval map, else None.
     """
 
     dimension: int
@@ -82,7 +83,7 @@ class MapModel:
     singularity_distance: Callable
     reference_density: Callable
     label: str
-    meta: dict = field(default_factory=dict)
+    branch_count: Optional[int] = None
 
 
 def adic_map(m: int) -> MapModel:
@@ -96,7 +97,7 @@ def adic_map(m: int) -> MapModel:
         singularity_distance=_no_singularities,
         reference_density=_lebesgue,
         label=f"{m}-adic",
-        meta={"branch_count": m, "piecewise_linear": True, "markov": True},
+        branch_count=m,
     )
 
 
@@ -121,7 +122,6 @@ def logistic_like(a: float = 3.9) -> MapModel:
         singularity_distance=_no_singularities,
         reference_density=_lebesgue,
         label=f"logistic-{a}",
-        meta={"piecewise_linear": False, "markov": False},
     )
 
 
@@ -138,7 +138,6 @@ def cat_map() -> MapModel:
         singularity_distance=_no_singularities,
         reference_density=_lebesgue,
         label="cat",
-        meta={"piecewise_linear": True, "markov": False, "matrix": A},
     )
 
 
@@ -155,7 +154,6 @@ def baker_map() -> MapModel:
         singularity_distance=_no_singularities,
         reference_density=_lebesgue,
         label="baker",
-        meta={"piecewise_linear": True, "markov": False},
     )
 
 
@@ -202,7 +200,8 @@ class HoleSpec:
     ``boundary_distance`` the N distances to the hole boundary (inf for the
     empty hole).  Boundary convention: points exactly on the boundary count
     as *not* in the hole, so estimators are stable under floating-point
-    ties.
+    ties.  ``meta`` holds the ``intervals`` of an interval hole, and the
+    ``base``, ``level`` and ``words`` of a cylinder hole.
     """
 
     kind: str
@@ -211,7 +210,7 @@ class HoleSpec:
     meta: dict = field(default_factory=dict)
 
 
-def _interval_hole(intervals, kind, extra_meta=None):
+def _interval_hole(intervals, kind, **meta):
     merged = _merge_intervals(intervals)
     lo = np.array([a for a, _ in merged])
     hi = np.array([b for _, b in merged])
@@ -227,11 +226,9 @@ def _interval_hole(intervals, kind, extra_meta=None):
         xs = np.asarray(xs, dtype=float)
         return np.min(torus_dist_1d(xs[:, None], endpoints[None, :]), axis=1)
 
-    meta = {"intervals": merged}
-    if extra_meta:
-        meta.update(extra_meta)
     return HoleSpec(kind=kind, in_hole_many=in_hole_many,
-                    boundary_distance=boundary_distance, meta=meta)
+                    boundary_distance=boundary_distance,
+                    meta={"intervals": merged, **meta})
 
 
 def cylinder_union_hole(base: int, level: int, words) -> HoleSpec:
@@ -241,8 +238,8 @@ def cylinder_union_hole(base: int, level: int, words) -> HoleSpec:
         if len(w) != level or any(not 0 <= c < base for c in w):
             raise ValueError(f"bad cylinder word {w} for base {base} level {level}")
     intervals = [_word_interval(w, base) for w in words]
-    return _interval_hole(intervals, "cylinder_union",
-                          {"base": base, "level": level, "words": words})
+    return _interval_hole(intervals, "cylinder_union", base=base, level=level,
+                          words=words)
 
 
 def interval_union_hole(intervals) -> HoleSpec:
@@ -262,15 +259,13 @@ def ball_hole_2d(center, radius) -> HoleSpec:
         return np.abs(torus_dist_2d(np.asarray(ps), c[None, :]) - r)
 
     return HoleSpec(kind="region_2d", in_hole_many=in_hole_many,
-                    boundary_distance=boundary_distance,
-                    meta={"shape": "ball", "center": tuple(c), "radius": r})
+                    boundary_distance=boundary_distance)
 
 
 def empty_hole(dimension: int = 1) -> HoleSpec:
     return HoleSpec(kind="interval_union" if dimension == 1 else "region_2d",
                     in_hole_many=lambda ps: np.zeros(len(ps), dtype=bool),
-                    boundary_distance=lambda ps: np.full(len(ps), INF),
-                    meta={"empty": True, "intervals": []})
+                    boundary_distance=lambda ps: np.full(len(ps), INF))
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +370,8 @@ def survivor_transition_matrix(sys: OpenSystem, k: int):
     the states are the allowed symbols with full transitions.
     Returns (matrix, state list).
     """
-    m = sys.map.meta.get("branch_count")
-    if m is None or not sys.map.meta.get("markov"):
+    m = sys.map.branch_count
+    if m is None:
         raise HoleKindError("map is not Markov with a symbolic branch structure")
     if sys.hole.kind != "cylinder_union":
         raise HoleKindError("hole is not a cylinder union")
@@ -477,13 +472,13 @@ def parry_chain(sys: OpenSystem, k: int):
 
 
 def sample_survivor_points(sys: OpenSystem, k: int, size: int,
-                           rng: np.random.Generator, digits: int = 60):
+                           rng: np.random.Generator):
     """Draw points of the survivor set distributed by the Parry chain.
 
-    Symbol streams of the survivor subshift are decoded to base-m reals, so
-    the samples lie on the survivor set to machine precision.
+    Streams of 60 symbols of the survivor subshift are decoded to base-m
+    reals, so the samples lie on the survivor set to machine precision.
     """
-    m = sys.map.meta["branch_count"]
+    m = sys.map.branch_count
     states, P, pi = parry_chain(sys, k)
     nstate = len(states)
     cum_pi = np.cumsum(pi)
@@ -493,7 +488,7 @@ def sample_survivor_points(sys: OpenSystem, k: int, size: int,
     scale = 1.0
     # emit the first symbol of each (k-1)-gram state, then walk the chain
     first_symbol = np.array([s[0] for s in states])
-    for _ in range(digits):
+    for _ in range(60):
         scale /= m
         xs += first_symbol[state] * scale
         u = rng.random(size)
@@ -512,7 +507,6 @@ def evolve_survivors(sys: OpenSystem, pts, n_max: int):
     survival_counts[n] = number of points in M^n among the unflagged ones.
     """
     pts = np.asarray(pts, dtype=float)
-    npts = len(pts)
     alive = ~sys.hole.in_hole_many(pts)
     flagged = 0
     counts = np.empty(n_max + 1, dtype=np.int64)
@@ -562,6 +556,18 @@ def _reject_unknown(d: dict, allowed, where: str):
         raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _is_number(x, integer: bool = False) -> bool:
+    """True for a JSON number that is not a boolean (integral: ``integer``)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and (not integer or float(x).is_integer()))
+
+
+def _is_numbers(x, length=None, integer: bool = False) -> bool:
+    """True for a JSON array of numbers, of ``length`` of them if given."""
+    return (isinstance(x, list) and length in (None, len(x))
+            and all(_is_number(v, integer) for v in x))
+
+
 def _lookup(table: dict, key, what: str):
     """``table[key]`` for a string ``key``, else a ValueError naming
     ``what``."""
@@ -576,6 +582,8 @@ def map_from_config(cfg: dict) -> MapModel:
     params = cfg.get("params", {})
     _reject_unknown(params, _lookup(_MAP_SCHEMAS, name, "map"),
                     f"map params for {name}")
+    if not _is_numbers(list(params.values())):
+        raise ValueError(f"map params for {name} must be numbers")
     if name == "adic":
         return adic_map(int(params["m"]))
     if name == "logistic":
@@ -590,14 +598,28 @@ def hole_from_config(cfg: dict) -> HoleSpec:
     _reject_unknown(cfg, {"kind", *_lookup(_HOLE_SCHEMAS, kind, "hole kind")},
                     f"hole config for {kind}")
     if kind == "cylinder_union":
+        if not _is_numbers([cfg["base"], cfg["level"]], integer=True):
+            raise ValueError("hole base and level must be integers")
+        if not (isinstance(cfg["words"], list) and all(
+                _is_numbers(w, integer=True) for w in cfg["words"])):
+            raise ValueError("hole words must be an array of integer arrays")
         return cylinder_union_hole(int(cfg["base"]), int(cfg["level"]),
                                    cfg["words"])
     if kind == "interval_union":
+        if not (isinstance(cfg["intervals"], list) and all(
+                _is_numbers(iv, 2) for iv in cfg["intervals"])):
+            raise ValueError(
+                "hole intervals must be an array of [a, b] number pairs")
         return interval_union_hole(cfg["intervals"])
     if kind == "region_2d":
         if cfg.get("shape", "ball") != "ball":
             raise ValueError("only ball-shaped region_2d holes are supported")
+        if not (_is_numbers(cfg["center"], 2) and _is_number(cfg["radius"])):
+            raise ValueError(
+                "hole center must be two numbers and hole radius a number")
         return ball_hole_2d(cfg["center"], cfg["radius"])
+    if cfg.get("dimension", 1) not in (1, 2):
+        raise ValueError("hole dimension must be 1 or 2")
     return empty_hole(int(cfg.get("dimension", 1)))
 
 

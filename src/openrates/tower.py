@@ -1,10 +1,11 @@
 """Exact computations on explicitly specified Young towers with Markov holes.
 
 A tower is a finite (or finitely truncated) list of base branches, each with a
-return time R, a Jacobian J (the value of the induced-map Jacobian on the
-branch), a base mass, and a flag marking whether the branch falls into the
-hole before returning.  The induced system is the full shift over the unholed
-branches unless a transition matrix is supplied.
+return time R, a Jacobian J (the induced-map Jacobian, constant on the
+branch: the Gibbs measures here carry no distortion), a base mass, and a
+flag marking whether the branch falls into the hole before returning.  The
+induced system is the full shift over the unholed branches unless a
+transition matrix is supplied.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .systems import _reject_unknown, perron
+from .systems import _is_number, _is_numbers, _reject_unknown, perron
 
 
 class NoRootError(RuntimeError):
@@ -41,8 +42,6 @@ class TowerSpec:
     branches: list
     C0: float = 1.0
     theta0: float = 0.5
-    C1: float = 0.0          # log-distortion constant; 0 = locally constant J
-    alpha: float = 0.25      # distortion decay in the separation-time metric
     transition: Optional[np.ndarray] = None  # over unholed branches
 
     def __post_init__(self):
@@ -59,31 +58,42 @@ class TowerSpec:
     def unholed(self):
         return [b for b in self.branches if not b.holed]
 
-    def max_return(self):
-        return max(b.R for b in self.branches)
-
-    def tail_mass(self, n: int) -> float:
-        return sum(b.mass for b in self.branches if b.R > n)
-
 
 def tower_from_config(cfg: dict) -> TowerSpec:
-    _reject_unknown(cfg, {"branches", "C0", "theta0", "C1", "alpha",
-                          "transition"}, "tower config")
+    """A tower from a config's ``tower`` object, each value checked."""
+    _reject_unknown(cfg, {"branches", "C0", "theta0", "transition"},
+                    "tower config")
     if not isinstance(cfg["branches"], list):
         raise ValueError("tower branches must be a JSON array")
     branches = []
     for i, b in enumerate(cfg["branches"]):
         _reject_unknown(b, {"id", "R", "J", "mass", "holed"}, f"branch {i}")
+        if not (_is_number(b["R"], integer=True) and b["R"] >= 1):
+            raise ValueError(f"R of branch {i} must be an integer >= 1")
+        if not _is_numbers([b["J"], b["mass"]]):
+            raise ValueError(f"J and mass of branch {i} must be numbers")
+        if not isinstance(b.get("holed", False), bool):
+            raise ValueError(f"holed of branch {i} must be true or false")
         branches.append(TowerBranch(
             id=str(b.get("id", i)), R=int(b["R"]), J=float(b["J"]),
-            mass=float(b["mass"]), holed=bool(b.get("holed", False))))
+            mass=float(b["mass"]), holed=b.get("holed", False)))
+    for key in ("C0", "theta0"):
+        if key in cfg and not _is_number(cfg[key]):
+            raise ValueError(f"tower {key} must be a number")
     trans = cfg.get("transition")
+    if trans is not None:
+        k = sum(not b.holed for b in branches)
+        if not (isinstance(trans, list) and len(trans) == k
+                and all(_is_numbers(row, k) for row in trans)):
+            raise ValueError(
+                f"tower transition must be a {k}x{k} array of numbers, one "
+                "row and one column per unholed branch")
+        trans = np.asarray(trans, dtype=float)
+        if not (np.all(np.isfinite(trans)) and np.all(trans >= 0)):
+            raise ValueError(
+                "tower transition entries must be finite and nonnegative")
     return TowerSpec(branches=branches, C0=float(cfg.get("C0", 1.0)),
-                     theta0=float(cfg.get("theta0", 0.5)),
-                     C1=float(cfg.get("C1", 0.0)),
-                     alpha=float(cfg.get("alpha", 0.25)),
-                     transition=None if trans is None else np.asarray(trans,
-                                                                      float))
+                     theta0=float(cfg.get("theta0", 0.5)), transition=trans)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +110,12 @@ def _spectral_radius_at(T: TowerSpec, r: float) -> float:
     return perron(T.transition * w[None, :])[0]
 
 
-def tower_eigenvalue(T: TowerSpec, tol: float = 1e-14) -> float:
+def tower_eigenvalue(T: TowerSpec) -> float:
     """Root of sum_i r^{-R_i} / J_i = 1 over unholed branches (full-shift
     induced case), or of Perron root = 1 with a transition matrix.
 
-    The function is strictly decreasing in r, so bisection applies.
+    The function is strictly decreasing in r, so bisection applies, down to
+    a relative bracket of 1e-14.
     """
     if not T.unholed:
         raise NoRootError("no unholed branch: survivor set is empty")
@@ -121,7 +132,7 @@ def tower_eigenvalue(T: TowerSpec, tol: float = 1e-14) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * hi:
+        if hi - lo < 1e-14 * hi:
             break
     r = 0.5 * (lo + hi)
     if r <= 0.0:
@@ -135,9 +146,7 @@ def tower_eigenvalue(T: TowerSpec, tol: float = 1e-14) -> float:
 @dataclass
 class TowerMeasure:
     cylinder_weights: dict      # word (tuple of branch ids) -> weight
-    level_masses: np.ndarray    # invariant tower measure per level
     branch_ids: list
-    depth: int
 
 
 def gibbs_measure(T: TowerSpec, r: float, depth: int = 3) -> TowerMeasure:
@@ -146,8 +155,7 @@ def gibbs_measure(T: TowerSpec, r: float, depth: int = 3) -> TowerMeasure:
     For locally constant Jacobians this is exact (Gibbs constant 1); the
     weights of depth-1 cylinders sum to 1 by the eigenvalue equation.
     """
-    unholed = T.unholed
-    ids = [b.id for b in unholed]
+    ids = [b.id for b in T.unholed]
     w = _weights(T, r)
     weights = {}
     if T.transition is None:
@@ -166,27 +174,13 @@ def gibbs_measure(T: TowerSpec, r: float, depth: int = 3) -> TowerMeasure:
         p = p / np.where(u > 0, p.sum(axis=1), 1.0)[:, None]
         for n in range(1, depth + 1):
             for word in itertools.product(range(len(ids)), repeat=n):
-                wt = pi[word[0]]
-                ok = True
-                for a, b in zip(word, word[1:]):
-                    if T.transition[a, b] == 0:
-                        ok = False
-                        break
-                    wt *= p[a, b]
-                if ok and wt > 0:
+                steps = list(zip(word, word[1:]))
+                if not all(T.transition[a, b] for a, b in steps):
+                    continue
+                wt = math.prod([pi[word[0]]] + [p[a, b] for a, b in steps])
+                if wt > 0:
                     weights[tuple(ids[i] for i in word)] = float(wt)
-
-    # invariant tower measure levels: nu(level l) ∝ nu0{R > l}
-    depth1 = {ids[i]: (w[i] if T.transition is None
-                       else weights.get((ids[i],), 0.0))
-              for i in range(len(ids))}
-    rbar = sum(depth1[b.id] * b.R for b in unholed)
-    lmax = T.max_return()
-    levels = np.array([
-        sum(depth1[b.id] for b in unholed if b.R > l) / rbar
-        for l in range(lmax)])
-    return TowerMeasure(cylinder_weights=weights, level_masses=levels,
-                        branch_ids=ids, depth=depth)
+    return TowerMeasure(cylinder_weights=weights, branch_ids=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +231,11 @@ def gurevich_pressure(T: TowerSpec, r: float, n_max: int = 20,
 # ---------------------------------------------------------------------------
 # Abramov consistency
 
-def abramov_check(T: TowerSpec, nu0: TowerMeasure, r: float,
-                  tol: float = 1e-9) -> dict:
+def abramov_check(T: TowerSpec, nu0: TowerMeasure, r: float) -> dict:
     """Entropy/exponent/pressure chain for the induced Gibbs measure.
 
     h_tower = h_induced / int(R), lambda_tower = int(log J) / int(R),
-    pressure = h_tower - lambda_tower; must equal log r.
+    pressure = h_tower - lambda_tower; must equal log r within 1e-9.
     """
     lookup = {b.id: b for b in T.unholed}
     p1 = {bid: nu0.cylinder_weights.get((bid,), 0.0) for bid in nu0.branch_ids}
@@ -277,7 +270,7 @@ def abramov_check(T: TowerSpec, nu0: TowerMeasure, r: float,
         "log_r": math.log(r),
         "gap": abs(pressure - math.log(r)),
     }
-    if rec["gap"] > tol:
+    if rec["gap"] > 1e-9:
         raise AssertionError(
             f"Abramov chain inconsistent: pressure {pressure} vs log r "
             f"{math.log(r)} (gap {rec['gap']:.3e})")
@@ -301,8 +294,9 @@ def validate_hypotheses(T: TowerSpec, r: Optional[float] = None,
 
     # (i) exponential tail
     tail_ok, witness = True, None
-    for n in range(T.max_return() + 1):
-        if T.tail_mass(n) > T.C0 * T.theta0 ** n + 1e-15:
+    for n in range(max(b.R for b in T.branches) + 1):
+        tail = sum(b.mass for b in T.branches if b.R > n)
+        if tail > T.C0 * T.theta0 ** n + 1e-15:
             tail_ok, witness = False, n
             break
     report["checks"]["tail"] = {"pass": tail_ok, "witness_n": witness,

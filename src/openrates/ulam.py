@@ -9,7 +9,7 @@ modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,7 +86,6 @@ class UlamOperator:
     matrix: sp.csr_matrix          # row-substochastic
     hole_cells: np.ndarray         # indices of cells inside the hole
     assembly: str                  # "exact" or "quadrature"
-    meta: dict = field(default_factory=dict)
 
     @property
     def ncells(self):
@@ -130,7 +129,7 @@ class SpectralData:
 
 def _assemble_exact_1d(sys: OpenSystem, n: int):
     """Exact geometry for piecewise-linear full-branch m-adic maps."""
-    m = sys.map.meta["branch_count"]
+    m = sys.map.branch_count
     if n % m != 0 and n != 1:
         raise ValueError(
             f"resolution {n} incompatible with branch count {m} for exact "
@@ -162,10 +161,10 @@ def _assemble_exact_1d(sys: OpenSystem, n: int):
     return P, np.nonzero(in_hole)[0]
 
 
-def _assemble_quadrature(sys: OpenSystem, n: int, subsamples: int = 8):
-    """Per-cell midpoint quadrature with subsamples^dim points per cell."""
+def _assemble_quadrature(sys: OpenSystem, n: int):
+    """Per-cell midpoint quadrature with 8^dim points per cell."""
     dim = sys.map.dimension
-    s = subsamples
+    s = 8
     if dim == 1:
         ncells = n
         offs = (np.arange(s) + 0.5) / (s * n)
@@ -197,30 +196,23 @@ def _assemble_quadrature(sys: OpenSystem, n: int, subsamples: int = 8):
     return P, hole_cells
 
 
-def build_ulam(sys: OpenSystem, resolution: int,
-               subsamples: int = 8) -> UlamOperator:
-    exact = (sys.map.dimension == 1
-             and sys.map.meta.get("piecewise_linear")
-             and sys.map.meta.get("branch_count") is not None)
-    if exact:
+def build_ulam(sys: OpenSystem, resolution: int) -> UlamOperator:
+    if sys.map.branch_count is not None:
         P, hole_cells = _assemble_exact_1d(sys, resolution)
         method = "exact"
     else:
-        P, hole_cells = _assemble_quadrature(sys, resolution, subsamples)
+        P, hole_cells = _assemble_quadrature(sys, resolution)
         method = "quadrature"
     rowsums = np.asarray(P.sum(axis=1)).ravel()
     if np.any(rowsums > 1.0 + 1e-12):
         raise AssertionError("Ulam matrix is not row-substochastic")
-    return UlamOperator(sys.map.dimension, resolution, P, hole_cells, method,
-                        meta={"subsamples": subsamples,
-                              "map": sys.map.label,
-                              "hole": sys.hole.kind})
+    return UlamOperator(sys.map.dimension, resolution, P, hole_cells, method)
 
 
 # ---------------------------------------------------------------------------
 # dominant eigenpair
 
-def _power_iterate(apply_op, v0, tol, max_iters):
+def _power_iterate(apply_op, v0, max_iters):
     v = v0 / np.sum(np.abs(v0))
     lam = 0.0
     for it in range(1, max_iters + 1):
@@ -231,26 +223,25 @@ def _power_iterate(apply_op, v0, tol, max_iters):
         w = w / lam
         res = float(np.sum(np.abs(w - v)))
         v = w
-        if res * lam < tol:
+        if res * lam < 1e-13:
             return lam, v, it
     raise ConvergenceError(
         f"no convergence after {max_iters} iterations (gap failure or "
         "eigenvalue near-degeneracy)")
 
 
-def leading_eigenpair(U: UlamOperator, tol: float = 1e-13,
+def leading_eigenpair(U: UlamOperator,
                       max_iters: int = 200_000) -> SpectralData:
     P = U.matrix
     if P.nnz == 0:
         raise ValueError("matrix is zero: all mass escapes immediately")
-    ncells = U.ncells
     mask = U.nonhole_mask()
 
     v0 = mask.astype(float)
     PT = P.T.tocsr()
-    lam, v, it1 = _power_iterate(lambda x: PT @ x, v0, tol, max_iters)
+    lam, v, it1 = _power_iterate(lambda x: PT @ x, v0, max_iters)
     u0 = mask.astype(float)
-    lam2, u, it2 = _power_iterate(lambda x: P @ x, u0, tol, max_iters)
+    lam2, u, it2 = _power_iterate(lambda x: P @ x, u0, max_iters)
 
     right = v / np.sum(v)
     left = u / np.max(u)
@@ -262,8 +253,9 @@ def leading_eigenpair(U: UlamOperator, tol: float = 1e-13,
                         iterations=it1 + it2)
 
 
-def _subdominant_ratio(PT, lam, right, left, iters: int = 400):
-    """|lambda_2| / r from power iteration with the dominant pair deflated.
+def _subdominant_ratio(PT, lam, right, left):
+    """|lambda_2| / r from 400 power iterations with the dominant pair
+    deflated.
 
     An iterate that vanishes gives 0 (no subdominant spectrum); one that
     turns non-finite raises ConvergenceError."""
@@ -275,7 +267,7 @@ def _subdominant_ratio(PT, lam, right, left, iters: int = 400):
     w = w - right * (left @ w) / denom
     prev = np.sum(np.abs(w))
     ratio = 0.0
-    for _ in range(iters):
+    for _ in range(400):
         w = PT @ w
         w = w - right * (left @ w) / denom
         cur = np.sum(np.abs(w))
@@ -309,12 +301,12 @@ def evolve_mass(U: UlamOperator, v: np.ndarray, n: int):
     return np.array(masses), cur
 
 
-def survivor_measure(U: UlamOperator, S: SpectralData, tol: float = 1e-8,
-                     n_cap: int = 200):
+def survivor_measure(U: UlamOperator, S: SpectralData):
     """Invariant measure on the survivor set, computed two ways.
 
     (i) cellwise product left * right, normalized;
-    (ii) the limit r^{-n} mu*(B ∩ M^n) evaluated per cell until stabilized.
+    (ii) the limit r^{-n} mu*(B ∩ M^n) evaluated per cell until successive
+    iterates differ by less than 1e-8 in L1, for at most 200 steps.
     Returns (GridMeasure, info) where info records the route discrepancy.
     """
     lam = S.eigenvalue
@@ -327,20 +319,16 @@ def survivor_measure(U: UlamOperator, S: SpectralData, tol: float = 1e-8,
     P = U.matrix
     surv = U.nonhole_mask().astype(float)
     prev = None
-    n_used = 0
-    for n in range(1, n_cap + 1):
+    for n_used in range(1, 201):
         surv = (P @ surv) / lam
         est = S.right * surv
         t = np.sum(est)
         if t <= 0:
             raise ValueError("limit-route mass vanished")
         est = est / t
-        if prev is not None and np.sum(np.abs(est - prev)) < tol:
-            n_used = n
+        if prev is not None and np.sum(np.abs(est - prev)) < 1e-8:
             break
         prev = est
-    else:
-        n_used = n_cap
     disc = float(np.sum(np.abs(nu_i - est)))
     if disc > 1e-4:
         raise ValueError(

@@ -22,6 +22,20 @@ GOLDEN = {
 }
 
 
+TOWER = {"branches": [
+    {"id": "A", "R": 1, "J": 2.0, "mass": 0.5},
+    {"id": "B", "R": 2, "J": 4.0, "mass": 0.25},
+    {"id": "C", "R": 2, "J": 4.0, "mass": 0.25, "holed": True}],
+    "C0": 1.0, "theta0": 0.5}
+
+
+def _tower(**branch_a):
+    """The golden tower with the keys of branch A replaced."""
+    tower = json.loads(json.dumps(TOWER))
+    tower["branches"][0].update(branch_a)
+    return tower
+
+
 def _write(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -147,6 +161,78 @@ def test_unknown_config_key(tmp_path, capsys):
      "error: unknown hole kind ['a']"),
     ("billiard", lambda c: c.update(billiard={"holes": [{"kind": ["a"]}]}),
      "error: unknown billiard hole kind ['a']"),
+    # the tower reader checks each value
+    ("tower", lambda c: c.update(tower={**TOWER, "transition": [[1]]}),
+     "error: tower transition must be a 2x2 array of numbers, one row and "
+     "one column per unholed branch"),
+    ("tower", lambda c: c.update(tower={**TOWER, "transition": [[1, 1], 5]}),
+     "error: tower transition must be a 2x2 array"),
+    ("tower", lambda c: c.update(tower={**TOWER,
+                                        "transition": [[1, -1], [1, 1]]}),
+     "error: tower transition entries must be finite and nonnegative"),
+    ("tower", lambda c: c.update(tower={**TOWER,
+                                        "transition": [[1, 1], [1, "1"]]}),
+     "error: tower transition must be a 2x2 array"),
+    ("tower", lambda c: c.update(tower=_tower(R=[1])),
+     "error: R of branch 0 must be an integer >= 1"),
+    ("tower", lambda c: c.update(tower=_tower(R=1.5)),
+     "error: R of branch 0 must be an integer >= 1"),
+    ("tower", lambda c: c.update(tower=_tower(R=0)),
+     "error: R of branch 0 must be an integer >= 1"),
+    ("tower", lambda c: c.update(tower=_tower(J=[2.0])),
+     "error: J and mass of branch 0 must be numbers"),
+    ("tower", lambda c: c.update(tower=_tower(mass="0.5")),
+     "error: J and mass of branch 0 must be numbers"),
+    ("tower", lambda c: c.update(tower=_tower(holed="no")),
+     "error: holed of branch 0 must be true or false"),
+    ("tower", lambda c: c.update(tower={**TOWER, "theta0": [0.5]}),
+     "error: tower theta0 must be a number"),
+    # C1 and alpha were read and never used: locally constant J only
+    ("tower", lambda c: c.update(tower={**TOWER, "C1": 123.0}),
+     "error: unknown keys ['C1'] in tower config"),
+    ("tower", lambda c: c.update(tower={**TOWER, "alpha": -7}),
+     "error: unknown keys ['alpha'] in tower config"),
+    # and so do the hole readers
+    ("escape", lambda c: c["system"]["hole"].update(words=5),
+     "error: hole words must be an array of integer arrays"),
+    ("escape", lambda c: c["system"]["hole"].update(words=[[1, 0.5]]),
+     "error: hole words must be an array of integer arrays"),
+    ("escape", lambda c: c["system"]["hole"].update(level="2"),
+     "error: hole base and level must be integers"),
+    ("escape", lambda c: c["system"].update(hole={
+        "kind": "interval_union", "intervals": 5}),
+     "error: hole intervals must be an array of [a, b] number pairs"),
+    ("escape", lambda c: c["system"].update(hole={
+        "kind": "interval_union", "intervals": [[0.1, 0.2, 0.3]]}),
+     "error: hole intervals must be an array of [a, b] number pairs"),
+    ("escape", lambda c: c["system"].update(hole={
+        "kind": "region_2d", "center": 5, "radius": 0.1}),
+     "error: hole center must be two numbers and hole radius a number"),
+    ("escape", lambda c: c["system"].update(hole={
+        "kind": "empty", "dimension": [1]}),
+     "error: hole dimension must be 1 or 2"),
+    ("escape", lambda c: c["system"]["map"].update(params={"m": [2]}),
+     "error: map params for adic must be numbers"),
+    ("billiard", lambda c: c.update(billiard={"holes": [
+        {"kind": "disk", "center": 5, "radius": 0.1}]}),
+     "error: center of a billiard disk hole must be two numbers"),
+    ("billiard", lambda c: c.update(billiard={"holes": [
+        {"kind": "arc", "scatterer": 0.5, "arc_center": 1.0,
+         "arc_halfwidth": 0.2}]}),
+     "error: scatterer of a billiard arc hole must be an integer"),
+    ("billiard", lambda c: c.update(billiard={"holes": [
+        {"kind": "disk", "center": [0.5, 0.0], "radius": "0.1"}]}),
+     "error: radius of a billiard disk hole must be a number"),
+    ("billiard", lambda c: c.update(billiard={"scatterers": [5]}),
+     "error: each billiard scatterer must be [[x, y], r]"),
+    ("billiard", lambda c: c.update(billiard={"scatterers": [[0.0, 0.45]]}),
+     "error: each billiard scatterer must be [[x, y], r]"),
+    # and the balls section its arrays
+    ("balls", lambda c: c.update(balls={"n_values": ["a"]}),
+     "error: n_values in balls config must be an array of integers"),
+    ("balls", lambda c: c.update(balls={"centers": [[0.3, 0.4]]}),
+     "error: each centre in balls config must be a point of the map: one "
+     "number in 1D, two in 2D"),
 ])
 def test_unknown_section_key_exits_1(tmp_path, capsys, command, edit,
                                      message):

@@ -1,0 +1,147 @@
+"""Every setting of the package is set by some caller.
+
+A defaulted parameter of a function in ``src/openrates``, or a defaulted
+field of one of its dataclasses, that no call in ``src/``, ``perfbench/`` or
+``tests/`` passes has one value in use: it belongs inline, as a literal or a
+module constant.  The scan is syntactic.  A call is matched to every
+definition of its name, a positional argument or a keyword sets the
+parameter it lands on, and a ``**mapping`` that is not a forwarded
+``**kwargs`` sets every parameter.  Keywords a caller passes to a function
+that forwards its ``**kwargs`` to another one count for that one too.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "openrates"
+CALLERS = (ROOT / "src", ROOT / "perfbench", ROOT / "tests")
+ALL = float("inf")
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == \
+                "dataclass":
+            return True
+    return False
+
+
+def _function_settings(fn, is_method):
+    """(parameter, positional index or None) for each defaulted parameter
+    of a function; a method's index does not count ``self``."""
+    args = fn.args.posonlyargs + fn.args.args
+    skip = 1 if is_method and not any(
+        getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list) \
+        else 0
+    first = len(args) - len(fn.args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(args) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                         fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _dataclass_settings(cls):
+    fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
+              and isinstance(s.target, ast.Name)
+              and "ClassVar" not in ast.unparse(s.annotation)]
+    return [(s.target.id, i) for i, s in enumerate(fields)
+            if s.value is not None]
+
+
+def definitions():
+    """{name: [(where, [(parameter, positional index or None)])]} for the
+    functions, methods and dataclasses of the package."""
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append(
+                    (f"{path.stem}.{node.name}",
+                     _function_settings(node, False)))
+            elif isinstance(node, ast.ClassDef):
+                if _is_dataclass(node):
+                    defs.setdefault(node.name, []).append(
+                        (f"{path.stem}.{node.name}",
+                         _dataclass_settings(node)))
+                for fn in node.body:
+                    if isinstance(fn, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                        defs.setdefault(fn.name, []).append(
+                            (f"{path.stem}.{node.name}.{fn.name}",
+                             _function_settings(fn, True)))
+    return defs
+
+
+def _name(func):
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def calls():
+    """(callee name, positional count, keywords, sets every keyword) for
+    each call under ``CALLERS``, plus {function: callees} for the
+    functions that forward their ``**kwargs``."""
+    found, forwards = [], {}
+    for top in CALLERS:
+        for path in sorted(top.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)) \
+                        or fn.args.kwarg is None:
+                    continue
+                for call in ast.walk(fn):
+                    if isinstance(call, ast.Call) and any(
+                            k.arg is None and getattr(k.value, "id", None)
+                            == fn.args.kwarg.arg for k in call.keywords):
+                        forwards.setdefault(fn.name, set()).add(
+                            _name(call.func))
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                npos = ALL if any(isinstance(a, ast.Starred)
+                                  for a in call.args) else len(call.args)
+                keywords = {k.arg for k in call.keywords if k.arg}
+                # a ``**mapping`` built on the spot may hold any key
+                every = any(k.arg is None and not isinstance(k.value, ast.Name)
+                            for k in call.keywords)
+                found.append((_name(call.func), npos, keywords, every))
+    return found, forwards
+
+
+def unset_settings():
+    defs = definitions()
+    found, forwards = calls()
+    positional = {}     # name -> most positional arguments of any call
+    keywords = {}       # name -> keywords some call passes
+    every = set()       # names some call passes every keyword
+    for name, npos, kws, all_kws in found:
+        positional[name] = max(positional.get(name, 0), npos)
+        targets, todo = {name}, [name]
+        while todo:     # keywords reach every function the callee forwards to
+            for nxt in forwards.get(todo.pop(), ()):
+                if nxt not in targets:
+                    targets.add(nxt)
+                    todo.append(nxt)
+        for target in targets:
+            keywords.setdefault(target, set()).update(kws)
+            if all_kws:
+                every.add(target)
+    unset = []
+    for name, entries in defs.items():
+        for where, settings in entries:
+            for param, index in settings:
+                if name in every or param in keywords.get(name, ()) or (
+                        index is not None
+                        and index < positional.get(name, 0)):
+                    continue
+                unset.append(f"{where}({param})")
+    return sorted(unset)
+
+
+def test_every_setting_has_a_caller():
+    unset = unset_settings()
+    assert not unset, ("settings that no call sets; make each one a "
+                       "constant:\n  " + "\n  ".join(unset))

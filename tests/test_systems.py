@@ -21,7 +21,7 @@ def test_doubling_map_values():
 
 def test_adic_map_meta_and_derivative():
     f = S.adic_map(5)
-    assert f.meta["branch_count"] == 5
+    assert f.branch_count == 5
     assert f.derivative(np.array([0.123]))[0, 0, 0] == 5.0
     assert f.step_many(np.array([0.25]))[0] == pytest.approx(0.25)
 
@@ -301,7 +301,7 @@ def test_system_from_config_roundtrip():
            "hole": {"kind": "cylinder_union", "base": 2, "level": 2,
                     "words": [[1, 1]]}}
     sys_obj = S.system_from_config(cfg)
-    assert sys_obj.map.meta["branch_count"] == 2
+    assert sys_obj.map.branch_count == 2
     assert sys_obj.hole.in_hole_many(np.array([0.9]))[0]
 
 
