@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .escape import InsufficientSurvivorsError, sharded_mc_estimates
+from .escape import (MC_SHARDS, InsufficientSurvivorsError,
+                     sharded_mc_estimates)
 from .systems import _is_number, _is_numbers, _lookup, _reject_unknown
 
 TANGENT_GUARD = 1e-9        # |cos theta| below this flags a grazing collision
@@ -30,6 +32,9 @@ TAU_BOUND = 1.5             # every free flight of a valid table is shorter
 CLEARANCE = 1e-3
 _COPY_RANGE = 2             # search copies at offsets -2..2 (< TAU_BOUND)
 _CHUNK = 1 << 15
+# rays per collision or segment search, so that its (rays, copies)
+# temporaries stay in cache; each ray's result does not depend on it
+_BLOCK = 1 << 12
 
 
 class TableGeometryError(ValueError):
@@ -49,9 +54,12 @@ class BilliardTable:
     radii: np.ndarray            # (k,)
     tau_max: float               # validated bound on the free flight
     # periodic copies of every scatterer, precomputed for collision search
-    copy_centers: np.ndarray = field(repr=False, default=None)
-    copy_sid: np.ndarray = field(repr=False, default=None)
-    copy_radii: np.ndarray = field(repr=False, default=None)
+    copy_centers: np.ndarray = field(repr=False)
+    copy_sid: np.ndarray = field(repr=False)
+    copy_radii: np.ndarray = field(repr=False)
+    # for each scatterer s, the indices of the copies a flight leaving s
+    # can reach: boundary gap below TAU_BOUND
+    source_copies: tuple = field(repr=False)
 
     @property
     def n_scatterers(self) -> int:
@@ -93,33 +101,21 @@ def build_table(scatterers=DEFAULT_SCATTERERS, validation_rays: int = 1_000_000,
     copy_centers = (centers[None, :, :] + offs[:, None, :]).reshape(-1, 2)
     copy_sid = np.tile(np.arange(len(radii)), len(offs))
     copy_radii = np.tile(radii, len(offs))
-    # drop copies no flight can reach; starts lie on scatterer boundaries,
-    # which extend past the unit cell by up to the largest radius
-    box_lo = np.min(centers - radii[:, None], axis=0)
-    box_hi = np.max(centers + radii[:, None], axis=0)
-    lo = np.clip(copy_centers, box_lo, box_hi)
-    reach = (np.linalg.norm(copy_centers - lo, axis=1) - copy_radii
-             < TAU_BOUND + 0.05)
-    copy_centers = copy_centers[reach]
-    copy_sid = copy_sid[reach]
-    copy_radii = copy_radii[reach]
+    # a flight is at least as long as the gap between the two boundaries
+    gap = (np.linalg.norm(copy_centers[None, :, :] - centers[:, None, :],
+                          axis=2) - radii[:, None] - copy_radii[None, :])
     table = BilliardTable(centers=centers, radii=radii, tau_max=float("nan"),
                           copy_centers=copy_centers, copy_sid=copy_sid,
-                          copy_radii=copy_radii)
+                          copy_radii=copy_radii,
+                          source_copies=tuple(np.flatnonzero(g < TAU_BOUND)
+                                              for g in gap))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    remaining = validation_rays
-    while remaining > 0:
-        size = min(remaining, _CHUNK)
-        remaining -= size
-        sid, phi, theta = sample_srb(table, size, rng)
-        p, v = _states_to_rays(table, sid, phi, theta)
-        t, _, _ = _next_collision(table, p, v)
-        if np.any(~np.isfinite(t)) or float(np.max(t)) >= TAU_BOUND:
-            raise InfiniteHorizonError(
-                f"free flight of length >= {TAU_BOUND} found; the table does "
-                "not have a verified finite horizon")
+    for done in range(0, validation_rays, _CHUNK):
+        sid, phi, theta = sample_srb(
+            table, min(validation_rays - done, _CHUNK), rng)
+        t = _step_arrays(table, sid, phi, theta)[3]
         worst = max(worst, float(np.max(t)))
     return dataclasses.replace(table, tau_max=worst)
 
@@ -155,44 +151,64 @@ def _states_to_rays(table, sid, phi, theta):
     return p, v
 
 
-def _next_collision(table, p, v):
-    """First ray-circle intersection over periodic copies.
+def _next_collision(table, p, v, copies):
+    """First ray-circle intersection over the periodic copies ``copies``.
 
-    Returns (t, hit_copy_index, q); t = +inf when nothing is hit within the
-    copy window (infinite-horizon symptom).  Inner products against the copy
-    list are matrix products, keeping the hot loop in BLAS."""
-    dt = np.asarray(p).dtype
-    C = table.copy_centers.astype(dt, copy=False)          # (K, 2)
-    cr = table.copy_radii.astype(dt, copy=False)
+    Returns (t, index into table.copy_centers of the hit copy); t = +inf
+    when no copy is hit.  Inner products against the copy list are matrix
+    products, keeping the hot loop in BLAS."""
+    dt = p.dtype
+    C = table.copy_centers[copies].astype(dt, copy=False)    # (K, 2)
+    cr = table.copy_radii[copies].astype(dt, copy=False)
     pv = np.einsum("nd,nd->n", p, v)
     pp = np.einsum("nd,nd->n", p, p)
-    b = pv[:, None] - v @ C.T                    # (n, K): (p - c) . v
-    c = (pp[:, None] - 2.0 * (p @ C.T)
-         + np.einsum("kd,kd->k", C, C)[None, :]
-         - cr[None, :] ** 2)                     # |p - c|^2 - r^2
-    disc = b * b - c
+    # the (n, K) arrays are updated in place; 2.0 * C scales each product
+    # exactly, and -(b + sqrt) rounds as -b - sqrt does
+    b = v @ C.T
+    np.subtract(pv[:, None], b, out=b)           # (p - c) . v
+    c = p @ (2.0 * C).T
+    np.subtract(pp[:, None], c, out=c)
+    c += np.einsum("kd,kd->k", C, C)[None, :]
+    c -= (cr ** 2)[None, :]                      # |p - c|^2 - r^2
+    disc = b * b
+    disc -= c
     with np.errstate(invalid="ignore"):
-        t = -b - np.sqrt(disc)
+        t = np.sqrt(disc, out=c)
+    t += b
+    np.negative(t, out=t)
     # true flights are never shorter than the scatterer clearance, so the
     # self-intersection guard can sit far above either dtype's roundoff
-    t = np.where((disc > 0) & (t > CLEARANCE), t, np.inf)
+    keep = disc > 0
+    keep &= t > CLEARANCE
+    np.copyto(t, np.inf, where=~keep)
     hit = np.argmin(t, axis=1)
-    rows = np.arange(len(p))
-    tmin = t[rows, hit]
-    q = p + tmin[:, None] * v
-    return tmin, hit, q
+    return t[np.arange(len(p)), hit], copies[hit]
+
+
+def _blocks(mask):
+    """The indices where ``mask`` holds, in pieces of at most _BLOCK."""
+    rows = np.flatnonzero(mask)
+    return [rows[i:i + _BLOCK] for i in range(0, len(rows), _BLOCK)]
 
 
 def _step_arrays(table, sid, phi, theta):
     """One collision step on parallel state arrays.
 
-    Returns (sid', phi', theta', flight length, flight start, flight dir,
-    grazing mask)."""
+    Each ray is tested against the copies reachable from its own scatterer
+    only.  Returns (sid', phi', theta', flight length, flight start, flight
+    dir, grazing mask)."""
     p, v = _states_to_rays(table, sid, phi, theta)
-    t, hit, q = _next_collision(table, p, v)
-    if np.any(~np.isfinite(t)):
-        raise InfiniteHorizonError("free flight left the collision-search "
-                                   "window; table is invalid")
+    t = np.empty(len(p), dtype=p.dtype)
+    hit = np.empty(len(p), dtype=np.intp)
+    for s, copies in enumerate(table.source_copies):
+        for rows in _blocks(sid == s):
+            t[rows], hit[rows] = _next_collision(table, p[rows], v[rows],
+                                                 copies)
+    if not np.all(t < TAU_BOUND):
+        raise InfiniteHorizonError(
+            f"free flight of length >= {TAU_BOUND} found; the table does "
+            "not have a verified finite horizon")
+    q = p + t[:, None] * v
     dt = p.dtype
     c_hit = table.copy_centers.astype(dt, copy=False)[hit]
     sid2 = table.copy_sid[hit]
@@ -246,14 +262,6 @@ class BilliardHole:
         arc_len = 2 * self.arc_halfwidth * table.radii[self.scatterer]
         return float(arc_len / (2 * math.pi * table.radii.sum()))
 
-    def hit_collision(self, sid, phi):
-        """Mask of collision states inside an arc hole (open arc)."""
-        if self.kind != "arc":
-            return np.zeros(len(sid), dtype=bool)
-        dphi = np.abs((phi - self.arc_center + math.pi) % (2 * math.pi)
-                      - math.pi)
-        return (sid == self.scatterer) & (dphi < self.arc_halfwidth)
-
 
 def _disk_copy_centers(center: np.ndarray) -> np.ndarray:
     """Periodic copies of a disk center reachable by a flight segment.
@@ -267,18 +275,85 @@ def _disk_copy_centers(center: np.ndarray) -> np.ndarray:
     return copies[reach]
 
 
-def _segment_center_distance(start, direction, length, center):
-    """Min distance from each flight segment to any periodic copy of a
-    point, vectorized over segments and copies via matrix products."""
-    copies = _disk_copy_centers(center).astype(start.dtype)   # (K, 2)
+def _segment_center_distance(start, direction, length, copies):
+    """Min distance from each flight segment to the points ``copies``,
+    vectorized over segments and copies via matrix products."""
+    copies = copies.astype(start.dtype)           # (K, 2)
     pv = np.einsum("nd,nd->n", start, direction)
     pp = np.einsum("nd,nd->n", start, start)
-    proj = direction @ copies.T - pv[:, None]      # (c - p) . v
-    rel2 = (pp[:, None] - 2.0 * (start @ copies.T)
-            + np.einsum("kd,kd->k", copies, copies)[None, :])
-    proj_c = np.clip(proj, 0.0, length[:, None])
-    d2 = rel2 - 2.0 * proj_c * proj + proj_c ** 2
+    # in place, rounding as rel2 - 2 proj_c proj + proj_c^2 does
+    proj = direction @ copies.T
+    proj -= pv[:, None]                            # (c - p) . v
+    d2 = start @ (2.0 * copies).T
+    np.subtract(pp[:, None], d2, out=d2)
+    d2 += np.einsum("kd,kd->k", copies, copies)[None, :]   # |c - p|^2
+    proj_c = np.maximum(proj, 0.0)
+    np.minimum(proj_c, length[:, None], out=proj_c)
+    proj *= 2.0
+    proj *= proj_c
+    d2 -= proj
+    d2 += np.square(proj_c, out=proj_c)
     return np.sqrt(np.maximum(np.min(d2, axis=1), 0.0))
+
+
+def _hole_families(table: BilliardTable, holes: Sequence[BilliardHole]):
+    """Group the holes that share one closest-approach distance.
+
+    Arcs on one scatterer around one centre share the angular distance of
+    the collisions on that scatterer to the centre; disks around one centre
+    share the distance of the flight segments to it.  A trajectory is in
+    hole i once its family's closest approach so far drops below the hole's
+    threshold (arc halfwidth, disk radius).  Returns a list of
+    (kind, where, [(hole index, threshold), ...]): ``where`` is
+    (scatterer, centre) for an arc family and, for a disk family, the
+    periodic copies of the centre that a flight from each scatterer can
+    come within the largest radius of; an empty hole is never entered.
+    """
+    groups = {}
+    for i, h in enumerate(holes):
+        if h.kind == "arc":
+            key, threshold = ("arc", h.scatterer, h.arc_center), \
+                h.arc_halfwidth
+        elif h.kind == "disk":
+            key, threshold = ("disk", tuple(h.center)), h.radius
+        else:
+            key, threshold = ("empty",), 0.0
+        groups.setdefault(key, []).append((i, threshold))
+    families = []
+    for key, members in groups.items():
+        where = key[1:]
+        if key[0] == "disk":
+            copies = _disk_copy_centers(np.array(key[1]))
+            # a flight stays within TAU_BOUND of the boundary it leaves
+            reach = TAU_BOUND + max(r for _, r in members)
+            dist = np.abs(np.linalg.norm(copies[:, None, :]
+                                         - table.centers[None, :, :], axis=2)
+                          - table.radii[None, :])
+            where = tuple(copies[d < reach] for d in dist.T)
+        families.append((key[0], where, members))
+    return families
+
+
+def _approach(families, closest, idx, src, sid, phi, flight):
+    """Lower each family's closest approach (``closest``, one row per
+    family) by one collision step of the trajectories ``idx``: ``src`` is
+    the scatterer each one left, (``sid``, ``phi``) the collision it ends at
+    and ``flight`` the (start, direction, length) of its segment, or None
+    for the initial collision."""
+    for row, (kind, where, _) in zip(closest, families):
+        if kind == "arc":
+            scatterer, centre = where
+            on = np.flatnonzero(sid == scatterer)
+            dphi = np.abs((phi[on] - centre + math.pi) % (2 * math.pi)
+                          - math.pi)
+            row[idx[on]] = np.minimum(row[idx[on]], dphi)
+        elif kind == "disk" and flight is not None:
+            start, direction, length = flight
+            for s, copies in enumerate(where):
+                for on in _blocks(src == s):
+                    dist = _segment_center_distance(
+                        start[on], direction[on], length[on], copies)
+                    row[idx[on]] = np.minimum(row[idx[on]], dist)
 
 
 def nested_arc_holes(table: BilliardTable, scatterer: int, center: float,
@@ -332,22 +407,28 @@ def billiard_escape_multi(table: BilliardTable, holes: Sequence[BilliardHole],
 
     All holes see the same closed-system collision sequences, so for nested
     holes the monotonicity rho(small) >= rho(large) holds pathwise, not just
-    statistically.
+    statistically.  The shards run on forked worker processes, one per CPU
+    the process may run on, and are reduced in shard order, so the result
+    does not depend on the worker count.
     """
     for h in holes:
         h.validate(table)
 
-    def simulate(rng, size):
-        counts = np.zeros((len(holes), n_max + 1), dtype=np.int64)
-        flagged = 0
-        for done in range(0, size, _CHUNK):
-            c, fl = _simulate_chunk(table, holes, min(size - done, _CHUNK),
-                                    n_max, rng)
-            counts += c
-            flagged += fl
-        return counts, flagged
+    def run_shards(seeds, sizes):
+        n = len(sizes)
+        args = ([table] * n, [holes] * n, [n_max] * n, seeds, sizes)
+        workers = min(len(os.sched_getaffinity(0)), MC_SHARDS)
+        if workers == 1:
+            return map(_simulate_shard, *args)
+        import concurrent.futures
+        import multiprocessing
 
-    estimates = sharded_mc_estimates(simulate, samples, seed, n_max,
+        fork = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=fork) as pool:
+            return list(pool.map(_simulate_shard, *args))
+
+    estimates = sharded_mc_estimates(run_shards, samples, seed, n_max,
                                      "billiard_mc")
     for hole, est in zip(holes, estimates):
         est.meta["hole_kind"] = hole.kind
@@ -356,48 +437,58 @@ def billiard_escape_multi(table: BilliardTable, holes: Sequence[BilliardHole],
     return estimates
 
 
-def _simulate_chunk(table, holes, size, n_max, rng):
+def _simulate_shard(table, holes, n_max, seed_seq, size):
+    """Survival counts (holes, n_max+1) and flagged count of one shard of
+    ``size`` trajectories drawn from ``seed_seq``."""
+    families = _hole_families(table, holes)
+    rng = np.random.default_rng(seed_seq)
+    counts = np.zeros((len(holes), n_max + 1), dtype=np.int64)
+    flagged = 0
+    for done in range(0, size, _CHUNK):
+        c, fl = _simulate_chunk(table, families, len(holes),
+                                min(size - done, _CHUNK), n_max, rng)
+        counts += c
+        flagged += fl
+    return counts, flagged
+
+
+def _simulate_chunk(table, families, n_holes, size, n_max, rng):
     """Simulate one chunk of trajectories against all holes at once.
 
     The bulk simulation runs in float32: collision geometry is accurate to
     ~1e-6, far below the Monte Carlo error, and single precision halves the
     memory traffic of the dominant ray-circle sweep."""
-    nh = len(holes)
     sid, phi, theta = sample_srb(table, size, rng)
     phi, theta = phi.astype(np.float32), theta.astype(np.float32)
     valid = np.ones(size, dtype=bool)
-    alive = np.ones((nh, size), dtype=bool)
-    counts = np.zeros((nh, n_max + 1), dtype=np.int64)
-    for hi, h in enumerate(holes):
-        alive[hi] &= ~h.hit_collision(sid, phi)      # initial point in H
-        counts[hi, 0] = np.count_nonzero(alive[hi] & valid)
-
-    # keep only indices some hole still needs
+    closest = np.full((len(families), size), np.inf, dtype=phi.dtype)
+    counts = np.zeros((n_holes, n_max + 1), dtype=np.int64)
     idx = np.arange(size)
+
+    def tally(n):
+        for f, (_, _, members) in enumerate(families):
+            for i, threshold in members:
+                counts[i, n] = np.count_nonzero((closest[f] >= threshold)
+                                                & valid)
+
+    # a start inside an arc hole counts as in it at n = 0
+    _approach(families, closest, idx, None, sid, phi, None)
+    tally(0)
     for n in range(1, n_max + 1):
-        need = valid[idx] & alive[:, idx].any(axis=0)
-        idx = idx[need]
+        # keep only trajectories outside some hole
+        need = np.zeros(len(idx), dtype=bool)
+        for f, (_, _, members) in enumerate(families):
+            need |= closest[f, idx] >= min(t for _, t in members)
+        idx = idx[need & valid[idx]]
         if len(idx) == 0:
             break
+        src = sid[idx]
         sid2, phi2, theta2, t, p0, v0, grazing = _step_arrays(
-            table, sid[idx], phi[idx], theta[idx])
+            table, src, phi[idx], theta[idx])
         sid[idx], phi[idx], theta[idx] = sid2, phi2, theta2
-        if np.any(grazing):
-            valid[idx[grazing]] = False
-        # disk holes sharing a center reuse one segment-distance pass
-        seg_dist = {}
-        for hi, h in enumerate(holes):
-            if h.kind == "arc":
-                dead = h.hit_collision(sid2, phi2)
-                alive[hi, idx[dead]] = False
-            elif h.kind == "disk":
-                key = tuple(h.center)
-                if key not in seg_dist:
-                    seg_dist[key] = _segment_center_distance(
-                        p0, v0, t, np.array(h.center))
-                dead = seg_dist[key] < h.radius
-                alive[hi, idx[dead]] = False
-            counts[hi, n] = np.count_nonzero(alive[hi] & valid)
+        valid[idx[grazing]] = False
+        _approach(families, closest, idx, src, sid2, phi2, (p0, v0, t))
+        tally(n)
     flagged = int(np.count_nonzero(~valid))
     return counts, flagged
 
@@ -452,8 +543,9 @@ def _collision_step_mp(table: BilliardTable, sid: int, phi, theta):
     ang = phi + theta
     vx, vy = mp.cos(ang), mp.sin(ang)
     best = None
-    for cc, rr, hid in zip(table.copy_centers, table.copy_radii,
-                           table.copy_sid):
+    for k in table.source_copies[sid]:
+        cc, rr, hid = (table.copy_centers[k], table.copy_radii[k],
+                       table.copy_sid[k])
         qx = px - mp.mpf(float(cc[0]))
         qy = py - mp.mpf(float(cc[1]))
         b = qx * vx + qy * vy

@@ -59,7 +59,7 @@ _DEFAULTS = {
                "resolution": _NullOr("number"), "level": 2,
                "samples": 100_000},
     "ulam": {"resolution": 512},
-    "tower_options": {"depth": 3, "n_max": 20},
+    "tower_options": {"n_max": 20},
     "balls": {"eps": 0.1, "n_values": [4, 6, 8], "samples": 40_000,
               "centers": [0.3137]},
     "billiard": {"scatterers": _NullOr("array"),
@@ -77,10 +77,15 @@ def _check_kind(value, kinds, name: str):
                           f"not {_KINDS[type(value)]}")
 
 
+def _check_integer(value, name: str):
+    if not _is_number(value, integer=True):
+        raise ConfigError(f"{name} must be an integer")
+
+
 def _section(body, defaults: dict, where: str) -> dict:
     """``body`` checked against ``defaults`` and filled in from them: each
     value has the JSON type of its default, or is null if that is a
-    ``_NullOr``."""
+    ``_NullOr``, and is an integer where the default is one."""
     _reject_unknown(body, defaults, where)
     out = {}
     for key, default in defaults.items():
@@ -88,6 +93,8 @@ def _section(body, defaults: dict, where: str) -> dict:
         out[key] = body.get(key, None if null_or else default)
         _check_kind(out[key], ("null", default.kind) if null_or
                     else (_KINDS[type(default)],), f"{key} in {where}")
+        if type(default) is int:
+            _check_integer(out[key], f"{key} in {where}")
     return out
 
 
@@ -97,6 +104,7 @@ def _resolve(cfg) -> dict:
     _reject_unknown(cfg, {"seed", "system", "tower", *_DEFAULTS}, "config")
     resolved = {"seed": 0, **cfg}
     _check_kind(resolved["seed"], ("number",), "seed")
+    _check_integer(resolved["seed"], "seed")
     resolved.update({name: _section(cfg.get(name, {}), defaults,
                                     f"{name} config")
                      for name, defaults in _DEFAULTS.items()})
@@ -227,7 +235,8 @@ def cmd_tower(cfg, out_dir, seed):
     T = tower_mod.tower_from_config(cfg["tower"])
     opts = cfg["tower_options"]
     r = tower_mod.tower_eigenvalue(T)
-    nu0 = tower_mod.gibbs_measure(T, r, depth=int(opts["depth"]))
+    # abramov_check and depth1_weights read the depth-1 and 2 weights only
+    nu0 = tower_mod.gibbs_measure(T, r, depth=2)
     seq = tower_mod.gurevich_pressure(T, r, n_max=int(opts["n_max"]))
     abram = tower_mod.abramov_check(T, nu0, r)
     hyp = tower_mod.validate_hypotheses(T, r)

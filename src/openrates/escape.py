@@ -103,33 +103,36 @@ def lebesgue_sampler(dimension: int) -> Callable:
 def escape_rate_mc(sys: OpenSystem, sampler: Callable, n_max: int,
                    samples: int, seed: int) -> EscapeEstimate:
     """Monte Carlo survival curve under i.i.d. draws from the sampler."""
-    def simulate(rng, size):
-        counts, flagged, _ = evolve_survivors(sys, sampler(rng, size), n_max)
-        return counts, flagged
+    def run_shards(seeds, sizes):
+        for seed_seq, size in zip(seeds, sizes):
+            rng = np.random.default_rng(seed_seq)
+            counts, flagged, _ = evolve_survivors(sys, sampler(rng, size),
+                                                  n_max)
+            yield counts, flagged
 
-    return sharded_mc_estimates(simulate, samples, seed, n_max,
+    return sharded_mc_estimates(run_shards, samples, seed, n_max,
                                 "monte_carlo")[0]
 
 
-def sharded_mc_estimates(simulate: Callable, samples: int, seed: int,
+def sharded_mc_estimates(run_shards: Callable, samples: int, seed: int,
                          n_max: int, method: str):
     """Survival-curve fits from ``samples`` trajectories in MC_SHARDS seeded
     shards, reduced in shard order, so the result depends on the seed only.
 
-    ``simulate(rng, size)`` returns (survival counts, flagged count); the
-    counts have shape (n_max+1,) or, for several holes on shared
-    trajectories, (holes, n_max+1).  Returns one estimate per hole, with the
-    binomial error propagated through the least-squares slope, fitted over
-    ``default_window(n_max)``.
+    ``run_shards(seed_seqs, sizes)`` runs shard i on ``sizes[i]``
+    trajectories drawn from ``seed_seqs[i]`` and yields, in shard order,
+    (survival counts, flagged count); the counts have shape (n_max+1,) or,
+    for several holes on shared trajectories, (holes, n_max+1).  Returns one
+    estimate per hole, with the binomial error propagated through the
+    least-squares slope, fitted over ``default_window(n_max)``.
     """
     n_lo, n_hi = window = default_window(n_max)
-    ss = np.random.SeedSequence(seed)
     shard_sizes = [samples // MC_SHARDS] * MC_SHARDS
     shard_sizes[-1] += samples - sum(shard_sizes)
     counts = 0
     flagged = 0
-    for sseed, size in zip(ss.spawn(MC_SHARDS), shard_sizes):
-        c, fl = simulate(np.random.default_rng(sseed), size)
+    for c, fl in run_shards(np.random.SeedSequence(seed).spawn(MC_SHARDS),
+                            shard_sizes):
         counts = counts + c
         flagged += fl
 

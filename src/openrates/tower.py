@@ -149,7 +149,7 @@ class TowerMeasure:
     branch_ids: list
 
 
-def gibbs_measure(T: TowerSpec, r: float, depth: int = 3) -> TowerMeasure:
+def gibbs_measure(T: TowerSpec, r: float, depth: int) -> TowerMeasure:
     """Cylinder weights weight(i1..in) = prod_k r^{-R_k} / J_k.
 
     For locally constant Jacobians this is exact (Gibbs constant 1); the

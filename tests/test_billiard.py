@@ -74,9 +74,8 @@ def test_segment_distance_matches_bruteforce(rng):
     ang = rng.uniform(0, 2 * math.pi, 50)
     direction = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     length = rng.uniform(0.05, 1.3, 50)
-    center = np.array([0.25, 0.75])
-    got = B._segment_center_distance(start, direction, length, center)
-    copies = B._disk_copy_centers(center)
+    copies = B._disk_copy_centers(np.array([0.25, 0.75]))
+    got = B._segment_center_distance(start, direction, length, copies)
     for i in range(50):
         best = math.inf
         for c in copies:
@@ -135,3 +134,64 @@ def test_arc_rho_tracks_hole_mass(small_table):
                                   seed=11)[0]
     crude = math.log(1 - hole.arc_measure_fraction(small_table))
     assert est.rho == pytest.approx(crude, abs=0.02)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_per_source_search_matches_all_copies(small_table, dtype):
+    table = small_table
+    sid, phi, theta = B.sample_srb(table, 100_000, np.random.default_rng(5))
+    p, v = B._states_to_rays(table, sid, phi.astype(dtype),
+                             theta.astype(dtype))
+    t_all, hit_all = B._next_collision(table, p, v,
+                                       np.arange(len(table.copy_centers)))
+    for s, copies in enumerate(table.source_copies):
+        rows = sid == s
+        t, hit = B._next_collision(table, p[rows], v[rows], copies)
+        assert np.array_equal(t, t_all[rows])
+        assert np.array_equal(hit, hit_all[rows])
+    # and the step function, which groups the rays by source itself
+    t_step = B._step_arrays(table, sid, phi.astype(dtype),
+                            theta.astype(dtype))[3]
+    assert np.array_equal(t_step, t_all)
+    # reachable copies only: 33 of the 50 in the window from the large
+    # scatterer, 21 from the small one
+    assert [len(c) for c in table.source_copies] == [33, 21]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_culled_disk_copies_keep_verdicts(small_table, dtype):
+    radii = [0.01, 0.02, 0.03, 0.04]
+    (family,) = B._hole_families(
+        small_table, B.nested_disk_holes(small_table, (0.5, 0.0), radii))
+    _, per_source, _ = family
+    assert [len(c) for c in per_source] == [12, 8]
+    everywhere = B._disk_copy_centers(np.array([0.5, 0.0]))
+    assert len(everywhere) == 23
+    sid, phi, theta = B.sample_srb(small_table, 100_000,
+                                   np.random.default_rng(6))
+    _, _, _, t, start, direction, _ = B._step_arrays(
+        small_table, sid, phi.astype(dtype), theta.astype(dtype))
+    d_all = B._segment_center_distance(start, direction, t, everywhere)
+    for s, copies in enumerate(per_source):
+        rows = sid == s
+        d = B._segment_center_distance(start[rows], direction[rows],
+                                       t[rows], copies)
+        for r in radii:
+            assert np.array_equal(d < r, d_all[rows] < r)
+        # the nearest copy is kept wherever a hole could be hit
+        near = d_all[rows] < max(radii)
+        assert np.count_nonzero(near) > 100
+        assert np.array_equal(d[near], d_all[rows][near])
+
+
+def test_escape_independent_of_worker_count(small_table, monkeypatch):
+    holes = B.nested_arc_holes(small_table, 0, 1.0, [0.1, 0.2]) + \
+        B.nested_disk_holes(small_table, (0.5, 0.0), [0.02, 0.04])
+    pooled = B.billiard_escape_multi(small_table, holes, 20_000, 10, seed=8)
+    # one CPU in the affinity mask runs the shards in this process
+    monkeypatch.setattr(B.os, "sched_getaffinity", lambda pid: {0})
+    serial = B.billiard_escape_multi(small_table, holes, 20_000, 10, seed=8)
+    for a, b in zip(pooled, serial):
+        assert a.rho == b.rho and a.stderr == b.stderr
+        assert a.per_n_mass == b.per_n_mass
+        assert a.meta == b.meta

@@ -233,6 +233,31 @@ def test_unknown_config_key(tmp_path, capsys):
     ("balls", lambda c: c.update(balls={"centers": [[0.3, 0.4]]}),
      "error: each centre in balls config must be a point of the map: one "
      "number in 1D, two in 2D"),
+    # a count or a size must be an integer, not any number
+    ("escape", lambda c: c["escape"].update(level=2.5),
+     "error: level in escape config must be an integer"),
+    ("escape", lambda c: c["escape"].update(n_max=40.5),
+     "error: n_max in escape config must be an integer"),
+    ("escape", lambda c: c["escape"].update(samples=1e5 + 0.5),
+     "error: samples in escape config must be an integer"),
+    ("ulam", lambda c: c["ulam"].update(resolution=16.5),
+     "error: resolution in ulam config must be an integer"),
+    ("billiard", lambda c: c.update(billiard={"validation_rays": 1e3 + 0.5}),
+     "error: validation_rays in billiard config must be an integer"),
+    ("billiard", lambda c: c.update(billiard={"samples": 2e3 + 0.5}),
+     "error: samples in billiard config must be an integer"),
+    ("billiard", lambda c: c.update(billiard={"n_max": 10.5}),
+     "error: n_max in billiard config must be an integer"),
+    ("tower", lambda c: c.update(tower=TOWER,
+                                 tower_options={"n_max": 20.5}),
+     "error: n_max in tower_options config must be an integer"),
+    ("balls", lambda c: c.update(balls={"samples": 400.5}),
+     "error: samples in balls config must be an integer"),
+    ("escape", lambda c: c.update(seed=11.5),
+     "error: seed must be an integer"),
+    # only the depth-1 and depth-2 weights are read, so depth is not a key
+    ("tower", lambda c: c.update(tower=TOWER, tower_options={"depth": 3}),
+     "error: unknown keys ['depth'] in tower_options config"),
 ])
 def test_unknown_section_key_exits_1(tmp_path, capsys, command, edit,
                                      message):

@@ -9,6 +9,7 @@ every point, so every value must compare equal, with no tolerance.
 import numpy as np
 import pytest
 
+from openrates import billiard as B
 from openrates import dynballs as D
 from openrates import pressure as P
 from openrates.systems import (OpenSystem, baker_map, ball_hole_2d, cat_map,
@@ -108,3 +109,40 @@ def test_triangle_check_pinned(sd, seed, adversarial, proof_violations):
                            adversarial=adversarial)
     assert out == {"triples": 20000, "violations": 0,
                    "proof_violations": proof_violations}
+
+
+def test_billiard_escape_pinned():
+    # recorded with the search over every scatterer copy, one hit test per
+    # hole and the shards run one after another; the per-source copy lists,
+    # the per-family closest approach and the process pool keep every bit
+    table = B.build_table(validation_rays=20_000)
+    assert table.tau_max == 1.375126564222594
+    _, _, observed, _ = B.theta_chi2(table, 20_000, seed=5)
+    assert observed.tolist() == [
+        88, 234, 437, 611, 773, 905, 1008, 1089, 1188, 1210, 1212, 1283,
+        1292, 1291, 1251, 1179, 1058, 974, 820, 725, 580, 441, 256, 95]
+    holes = B.nested_arc_holes(table, 0, 1.0, (0.04, 0.08, 0.16, 0.32)) + \
+        B.nested_disk_holes(table, (0.5, 0.0), (0.01, 0.02, 0.03, 0.04))
+    ests = B.billiard_escape_multi(table, holes, samples=20_000, n_max=12,
+                                   seed=3)
+    flagged = ests[0].meta["flagged"]
+    assert flagged == 0
+    counts = [[round(m * (20_000 - flagged)) for _, m in e.per_n_mass]
+              for e in ests]
+    assert counts == [
+        [19817, 19632, 19441, 19264, 19094, 18937, 18760, 18586, 18423,
+         18253, 18093, 17923, 17780],
+        [19637, 19265, 18905, 18569, 18261, 17953, 17643, 17331, 17008,
+         16679, 16370, 16056, 15806],
+        [19245, 18511, 17848, 17231, 16636, 16075, 15539, 15015, 14512,
+         13980, 13485, 13009, 12586],
+        [18498, 16971, 15809, 14784, 13825, 12955, 12139, 11365, 10640,
+         9944, 9336, 8707, 8160],
+        [20000, 19656, 19342, 19042, 18728, 18438, 18173, 17904, 17640,
+         17352, 17066, 16783, 16511],
+        [20000, 19303, 18754, 18207, 17605, 17069, 16559, 16111, 15667,
+         15181, 14705, 14261, 13833],
+        [20000, 18966, 18191, 17397, 16617, 15902, 15226, 14635, 14050,
+         13435, 12869, 12327, 11827],
+        [20000, 18641, 17709, 16770, 15895, 15084, 14319, 13622, 12952,
+         12289, 11671, 11099, 10545]]
