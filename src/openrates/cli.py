@@ -225,10 +225,17 @@ def cmd_ulam(cfg, out_dir, seed):
     op.export_coo(out_dir / "operator_coo.csv")
     for name, masses in (("qsd", spec.right),
                          ("survivor_measure", nu_hat.masses)):
-        np.savetxt(out_dir / f"{name}.csv",
-                   np.column_stack([np.arange(op.ncells), masses]),
-                   delimiter=",", header="cell,mass", comments="")
+        _write_cell_masses(out_dir / f"{name}.csv", masses)
     return {"ulam": ulam}, 0
+
+
+def _write_cell_masses(path, masses):
+    """``cell,mass`` CSV in the bytes np.savetxt writes for the float
+    column pair (cell index, mass)."""
+    with open(path, "w") as fh:
+        fh.write("cell,mass\n")
+        fh.writelines("%.18e,%.18e\n" % row
+                      for row in enumerate(masses.tolist()))
 
 
 def cmd_tower(cfg, out_dir, seed):

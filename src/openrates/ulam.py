@@ -97,12 +97,19 @@ class UlamOperator:
         return mask
 
     def export_coo(self, path):
-        """Sparse export: one 'i j value' line per nonzero."""
+        """Sparse export: one 'i j value' line per nonzero, the value as the
+        shortest repr that reads back to the same float.  Entries go out
+        in slices of 65536 so the Python ints and floats they are
+        formatted from never hold the whole matrix."""
         coo = self.matrix.tocoo()
         with open(path, "w") as fh:
             fh.write(f"# {self.ncells} {self.ncells} {coo.nnz}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {v!r}\n")
+            for k in range(0, coo.nnz, 65536):
+                part = slice(k, k + 65536)
+                fh.writelines(f"{i} {j} {v!r}\n" for i, j, v in
+                              zip(coo.row[part].tolist(),
+                                  coo.col[part].tolist(),
+                                  coo.data[part].tolist()))
 
 
 @dataclass
@@ -162,38 +169,57 @@ def _assemble_exact_1d(sys: OpenSystem, n: int):
 
 
 def _assemble_quadrature(sys: OpenSystem, n: int):
-    """Per-cell midpoint quadrature with 8^dim points per cell."""
+    """Per-cell midpoint quadrature with 8^dim points per cell.
+
+    Streams over blocks of 4096 source cells: each block's points are
+    tested against the hole, stepped and binned at once, and each row keeps
+    only its distinct targets with their hit counts, so memory is
+    O(nnz + block) rather than O(n^dim * 8^dim).  A row's entry is
+    count / 8^dim, which equals the sum of count copies of 1 / 8^dim exactly
+    (a power of two)."""
     dim = sys.map.dimension
     s = 8
+    ncells = n ** dim
+    per_cell = s ** dim
+    o = (np.arange(s) + 0.5) / (s * n)
     if dim == 1:
-        ncells = n
-        offs = (np.arange(s) + 0.5) / (s * n)
-        pts = (np.arange(n)[:, None] / n + offs[None, :]).ravel()
-        src = np.repeat(np.arange(n), s)
-        per_cell = s
+        offs = o
     else:
-        ncells = n * n
-        o = (np.arange(s) + 0.5) / (s * n)
         ox, oy = np.meshgrid(o, o, indexing="ij")
+        offs = np.column_stack([ox.ravel(), oy.ravel()])
         base = GridMeasure.lebesgue(2, n).cell_centers() - 0.5 / n
-        pts = (base[:, None, :] +
-               np.column_stack([ox.ravel(), oy.ravel()])[None, :, :])
-        pts = pts.reshape(-1, 2)
-        src = np.repeat(np.arange(ncells), s * s)
-        per_cell = s * s
-
-    outside = ~sys.hole.in_hole_many(pts)
-    imgs = sys.map.step_many(pts[outside])
-    src_ok = src[outside]
-    tgt = GridMeasure(dim, n, np.zeros(ncells)).cell_index(imgs)
-    w = 1.0 / per_cell
-    P = sp.coo_matrix((np.full(len(src_ok), w), (src_ok, tgt)),
-                      shape=(ncells, ncells)).tocsr()
-    P.sum_duplicates()
+    grid = GridMeasure(dim, n, np.zeros(0))
+    row_nnz, cols, counts = [], [], []
     # hole cells: every subsample inside the hole
-    inside_count = np.bincount(src[~outside], minlength=ncells)
-    hole_cells = np.nonzero(inside_count == per_cell)[0]
-    return P, hole_cells
+    hole = np.empty(ncells, dtype=bool)
+    for c0 in range(0, ncells, 4096):
+        c1 = min(c0 + 4096, ncells)
+        if dim == 1:
+            pts = (np.arange(c0, c1)[:, None] / n + offs).ravel()
+        else:
+            pts = (base[c0:c1, None, :] + offs).reshape(-1, 2)
+        inside = sys.hole.in_hole_many(pts)
+        tgt = grid.cell_index(sys.map.step_many(pts))
+        tgt[inside] = ncells                      # sentinel, sorts last
+        tgt = np.sort(tgt.reshape(c1 - c0, per_cell), axis=1)
+        hole[c0:c1] = inside.reshape(c1 - c0, per_cell).all(axis=1)
+        # run starts of each sorted row; every row opens a run
+        start = np.ones(tgt.shape, dtype=bool)
+        start[:, 1:] = tgt[:, 1:] != tgt[:, :-1]
+        pos = np.flatnonzero(start)
+        run = np.diff(pos, append=tgt.size)
+        first = tgt.ravel()[pos]
+        keep = first < ncells
+        row_nnz.append(np.bincount(pos[keep] // per_cell,
+                                   minlength=c1 - c0))
+        cols.append(first[keep])
+        counts.append(run[keep])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_nnz))])
+    data = np.concatenate(counts) * (1.0 / per_cell)
+    # scipy stores int32 indices whenever they fit
+    P = sp.csr_matrix((data, np.concatenate(cols), indptr),
+                      shape=(ncells, ncells))
+    return P, np.flatnonzero(hole)
 
 
 def build_ulam(sys: OpenSystem, resolution: int) -> UlamOperator:

@@ -3,9 +3,11 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from openrates.cli import _DEFAULTS, _section, config_hash, main
+from openrates.cli import (_DEFAULTS, _section, _write_cell_masses,
+                           config_hash, main)
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -452,3 +454,14 @@ def test_readme_example_config_verifies(tmp_path):
 def test_readme_lists_section_defaults(section):
     filled = _section({}, _DEFAULTS[section], section)
     assert f"| `{section}` | `{json.dumps(filled)}` |" in README
+
+
+def test_cell_mass_csv_matches_savetxt(tmp_path):
+    masses = np.array([0.0, 1.0, 0.1, 5e-324, 1e-300, 0.3333333333333333,
+                       2.5e17])
+    _write_cell_masses(tmp_path / "plain.csv", masses)
+    np.savetxt(tmp_path / "savetxt.csv",
+               np.column_stack([np.arange(len(masses)), masses]),
+               delimiter=",", header="cell,mass", comments="")
+    assert (tmp_path / "plain.csv").read_bytes() == \
+        (tmp_path / "savetxt.csv").read_bytes()

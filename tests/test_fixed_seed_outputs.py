@@ -6,12 +6,15 @@ per Python call).  The rewrites do the same floating-point operations on
 every point, so every value must compare equal, with no tolerance.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from openrates import billiard as B
 from openrates import dynballs as D
 from openrates import pressure as P
+from openrates import ulam as U
 from openrates.systems import (OpenSystem, baker_map, ball_hole_2d, cat_map,
                                cylinder_union_hole, doubling_map,
                                evolve_survivors, sample_survivor_points)
@@ -146,3 +149,20 @@ def test_billiard_escape_pinned():
          13435, 12869, 12327, 11827],
         [20000, 18641, 17709, 16770, 15895, 15084, 14319, 13622, 12952,
          12289, 11671, 11099, 10545]]
+
+
+def test_cat_ulam_operator_pinned():
+    # recorded with the one-shot COO quadrature build the streamed
+    # assembly replaced
+    op = U.build_ulam(CAT, 256)
+    mat = op.matrix
+    assert mat.nnz == 254126
+    assert len(op.hole_cells) == 1976
+    digest = hashlib.sha256()
+    for a in (mat.indptr, mat.indices, mat.data):
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == \
+        "a31dd708206729a9ace3cc8f14580fa2332f2b9dee16089d6f56fac14788fa80"
+    spec = U.leading_eigenpair(op)
+    assert repr(spec.eigenvalue) == "0.9679285996222043"
+    assert repr(spec.gap_estimate) == "0.5093742427626416"

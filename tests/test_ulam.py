@@ -1,14 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from openrates import ulam as U
-from openrates.systems import (OpenSystem, adic_map, cylinder_union_hole,
-                               doubling_map, interval_union_hole,
-                               logistic_like, cat_map, empty_hole)
+from openrates.systems import (OpenSystem, adic_map, baker_map, ball_hole_2d,
+                               cylinder_union_hole, doubling_map,
+                               interval_union_hole, logistic_like, cat_map,
+                               empty_hole)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -127,3 +132,110 @@ def test_2d_ulam_cat_map_closed():
     # measure preserving, no hole: eigenvalue 1, uniform density
     assert spec.eigenvalue == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(spec.right, 1.0 / 256, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# streamed quadrature assembly
+
+def _one_shot_quadrature(sys_obj, n):
+    """Quadrature assembly as one COO build over every subsample point; the
+    reference the streamed assembly must reproduce bit for bit."""
+    dim = sys_obj.map.dimension
+    s = 8
+    if dim == 1:
+        ncells = n
+        offs = (np.arange(s) + 0.5) / (s * n)
+        pts = (np.arange(n)[:, None] / n + offs[None, :]).ravel()
+        src = np.repeat(np.arange(n), s)
+        per_cell = s
+    else:
+        ncells = n * n
+        o = (np.arange(s) + 0.5) / (s * n)
+        ox, oy = np.meshgrid(o, o, indexing="ij")
+        base = U.GridMeasure.lebesgue(2, n).cell_centers() - 0.5 / n
+        pts = (base[:, None, :] +
+               np.column_stack([ox.ravel(), oy.ravel()])[None, :, :])
+        pts = pts.reshape(-1, 2)
+        src = np.repeat(np.arange(ncells), s * s)
+        per_cell = s * s
+    outside = ~sys_obj.hole.in_hole_many(pts)
+    imgs = sys_obj.map.step_many(pts[outside])
+    src_ok = src[outside]
+    tgt = U.GridMeasure(dim, n, np.zeros(ncells)).cell_index(imgs)
+    w = 1.0 / per_cell
+    P = sp.coo_matrix((np.full(len(src_ok), w), (src_ok, tgt)),
+                      shape=(ncells, ncells)).tocsr()
+    P.sum_duplicates()
+    inside_count = np.bincount(src[~outside], minlength=ncells)
+    return P, np.nonzero(inside_count == per_cell)[0]
+
+
+LOGISTIC_HOLED = OpenSystem(logistic_like(3.9),
+                            interval_union_hole([(0.45, 0.55)]))
+
+
+@pytest.mark.parametrize("sys_obj, n, has_hole_cells", [
+    (OpenSystem(cat_map(), ball_hole_2d((0.25, 0.75), 0.1)), 64, True),
+    # the ball wraps round both seams of the torus
+    (OpenSystem(baker_map(), ball_hole_2d((0.02, 0.97), 0.1)), 32, True),
+    # covers whole cells of the 32 x 32 grid
+    (OpenSystem(cat_map(), ball_hole_2d((0.5, 0.5), 0.3)), 32, True),
+    (OpenSystem(cat_map(), empty_hole(2)), 32, False),
+    (LOGISTIC_HOLED, 1000, True),
+    # three blocks of 4096 cells, the last one short
+    (LOGISTIC_HOLED, 10_000, True),
+], ids=["cat64", "baker32-seam", "cat32-whole-cells", "cat32-empty",
+        "logistic1000", "logistic10000"])
+def test_streamed_quadrature_matches_one_shot(sys_obj, n, has_hole_cells):
+    P, hole_cells = U._assemble_quadrature(sys_obj, n)
+    ref, ref_hole = _one_shot_quadrature(sys_obj, n)
+    assert P.shape == ref.shape
+    assert np.array_equal(P.indptr, ref.indptr)
+    assert np.array_equal(P.indices, ref.indices)
+    assert P.data.tobytes() == ref.data.tobytes()
+    assert np.array_equal(hole_cells, ref_hole)
+    assert (len(hole_cells) > 0) == has_hole_cells
+    assert P.indptr.dtype == P.indices.dtype == np.int32
+    assert P.has_canonical_format
+
+
+def test_export_coo_round_trips(tmp_path):
+    op = U.build_ulam(OpenSystem(cat_map(), ball_hole_2d((0.25, 0.75), 0.1)),
+                      32)
+    path = tmp_path / "operator_coo.csv"
+    op.export_coo(path)
+    header, *lines = path.read_text().splitlines()
+    assert header == f"# {op.ncells} {op.ncells} {op.matrix.nnz}"
+    rows, cols, vals = [], [], []
+    for line in lines:
+        i, j, v = line.split(" ")
+        rows.append(int(i))
+        cols.append(int(j))
+        vals.append(float(v))
+    rebuilt = sp.csr_matrix((vals, (rows, cols)), shape=op.matrix.shape)
+    assert len(lines) == rebuilt.nnz == op.matrix.nnz
+    assert np.array_equal(rebuilt.indptr, op.matrix.indptr)
+    assert np.array_equal(rebuilt.indices, op.matrix.indices)
+    assert rebuilt.data.tobytes() == op.matrix.data.tobytes()
+
+
+def test_quadrature_assembly_peak_memory():
+    # the one-shot build peaked near 390 MB here: 4.2M subsample points,
+    # their images and a COO triple each.  The peak is VmHWM, not
+    # ru_maxrss: Linux carries a process's high-water mark across fork and
+    # exec into ru_maxrss, so a child of a pytest run that has grown past
+    # the bound would report the run's peak, not its own.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(U.__file__).resolve().parents[1]) + \
+        os.pathsep + env.get("PYTHONPATH", "")
+    code = ("from openrates.systems import OpenSystem, ball_hole_2d, cat_map\n"
+            "from openrates.ulam import build_ulam\n"
+            "build_ulam(OpenSystem(cat_map(), ball_hole_2d((0.25, 0.75), "
+            "0.1)), 256)\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    peak_mb = int(out.stdout) / 1024      # VmHWM is in kB
+    assert peak_mb < 160, f"peak RSS {peak_mb:.0f} MB"
