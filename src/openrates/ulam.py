@@ -284,18 +284,22 @@ def _subdominant_ratio(PT, lam, right, left):
     deflated.
 
     An iterate that vanishes gives 0 (no subdominant spectrum); one that
-    turns non-finite raises ConvergenceError."""
+    turns non-finite raises ConvergenceError.
+
+    The projections sum with numpy's pairwise np.sum, not a BLAS dot,
+    whose summation order (and so the last bits of the ratio) follows
+    the BLAS thread count."""
     rng = np.random.default_rng(12345)
     w = rng.standard_normal(len(right))
-    denom = float(left @ right)
+    denom = float(np.sum(left * right))
     if denom == 0.0:
         return float("nan")
-    w = w - right * (left @ w) / denom
+    w = w - right * np.sum(left * w) / denom
     prev = np.sum(np.abs(w))
     ratio = 0.0
     for _ in range(400):
         w = PT @ w
-        w = w - right * (left @ w) / denom
+        w = w - right * np.sum(left * w) / denom
         cur = np.sum(np.abs(w))
         if cur == 0.0:
             return 0.0
