@@ -170,12 +170,16 @@ def _best_estimate(results):
         or next(iter(results.values()))
 
 
-def _ulam_run(sys_obj, res: int):
+def _ulam_run(sys_obj, res: int, out_dir: Path):
     """Ulam operator, its leading eigenpair and survivor measure, plus the
-    ``"ulam"`` summary payload."""
+    ``"ulam"`` summary payload; writes the eigenvectors to ``qsd.csv``
+    (right) and ``survival_function.csv`` (left)."""
     op = ulam_mod.build_ulam(sys_obj, res)
     spec = ulam_mod.leading_eigenpair(op)
     nu_hat, info = ulam_mod.survivor_measure(op, spec)
+    _write_cell_masses(out_dir / "qsd.csv", "mass", spec.right)
+    _write_cell_masses(out_dir / "survival_function.csv", "survival",
+                       spec.left)
     return op, spec, nu_hat, {"spectral": spec.to_json_dict(),
                               "survivor_routes": info, "resolution": res}
 
@@ -220,22 +224,26 @@ def cmd_escape(cfg, out_dir, seed):
 
 def cmd_ulam(cfg, out_dir, seed):
     sys_obj = system_from_config(cfg["system"])
-    op, spec, nu_hat, ulam = _ulam_run(sys_obj,
-                                       int(cfg["ulam"]["resolution"]))
+    op, _, nu_hat, ulam = _ulam_run(sys_obj, int(cfg["ulam"]["resolution"]),
+                                    out_dir)
     op.export_coo(out_dir / "operator_coo.csv")
-    for name, masses in (("qsd", spec.right),
-                         ("survivor_measure", nu_hat.masses)):
-        _write_cell_masses(out_dir / f"{name}.csv", masses)
+    _write_cell_masses(out_dir / "survivor_measure.csv", "mass",
+                       nu_hat.masses)
     return {"ulam": ulam}, 0
 
 
-def _write_cell_masses(path, masses):
-    """``cell,mass`` CSV in the bytes np.savetxt writes for the float
-    column pair (cell index, mass)."""
+def _write_cell_masses(path, column, values):
+    """``cell,<column>`` CSV in the bytes np.savetxt writes for the float
+    column pair (cell index, value); each slice of 65536 rows is formatted
+    by one ``%`` call."""
     with open(path, "w") as fh:
-        fh.write("cell,mass\n")
-        fh.writelines("%.18e,%.18e\n" % row
-                      for row in enumerate(masses.tolist()))
+        fh.write(f"cell,{column}\n")
+        for k in range(0, len(values), 65536):
+            part = values[k:k + 65536]
+            rows = np.column_stack([np.arange(k, k + len(part), dtype=float),
+                                    part])
+            fh.write("%.18e,%.18e\n" * len(part)
+                     % tuple(rows.ravel().tolist()))
 
 
 def cmd_tower(cfg, out_dir, seed):
@@ -322,7 +330,8 @@ def cmd_verify(cfg, out_dir, seed):
     """Full pipeline: escape + spectral + pressure + verdict."""
     sys_obj = system_from_config(cfg["system"])
     results = _escape_estimates(sys_obj, cfg["escape"], seed, out_dir)
-    _, spec, _, ulam = _ulam_run(sys_obj, int(cfg["ulam"]["resolution"]))
+    _, spec, _, ulam = _ulam_run(sys_obj, int(cfg["ulam"]["resolution"]),
+                                 out_dir)
     payload = {"escape": {m: _estimate_dict(e) for m, e in results.items()},
                "ulam": ulam}
     code = 0

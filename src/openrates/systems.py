@@ -31,17 +31,25 @@ class HoleKindError(ValueError):
 # ---------------------------------------------------------------------------
 # torus geometry helpers
 
+# |a - b| mod 1 goes through np.fmod: on non-negative operands it equals
+# np.remainder (the % operator) bit for bit and skips its sign fix-up.
+
 def torus_dist_1d(a, b):
-    d = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
+    d = np.fmod(np.abs(np.asarray(a) - np.asarray(b)), 1.0)
     return np.minimum(d, 1.0 - d)
 
 
 def torus_dist_2d(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = np.abs(a - b) % 1.0
-    d = np.minimum(d, 1.0 - d)
-    return np.sqrt(np.sum(d * d, axis=-1))
+    """Euclidean torus distance over the last axis (length 2), computed in
+    place and summed as the two component columns, which is bit for bit
+    ``sqrt(sum(d * d, axis=-1))`` without a reduction over that short
+    axis."""
+    d = np.subtract(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    np.abs(d, out=d)
+    np.fmod(d, 1.0, out=d)
+    np.minimum(d, 1.0 - d, out=d)
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1])
 
 
 def torus_dist(a, b, dimension):
@@ -215,16 +223,23 @@ def _interval_hole(intervals, kind, **meta):
     lo = np.array([a for a, _ in merged])
     hi = np.array([b for _, b in merged])
 
+    # one whole-array pass per merged interval and per endpoint: reducing
+    # an (N, k) array over its short axis k costs an order of magnitude more
     def in_hole_many(xs):
         xs = np.asarray(xs)
-        return np.any((lo[None, :] < xs[:, None]) & (xs[:, None] < hi[None, :]),
-                      axis=1)
+        inside = np.zeros(xs.shape, dtype=bool)
+        for a, b in zip(lo, hi):
+            inside |= (a < xs) & (xs < b)
+        return inside
 
     endpoints = np.unique(np.concatenate([lo, hi])) % 1.0
 
     def boundary_distance(xs):
         xs = np.asarray(xs, dtype=float)
-        return np.min(torus_dist_1d(xs[:, None], endpoints[None, :]), axis=1)
+        dist = np.full(xs.shape, INF)
+        for e in endpoints:
+            np.minimum(dist, torus_dist_1d(xs, e), out=dist)
+        return dist
 
     return HoleSpec(kind=kind, in_hole_many=in_hole_many,
                     boundary_distance=boundary_distance,

@@ -99,17 +99,26 @@ class UlamOperator:
     def export_coo(self, path):
         """Sparse export: one 'i j value' line per nonzero, the value as the
         shortest repr that reads back to the same float.  Entries go out
-        in slices of 65536 so the Python ints and floats they are
-        formatted from never hold the whole matrix."""
+        in slices of 65536 so the Python objects they are formatted from
+        never hold the whole matrix; each slice is one ``%`` call, with the
+        repr taken once per distinct value (bit pattern), since quadrature
+        entries are count / 8^dim and so take few values."""
         coo = self.matrix.tocoo()
         with open(path, "w") as fh:
             fh.write(f"# {self.ncells} {self.ncells} {coo.nnz}\n")
             for k in range(0, coo.nnz, 65536):
                 part = slice(k, k + 65536)
-                fh.writelines(f"{i} {j} {v!r}\n" for i, j, v in
-                              zip(coo.row[part].tolist(),
-                                  coo.col[part].tolist(),
-                                  coo.data[part].tolist()))
+                bits, inv = np.unique(coo.data[part].view(np.int64),
+                                      return_inverse=True)
+                reprs = np.array([repr(v) for v in
+                                  bits.view(np.float64).tolist()],
+                                 dtype=object)
+                cells = np.empty((len(inv), 3), dtype=object)
+                cells[:, 0] = coo.row[part].tolist()
+                cells[:, 1] = coo.col[part].tolist()
+                cells[:, 2] = reprs[inv]
+                fh.write("%d %d %s\n" * len(inv)
+                         % tuple(cells.ravel().tolist()))
 
 
 @dataclass
@@ -122,12 +131,12 @@ class SpectralData:
     iterations: int
 
     def to_json_dict(self):
+        """The scalars only: ``or-verify`` writes ``right`` and ``left`` to
+        ``qsd.csv`` and ``survival_function.csv``."""
         return {
             "eigenvalue": self.eigenvalue,
             "residual": self.residual,
             "gap_estimate": self.gap_estimate,
-            "right": self.right.tolist(),
-            "left": self.left.tolist(),
         }
 
 
@@ -294,20 +303,28 @@ def _subdominant_ratio(PT, lam, right, left):
     denom = float(np.sum(left * right))
     if denom == 0.0:
         return float("nan")
-    w = w - right * np.sum(left * w) / denom
-    prev = np.sum(np.abs(w))
+    buf = np.empty_like(w)
+
+    def deflate(w):
+        # w -= right * sum(left * w) / denom through ``buf``; returns |w|_1
+        np.multiply(left, w, out=buf)
+        np.multiply(right, np.sum(buf), out=buf)
+        np.divide(buf, denom, out=buf)
+        np.subtract(w, buf, out=w)
+        return np.sum(np.abs(w, out=buf))
+
+    prev = deflate(w)
     ratio = 0.0
     for _ in range(400):
         w = PT @ w
-        w = w - right * np.sum(left * w) / denom
-        cur = np.sum(np.abs(w))
+        cur = deflate(w)
         if cur == 0.0:
             return 0.0
         if not np.isfinite(cur):
             raise ConvergenceError("deflated iterate became non-finite: no "
                                    "spectral gap estimate")
         ratio = cur / prev
-        w = w / cur
+        np.divide(w, cur, out=w)
         prev = 1.0
     return float(ratio / lam)
 

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from openrates import ulam as U
 from openrates.cli import (_DEFAULTS, _section, _write_cell_masses,
                            config_hash, main)
+from openrates.systems import system_from_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -60,6 +62,8 @@ def test_verify_end_to_end(tmp_path, capsys):
     assert summary["config_hash"] == config_hash(GOLDEN)
     assert (out / "survival_grid.csv").exists()
     assert (out / "survival_words.csv").exists()
+    assert (out / "qsd.csv").exists()
+    assert (out / "survival_function.csv").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -457,11 +461,35 @@ def test_readme_lists_section_defaults(section):
 
 
 def test_cell_mass_csv_matches_savetxt(tmp_path):
-    masses = np.array([0.0, 1.0, 0.1, 5e-324, 1e-300, 0.3333333333333333,
-                       2.5e17])
-    _write_cell_masses(tmp_path / "plain.csv", masses)
+    # 131073 rows: two full 65536-row slices and one row more
+    special = [0.0, 1.0, 0.1, 5e-324, 1e-300, 0.3333333333333333, 2.5e17]
+    masses = np.concatenate([special, np.random.default_rng(3).random(
+        131073 - len(special))])
+    _write_cell_masses(tmp_path / "plain.csv", "mass", masses)
     np.savetxt(tmp_path / "savetxt.csv",
                np.column_stack([np.arange(len(masses)), masses]),
                delimiter=",", header="cell,mass", comments="")
     assert (tmp_path / "plain.csv").read_bytes() == \
         (tmp_path / "savetxt.csv").read_bytes()
+
+
+def test_ulam_writes_each_vector_once(tmp_path):
+    system = {"map": {"name": "cat"},
+              "hole": {"kind": "region_2d", "shape": "ball",
+                       "center": [0.25, 0.75], "radius": 0.1}}
+    cfg = _write(tmp_path, {"seed": 1, "system": system,
+                            "ulam": {"resolution": 64}})
+    out = tmp_path / "run"
+    assert main(["ulam", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    summary = (out / "summary.json").read_bytes()
+    spectral = json.loads(summary)["ulam"]["spectral"]
+    assert "right" not in spectral and "left" not in spectral
+    assert len(summary) < 10_000
+    spec = U.leading_eigenpair(U.build_ulam(system_from_config(system), 64))
+    for name, column, vec in (("qsd", "mass", spec.right),
+                              ("survival_function", "survival", spec.left)):
+        path = out / f"{name}.csv"
+        assert path.read_text().startswith(f"cell,{column}\n")
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], np.arange(64 * 64))
+        assert table[:, 1].tobytes() == vec.tobytes()

@@ -79,6 +79,52 @@ def test_torus_dist_triangle(a, b, c):
     assert dac <= dab + dbc + 1e-12
 
 
+def _torus_dist_1d_ref(a, b):
+    # the broadcast formula the in-place kernels replaced
+    d = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
+def _torus_dist_2d_ref(a, b):
+    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
+    d = np.minimum(d, 1.0 - d)
+    return np.sqrt(np.sum(d * d, axis=-1))
+
+
+def _bit_equal(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and \
+        x.tobytes() == y.tobytes()
+
+
+_SEAM = [0.0, 2.0 ** -53, 0.5, np.nextafter(0.5, 0.0),
+         np.nextafter(1.0, 0.0)]
+
+
+def test_torus_dist_bit_equal_to_broadcast_formula():
+    rng = np.random.default_rng(7)
+    seam = np.array(list(itertools.product(_SEAM, repeat=2)))
+    # off-domain points too: differences above 1 take the mod-1 branch
+    pts = np.concatenate([rng.random((500, 2)), rng.uniform(-3, 3, (200, 2)),
+                          seam])
+    for c in [rng.random(2), *seam]:
+        # (N, 2) against (2,) and against (1, 2)
+        assert _bit_equal(S.torus_dist_2d(pts, c), _torus_dist_2d_ref(pts, c))
+        assert _bit_equal(S.torus_dist_2d(pts, c[None, :]),
+                          _torus_dist_2d_ref(pts, c[None, :]))
+        assert _bit_equal(S.torus_dist_2d(pts[0], c),
+                          _torus_dist_2d_ref(pts[0], c))
+        assert _bit_equal(S.torus_dist_1d(pts[:, 0], c[0]),
+                          _torus_dist_1d_ref(pts[:, 0], c[0]))
+    # (n + 1, k, 2) against (n + 1, 1, 2), as in separated_set_size
+    orbits = np.concatenate([rng.random((6, 40, 2)),
+                             np.broadcast_to(seam, (6,) + seam.shape)],
+                            axis=1)
+    for kept in ([], [0], list(range(0, orbits.shape[1], 3))):
+        a, b = orbits[:, kept], orbits[:, 5:6]
+        assert _bit_equal(S.torus_dist_2d(a, b), _torus_dist_2d_ref(a, b))
+
+
 # ---------------------------------------------------------------------------
 # holes
 
@@ -103,6 +149,27 @@ def test_in_hole_many_matches_cylinders(x):
     h = S.cylinder_union_hole(2, 2, [(1, 1), (0, 1)])  # (1/4, 1/2) u (3/4, 1)
     inside = 0.25 < x < 0.5 or 0.75 < x < 1.0
     assert bool(h.in_hole_many(np.array([x]))[0]) == inside
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1,
+                max_size=5),
+       st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
+def test_interval_hole_matches_broadcast_reference(pairs, xs):
+    h = S.interval_union_hole([(min(a, b), max(a, b)) for a, b in pairs])
+    merged = h.meta["intervals"]
+    lo = np.array([a for a, _ in merged])
+    hi = np.array([b for _, b in merged])
+    pts = np.array(xs + [e % 1.0 for iv in merged for e in iv]
+                   + [0.0, np.nextafter(1.0, 0.0)])
+    # the (N, k) arrays reduced over k that the per-interval and
+    # per-endpoint passes replaced
+    inside = np.any((lo[None, :] < pts[:, None])
+                    & (pts[:, None] < hi[None, :]), axis=1)
+    assert _bit_equal(h.in_hole_many(pts), inside)
+    ends = np.unique(np.concatenate([lo, hi])) % 1.0
+    dist = np.min(_torus_dist_1d_ref(pts[:, None], ends[None, :]), axis=1)
+    assert _bit_equal(h.boundary_distance(pts), dist)
 
 
 _BOUNDARY_HOLES_1D = [

@@ -219,6 +219,36 @@ def test_export_coo_round_trips(tmp_path):
     assert rebuilt.data.tobytes() == op.matrix.data.tobytes()
 
 
+def _export_coo_ref(op, path):
+    # the per-entry generator writer the one-format-call slices replaced
+    coo = op.matrix.tocoo()
+    with open(path, "w") as fh:
+        fh.write(f"# {op.ncells} {op.ncells} {coo.nnz}\n")
+        fh.writelines(f"{i} {j} {v!r}\n" for i, j, v in
+                      zip(coo.row.tolist(), coo.col.tolist(),
+                          coo.data.tolist()))
+
+
+_CAT = OpenSystem(cat_map(), ball_hole_2d((0.25, 0.75), 0.1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: U.build_ulam(_CAT, 32),
+    # about 1e5 nonzeros: crosses the 65536-entry slice boundary
+    lambda: U.build_ulam(_CAT, 160),
+    lambda: U.build_ulam(OpenSystem(adic_map(3), cylinder_union_hole(
+        3, 2, [(1, 1), (2, 0)])), 81),
+    lambda: U.UlamOperator(1, 4, sp.csr_matrix((4, 4)), np.arange(4),
+                           "exact"),
+], ids=["cat32", "cat160", "triadic81", "zero_nnz"])
+def test_export_coo_bytes_match_generator_writer(tmp_path, make):
+    op = make()
+    op.export_coo(tmp_path / "slices.csv")
+    _export_coo_ref(op, tmp_path / "generator.csv")
+    assert (tmp_path / "slices.csv").read_bytes() == \
+        (tmp_path / "generator.csv").read_bytes()
+
+
 def test_quadrature_assembly_peak_memory():
     # the one-shot build peaked near 390 MB here: 4.2M subsample points,
     # their images and a COO triple each.  The peak is VmHWM, not
