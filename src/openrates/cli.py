@@ -129,9 +129,10 @@ def _write_summary(out_dir: Path, cfg: dict, payload: dict):
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"config": cfg, "config_hash": config_hash(cfg)}
     summary.update(_json_ready(payload))
+    # a NaN or infinity is no JSON number: ValueError before the file opens
+    text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return summary
 
 
@@ -250,26 +251,26 @@ def cmd_tower(cfg, out_dir, seed):
     T = tower_mod.tower_from_config(cfg["tower"])
     opts = cfg["tower_options"]
     r = tower_mod.tower_eigenvalue(T)
-    # abramov_check and depth1_weights read the depth-1 and 2 weights only
-    nu0 = tower_mod.gibbs_measure(T, r, depth=2)
+    pi, _ = tower_mod.gibbs_chain(T, r)
     seq = tower_mod.gurevich_pressure(T, r, n_max=int(opts["n_max"]))
-    abram = tower_mod.abramov_check(T, nu0, r)
+    abram = tower_mod.abramov_check(T, r)
     hyp = tower_mod.validate_hypotheses(T, r)
     # P(nu) <= log r at the uniform Bernoulli measure on the unholed
     # branches; a transition matrix may forbid some of its words
     inequality = None
     if T.transition is None:
         k = len(T.unholed)
-        cand = tower_mod.pressure_of_induced_measure(T, np.full(k, 1.0 / k))
+        u = np.full((k, k), 1.0 / k)
+        cand = tower_mod.induced_pressure(T, u[0], u)["pressure"]
         inequality = {"candidate_pressure": cand, "log_r": math.log(r),
                       "status": "PASS" if cand <= math.log(r) + 1e-12
                       else "FAIL"}
     payload = {"tower": {
         "eigenvalue": r, "log_eigenvalue": math.log(r),
-        "gurevich_max_abs": max(abs(p) for _, p in seq),
+        # null when fewer than two orbit sums through branch 0 are positive
+        "gurevich_max_abs": max((abs(p) for _, p in seq), default=None),
         "abramov": abram, "hypotheses": hyp, "inequality": inequality,
-        "depth1_weights": {bid: nu0.cylinder_weights.get((bid,), 0.0)
-                           for bid in nu0.branch_ids}}}
+        "depth1_weights": {b.id: p for b, p in zip(T.unholed, pi)}}}
     return payload, 2 if inequality and inequality["status"] == "FAIL" else 0
 
 

@@ -467,6 +467,20 @@ def perron(A):
     return lam, right, left
 
 
+def doob_chain(A):
+    """Doob transform P_ij = A_ij u_j / (lam u_i) of a nonnegative matrix on
+    its dominant class, with stationary law pi ~ left * right Perron vector.
+    Returns (class indices into ``A``, transition matrix, stationary)."""
+    lam, u, v = perron(A)
+    idx = np.flatnonzero(u)
+    A, u, v = A[np.ix_(idx, idx)], u[idx], v[idx]
+    P = A * u[None, :] / (lam * u[:, None])
+    P = P / P.sum(axis=1, keepdims=True)
+    pi = v * u
+    pi = pi / pi.sum()
+    return idx, P, pi
+
+
 def parry_chain(sys: OpenSystem, k: int):
     """Maximal-entropy Markov chain of the survivor subshift.
 
@@ -476,13 +490,7 @@ def parry_chain(sys: OpenSystem, k: int):
     class.  Returns (states, transition matrix, stationary).
     """
     A, states = survivor_transition_matrix(sys, k)
-    lam, u, v = perron(A)
-    idx = np.flatnonzero(u)
-    A, u, v = A[np.ix_(idx, idx)], u[idx], v[idx]
-    P = A * u[None, :] / (lam * u[:, None])
-    P = P / P.sum(axis=1, keepdims=True)
-    pi = v * u
-    pi = pi / pi.sum()
+    idx, P, pi = doob_chain(A)
     return [states[i] for i in idx], P, pi
 
 

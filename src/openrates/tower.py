@@ -4,24 +4,26 @@ A tower is a finite (or finitely truncated) list of base branches, each with a
 return time R, a Jacobian J (the induced-map Jacobian, constant on the
 branch: the Gibbs measures here carry no distortion), a base mass, and a
 flag marking whether the branch falls into the hole before returning.  The
-induced system is the full shift over the unholed branches unless a
+induced system is the full shift over the unholed branches unless a 0/1
 transition matrix is supplied.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .systems import _is_number, _is_numbers, _reject_unknown, perron
+from .pressure import entropy_markov
+from .systems import (_is_number, _is_numbers, _reject_unknown, doob_chain,
+                      perron)
 
 
 class NoRootError(RuntimeError):
-    """All mass escapes: the eigenvalue equation has no root in (0, 1)."""
+    """The eigenvalue equation has no root in (0, 1]: all mass escapes, or
+    the weights at r = 1 already exceed those of a closed system."""
 
 
 class DivergenceError(RuntimeError):
@@ -77,6 +79,9 @@ def tower_from_config(cfg: dict) -> TowerSpec:
         branches.append(TowerBranch(
             id=str(b.get("id", i)), R=int(b["R"]), J=float(b["J"]),
             mass=float(b["mass"]), holed=b.get("holed", False)))
+    ids = [b.id for b in branches]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"tower branch ids must be unique, got {ids}")
     for key in ("C0", "theta0"):
         if key in cfg and not _is_number(cfg[key]):
             raise ValueError(f"tower {key} must be a number")
@@ -89,9 +94,8 @@ def tower_from_config(cfg: dict) -> TowerSpec:
                 f"tower transition must be a {k}x{k} array of numbers, one "
                 "row and one column per unholed branch")
         trans = np.asarray(trans, dtype=float)
-        if not (np.all(np.isfinite(trans)) and np.all(trans >= 0)):
-            raise ValueError(
-                "tower transition entries must be finite and nonnegative")
+        if not np.all((trans == 0) | (trans == 1)):
+            raise ValueError("tower transition entries must be 0 or 1")
     return TowerSpec(branches=branches, C0=float(cfg.get("C0", 1.0)),
                      theta0=float(cfg.get("theta0", 0.5)), transition=trans)
 
@@ -120,11 +124,14 @@ def tower_eigenvalue(T: TowerSpec) -> float:
     if not T.unholed:
         raise NoRootError("no unholed branch: survivor set is empty")
     lo, hi = 1e-12, 1.0
-    g_hi = _spectral_radius_at(T, hi) - 1.0
+    rho_hi = _spectral_radius_at(T, hi)
+    g_hi = rho_hi - 1.0
     if g_hi > 1e-12:
-        # closed (or nearly closed) system: eigenvalue is 1
-        return 1.0
+        raise NoRootError(
+            f"the weights at r = 1 have Perron root {rho_hi!r} > 1: the "
+            "eigenvalue equation has no root in (0, 1]")
     if abs(g_hi) <= 1e-15:
+        # closed system: eigenvalue is 1
         return 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -143,44 +150,21 @@ def tower_eigenvalue(T: TowerSpec) -> float:
 # ---------------------------------------------------------------------------
 # Gibbs measure on the base
 
-@dataclass
-class TowerMeasure:
-    cylinder_weights: dict      # word (tuple of branch ids) -> weight
-    branch_ids: list
-
-
-def gibbs_measure(T: TowerSpec, r: float, depth: int) -> TowerMeasure:
-    """Cylinder weights weight(i1..in) = prod_k r^{-R_k} / J_k.
-
-    For locally constant Jacobians this is exact (Gibbs constant 1); the
-    weights of depth-1 cylinders sum to 1 by the eigenvalue equation.
+def gibbs_chain(T: TowerSpec, r: float):
+    """The induced Gibbs measure at r as a Markov chain (pi, P) over the
+    unholed branches: Bernoulli(w), w_i = r^{-R_i} / J_i, for the full
+    shift, else the Doob chain of transition * w, zero off its dominant
+    class.  Exact for locally constant Jacobians (Gibbs constant 1).
     """
-    ids = [b.id for b in T.unholed]
     w = _weights(T, r)
-    weights = {}
+    k = len(w)
     if T.transition is None:
-        for n in range(1, depth + 1):
-            for word in itertools.product(range(len(ids)), repeat=n):
-                weights[tuple(ids[i] for i in word)] = float(
-                    np.prod([w[i] for i in word]))
-    else:
-        W = T.transition * w[None, :]
-        _, u, l = perron(W)
-        pi = l * u
-        pi = pi / np.sum(pi)
-        # row-stochastic at the eigenvalue on the dominant class; pi
-        # vanishes off it, so rows there are never used
-        p = W * u[None, :] / np.where(u > 0, u, 1.0)[:, None]
-        p = p / np.where(u > 0, p.sum(axis=1), 1.0)[:, None]
-        for n in range(1, depth + 1):
-            for word in itertools.product(range(len(ids)), repeat=n):
-                steps = list(zip(word, word[1:]))
-                if not all(T.transition[a, b] for a, b in steps):
-                    continue
-                wt = math.prod([pi[word[0]]] + [p[a, b] for a, b in steps])
-                if wt > 0:
-                    weights[tuple(ids[i] for i in word)] = float(wt)
-    return TowerMeasure(cylinder_weights=weights, branch_ids=ids)
+        return w, np.tile(w, (k, 1))
+    idx, Q, q = doob_chain(T.transition * w[None, :])
+    pi, P = np.zeros(k), np.zeros((k, k))
+    pi[idx] = q
+    P[np.ix_(idx, idx)] = Q
+    return pi, P
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +176,10 @@ def gurevich_pressure(T: TowerSpec, r: float, n_max: int = 20,
     through the first unholed branch.
 
     Z_n sums exp(S_n phi) over period-n words returning to the reference
-    branch; the per-n estimate is the successive ratio log(Z_{n+1}/Z_n),
+    branch; the estimate at n is log(Z_m / Z_n) / (m - n), m the next
+    period with Z_m > 0 (m = n + 1 unless the transition is periodic),
     which is exact at every n when the weights sum to 1.  Computed in log
-    space to guard overflow.
+    space to guard overflow.  Empty when fewer than two Z_n are positive.
     """
     unholed = T.unholed
     k = len(unholed)
@@ -219,61 +204,52 @@ def gurevich_pressure(T: TowerSpec, r: float, n_max: int = 20,
                 np.sum(np.exp(col[:, good] - mx[good][None, :]), axis=0))
         return Z
 
-    logZ = []
+    logZ = []   # (n, log Z_n) for Z_n > 0
     cur = logW.copy()
     for n in range(1, n_max + 2):
-        logZ.append(cur[0, 0])
+        if np.isfinite(cur[0, 0]):
+            logZ.append((n, cur[0, 0]))
         cur = log_mat_mul(cur, logW)
-    seq = [(n, float(logZ[n] - logZ[n - 1])) for n in range(1, n_max + 1)]
-    return seq
+    return [(n, float((b - a) / (m - n)))
+            for (n, a), (m, b) in zip(logZ, logZ[1:])]
 
 
 # ---------------------------------------------------------------------------
 # Abramov consistency
 
-def abramov_check(T: TowerSpec, nu0: TowerMeasure, r: float) -> dict:
-    """Entropy/exponent/pressure chain for the induced Gibbs measure.
+def induced_pressure(T: TowerSpec, pi, P) -> dict:
+    """Tower entropy, exponent and pressure of the invariant measure induced
+    by the Markov chain (pi, P) over the unholed branches (Abramov).
 
     h_tower = h_induced / int(R), lambda_tower = int(log J) / int(R),
-    pressure = h_tower - lambda_tower; must equal log r within 1e-9.
+    pressure = h_tower - lambda_tower.  P need only be stochastic on the
+    states where pi > 0.
     """
-    lookup = {b.id: b for b in T.unholed}
-    p1 = {bid: nu0.cylinder_weights.get((bid,), 0.0) for bid in nu0.branch_ids}
-    total = sum(p1.values())
-    if abs(total - 1.0) > 1e-8:
-        raise DivergenceError(f"depth-1 weights sum to {total}, not 1")
-
-    if T.transition is None:
-        h_induced = -sum(p * math.log(p) for p in p1.values() if p > 0)
-    else:
-        # Markov chain entropy from depth-2/depth-1 weights
-        h_induced = 0.0
-        for (a, b), w2 in ((k, v) for k, v in nu0.cylinder_weights.items()
-                           if len(k) == 2):
-            if w2 > 0 and p1[a] > 0:
-                h_induced -= w2 * math.log(w2 / p1[a])
-
-    return_integral = sum(p1[bid] * lookup[bid].R for bid in p1)
-    log_jac_integral = sum(p1[bid] * math.log(lookup[bid].J) for bid in p1)
-    if return_integral <= 0 or not math.isfinite(return_integral):
-        raise DivergenceError("return-time integral failed to converge")
-
+    on = pi > 0
+    h_induced = entropy_markov(P[np.ix_(on, on)], pi[on])
+    return_integral = float(np.sum(pi * [b.R for b in T.unholed]))
+    log_jac_integral = float(np.sum(pi * [math.log(b.J) for b in T.unholed]))
     h_tower = h_induced / return_integral
     lam_tower = log_jac_integral / return_integral
-    pressure = h_tower - lam_tower
-    rec = {
+    return {
         "h_induced": h_induced,
         "return_integral": return_integral,
         "h_tower": h_tower,
         "lambda_tower": lam_tower,
-        "pressure": pressure,
-        "log_r": math.log(r),
-        "gap": abs(pressure - math.log(r)),
+        "pressure": h_tower - lam_tower,
     }
+
+
+def abramov_check(T: TowerSpec, r: float) -> dict:
+    """Abramov chain of the induced Gibbs measure at r: its pressure must
+    equal log r within 1e-9, else DivergenceError."""
+    rec = induced_pressure(T, *gibbs_chain(T, r))
+    rec["log_r"] = math.log(r)
+    rec["gap"] = abs(rec["pressure"] - rec["log_r"])
     if rec["gap"] > 1e-9:
-        raise AssertionError(
-            f"Abramov chain inconsistent: pressure {pressure} vs log r "
-            f"{math.log(r)} (gap {rec['gap']:.3e})")
+        raise DivergenceError(
+            f"Abramov chain inconsistent: pressure {rec['pressure']} vs "
+            f"log r {rec['log_r']} (gap {rec['gap']:.3e})")
     return rec
 
 
@@ -347,20 +323,6 @@ def validate_hypotheses(T: TowerSpec, r: Optional[float] = None,
 
     report["passed"] = all(c["pass"] for c in report["checks"].values())
     return report
-
-
-def pressure_of_induced_measure(T: TowerSpec, probs: Sequence[float]) -> float:
-    """Tower pressure h - lambda of the invariant measure induced by a
-    Bernoulli measure on the unholed branches."""
-    unholed = T.unholed
-    p = np.asarray(probs, dtype=float)
-    if len(p) != len(unholed) or abs(np.sum(p) - 1.0) > 1e-12:
-        raise ValueError("probs must be a distribution over unholed branches")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = float(-np.sum(np.where(p > 0, p * np.log(p), 0.0)))
-    rbar = float(np.sum(p * np.array([b.R for b in unholed])))
-    lam = float(np.sum(p * np.array([math.log(b.J) for b in unholed])))
-    return (h - lam) / rbar
 
 
 # ---------------------------------------------------------------------------

@@ -119,15 +119,15 @@ def test_criterion_3_tower_suite():
     r = T.tower_eigenvalue(gm)
     assert abs(r - (1 + math.sqrt(5)) / 4) < 1e-14
 
-    nu0 = T.gibbs_measure(gm, r, depth=2)
-    assert abs(nu0.cylinder_weights[("A",)] - 0.618033988749895) < 1e-6
-    assert abs(nu0.cylinder_weights[("B",)] - 0.381966011250105) < 1e-6
+    pi, _ = T.gibbs_chain(gm, r)
+    assert abs(pi[0] - 0.618033988749895) < 1e-6
+    assert abs(pi[1] - 0.381966011250105) < 1e-6
 
     seq = T.gurevich_pressure(gm, r, n_max=20)
     gur = max(abs(p) for _, p in seq)
     assert gur < 1e-10
 
-    rec = T.abramov_check(gm, nu0, r)
+    rec = T.abramov_check(gm, r)
     assert abs(rec["h_tower"] - math.log(PHI)) < 1e-9
     assert abs(rec["lambda_tower"] - math.log(2)) < 1e-9
     assert abs((rec["h_tower"] - rec["lambda_tower"]) - math.log(r)) < 1e-9

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from openrates import tower as tower_mod
 from openrates import ulam as U
 from openrates.cli import (_DEFAULTS, _section, _write_cell_masses,
                            config_hash, main)
@@ -175,7 +176,19 @@ def test_unknown_config_key(tmp_path, capsys):
      "error: tower transition must be a 2x2 array"),
     ("tower", lambda c: c.update(tower={**TOWER,
                                         "transition": [[1, -1], [1, 1]]}),
-     "error: tower transition entries must be finite and nonnegative"),
+     "error: tower transition entries must be 0 or 1"),
+    # a zero forbids a step; any other entry would weigh it
+    ("tower", lambda c: c.update(tower={**TOWER, "transition": [[0.5, 0.5],
+                                                                [0.5, 0.5]]}),
+     "error: tower transition entries must be 0 or 1"),
+    ("tower", lambda c: c.update(tower=_tower(id="B")),
+     "error: tower branch ids must be unique, got ['B', 'B', 'C']"),
+    # 2 / 1.9 > 1 at r = 1: no eigenvalue in (0, 1]
+    ("tower", lambda c: c.update(tower={"branches": [
+        {"id": "A", "R": 1, "J": 1.9, "mass": 0.5},
+        {"id": "B", "R": 1, "J": 1.9, "mass": 0.5}],
+        "transition": [[1, 1], [1, 1]]}),
+     "error: the weights at r = 1 have Perron root 1.05"),
     ("tower", lambda c: c.update(tower={**TOWER,
                                         "transition": [[1, 1], [1, "1"]]}),
      "error: tower transition must be a 2x2 array"),
@@ -362,13 +375,58 @@ def test_tower_reports_inequality(tmp_path, monkeypatch):
                  "--out-dir", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["tower"]["inequality"] is None
+    # Z_n through branch A vanishes at odd n; the estimates skip those n
+    assert summary["tower"]["gurevich_max_abs"] < 1e-9
     # a candidate above log r is a violated verdict
-    monkeypatch.setattr("openrates.tower.pressure_of_induced_measure",
-                        lambda T, probs: 0.0)
+    induced_pressure = tower_mod.induced_pressure
+
+    def raised(T, pi, P):
+        rec = induced_pressure(T, pi, P)
+        if pi[0] == pi[1]:   # the uniform candidate, not the Gibbs chain
+            rec["pressure"] = 0.0
+        return rec
+
+    monkeypatch.setattr("openrates.tower.induced_pressure", raised)
     assert main(["tower", "--config", str(_write(tmp_path, golden)),
                  "--out-dir", str(out)]) == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["tower"]["inequality"]["status"] == "FAIL"
+
+
+def test_non_finite_summary_exits_1(tmp_path, capsys, monkeypatch):
+    # summary.json is strict JSON: no NaN or Infinity is written
+    monkeypatch.setattr("openrates.tower.gurevich_pressure",
+                        lambda T, r, n_max: [(1, math.nan)])
+    out = tmp_path / "tower"
+    assert main(["tower", "--config", str(_write(tmp_path, {"tower": TOWER})),
+                 "--out-dir", str(out)]) == 1
+    assert "error: Out of range float values are not JSON compliant" in \
+        capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("transition, j_a, j_b, weights", [
+    ([[1, 1], [0, 1]], 2.0, 3.0, {"A": 1.0, "B": 0.0}),
+    ([[1, 1], [0, 1]], 3.0, 2.0, {"A": 0.0, "B": 1.0}),
+    ([[0, 1], [0, 1]], 3.0, 2.0, {"A": 0.0, "B": 1.0}),
+])
+def test_tower_reducible_transition_weights(tmp_path, transition, j_a, j_b,
+                                            weights):
+    # A feeds B and each looping branch is a class of its own: the Gibbs
+    # chain lives on the class of the larger weight
+    cfg = {"tower": {"branches": [
+        {"id": "A", "R": 1, "J": j_a, "mass": 0.25},
+        {"id": "B", "R": 1, "J": j_b, "mass": 0.25}],
+        "transition": transition}}
+    out = tmp_path / "tower"
+    assert main(["tower", "--config", str(_write(tmp_path, cfg)),
+                 "--out-dir", str(out)]) == 0
+    tw = json.loads((out / "summary.json").read_text())["tower"]
+    assert tw["depth1_weights"] == weights
+    assert tw["eigenvalue"] == pytest.approx(0.5, abs=1e-14)
+    assert tw["abramov"]["gap"] < 1e-12
+    # with no loop at A, no orbit sum through A is positive: no estimate
+    assert (tw["gurevich_max_abs"] is None) == (transition[0][0] == 0)
 
 
 def test_pressure_subcommand_verdict(tmp_path):

@@ -16,6 +16,13 @@ def gm():
     return T.golden_mean_tower()
 
 
+def _bernoulli_pressure(spec, probs):
+    """Tower pressure of the Bernoulli measure ``probs`` on the unholed
+    branches."""
+    p = np.asarray(probs, dtype=float)
+    return T.induced_pressure(spec, p, np.tile(p, (len(p), 1)))["pressure"]
+
+
 def test_eigenvalue_golden(gm):
     r = T.tower_eigenvalue(gm)
     assert r == pytest.approx((1 + math.sqrt(5)) / 4, abs=1e-14)
@@ -40,20 +47,18 @@ def test_no_unholed_branch_raises():
 
 def test_gibbs_weights_golden(gm):
     r = T.tower_eigenvalue(gm)
-    nu0 = T.gibbs_measure(gm, r, depth=2)
-    wA = nu0.cylinder_weights[("A",)]
-    wB = nu0.cylinder_weights[("B",)]
+    pi, P = T.gibbs_chain(gm, r)
+    wA, wB = pi
     assert wA == pytest.approx(0.618033988749895, abs=1e-12)
     assert wB == pytest.approx(0.381966011250105, abs=1e-12)
-    assert nu0.cylinder_weights[("A", "B")] == pytest.approx(wA * wB,
-                                                             abs=1e-12)
+    # the weight of the depth-2 cylinder AB
+    assert pi[0] * P[0, 1] == pytest.approx(wA * wB, abs=1e-12)
 
 
 def test_depth1_weights_sum_to_one(gm):
     r = T.tower_eigenvalue(gm)
-    nu0 = T.gibbs_measure(gm, r, depth=1)
-    total = sum(nu0.cylinder_weights.values())
-    assert total == pytest.approx(1.0, abs=1e-14)
+    pi, _ = T.gibbs_chain(gm, r)
+    assert sum(pi) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_gibbs_measure_periodic_transition():
@@ -68,11 +73,14 @@ def test_gibbs_measure_periodic_transition():
     r = T.tower_eigenvalue(spec)
     # the cycle's weight product r^-6 / 12 is 1 at the root
     assert r == pytest.approx(12 ** (-1 / 6), abs=1e-14)
-    nu0 = T.gibbs_measure(spec, r, depth=2)
-    for bid in "ABC":
-        assert nu0.cylinder_weights[(bid,)] == pytest.approx(1 / 3,
-                                                             abs=1e-12)
-    T.abramov_check(spec, nu0, r)
+    pi, _ = T.gibbs_chain(spec, r)
+    for p in pi:
+        assert p == pytest.approx(1 / 3, abs=1e-12)
+    T.abramov_check(spec, r)
+    # Z_n vanishes off multiples of 3; the Gurevich estimates skip those n
+    seq = T.gurevich_pressure(spec, r, n_max=20)
+    assert [n for n, _ in seq] == [3, 6, 9, 12, 15, 18]
+    assert max(abs(p) for _, p in seq) < 1e-12
 
 
 def test_gurevich_pressure_zero(gm):
@@ -92,8 +100,7 @@ def test_gurevich_shifted_potential(gm):
 
 def test_abramov_chain(gm):
     r = T.tower_eigenvalue(gm)
-    nu0 = T.gibbs_measure(gm, r, depth=2)
-    rec = T.abramov_check(gm, nu0, r)
+    rec = T.abramov_check(gm, r)
     wA, wB = 1 / ((1 + math.sqrt(5)) / 2), 1 / ((1 + math.sqrt(5)) / 2) ** 2
     assert rec["h_induced"] == pytest.approx(
         -(wA * math.log(wA) + wB * math.log(wB)), abs=1e-12)
@@ -117,14 +124,13 @@ def test_validate_hypotheses_bad_theta_bar(gm):
     assert not rep["checks"]["condition_star"]["pass"]
 
 
-def test_pressure_of_induced_measure_maximized_at_gibbs(gm):
+def test_induced_pressure_maximized_at_gibbs(gm):
     r = T.tower_eigenvalue(gm)
-    p_star = T.pressure_of_induced_measure(
-        gm, [0.618033988749895, 0.381966011250105])
+    p_star = _bernoulli_pressure(gm, [0.618033988749895, 0.381966011250105])
     assert p_star == pytest.approx(math.log(r), abs=1e-12)
     # any other Bernoulli distribution gives strictly smaller pressure
     for q in (0.3, 0.5, 0.8):
-        assert T.pressure_of_induced_measure(gm, [q, 1 - q]) < p_star + 1e-15
+        assert _bernoulli_pressure(gm, [q, 1 - q]) < p_star + 1e-15
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,8 +138,7 @@ def test_pressure_of_induced_measure_maximized_at_gibbs(gm):
 def test_induced_pressure_never_exceeds_log_r(q):
     gm = T.golden_mean_tower()
     r = T.tower_eigenvalue(gm)
-    assert T.pressure_of_induced_measure(gm, [q, 1 - q]) \
-        <= math.log(r) + 1e-12
+    assert _bernoulli_pressure(gm, [q, 1 - q]) <= math.log(r) + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -145,6 +150,11 @@ def test_eigenvalue_root_property(j1, j2, r1, r2):
         T.TowerBranch("B", R=r2, J=j2, mass=0.25, holed=False),
         T.TowerBranch("C", R=2, J=4.0, mass=0.25, holed=True),
     ], C0=1.0, theta0=0.5)
+    if 1 / j1 + 1 / j2 - 1.0 > 1e-12:
+        # more weight at r = 1 than a closed system carries: no root
+        with pytest.raises(T.NoRootError, match="Perron root"):
+            T.tower_eigenvalue(spec)
+        return
     r = T.tower_eigenvalue(spec)
     assert 0 < r <= 1
     if r < 1:
@@ -180,3 +190,11 @@ def test_tower_config_roundtrip():
     spec = T.tower_from_config(json.loads(json.dumps(cfg)))
     assert T.tower_eigenvalue(spec) == pytest.approx((1 + math.sqrt(5)) / 4,
                                                      abs=1e-14)
+
+
+def test_abramov_mismatch_raises_divergence(gm):
+    # a weighted transition moves the root but not the chain's entropy
+    spec = T.TowerSpec(branches=gm.branches, transition=np.full((2, 2), 0.5))
+    r = T.tower_eigenvalue(spec)
+    with pytest.raises(T.DivergenceError, match="Abramov chain inconsistent"):
+        T.abramov_check(spec, r)
