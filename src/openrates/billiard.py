@@ -35,6 +35,12 @@ _CHUNK = 1 << 15
 # rays per collision or segment search, so that its (rays, copies)
 # temporaries stay in cache; each ray's result does not depend on it
 _BLOCK = 1 << 12
+# each collision or segment search runs over the copies a flight in one of
+# _SECTORS sectors of its direction phi + theta can reach: those whose cone
+# of directions, widened by _CONE_MARGIN (far above float32 roundoff),
+# meets the sector
+_SECTORS = 8
+_CONE_MARGIN = 1e-3
 
 
 class TableGeometryError(ValueError):
@@ -57,9 +63,9 @@ class BilliardTable:
     copy_centers: np.ndarray = field(repr=False)
     copy_sid: np.ndarray = field(repr=False)
     copy_radii: np.ndarray = field(repr=False)
-    # for each scatterer s, the indices of the copies a flight leaving s
-    # can reach: boundary gap below TAU_BOUND
-    source_copies: tuple = field(repr=False)
+    # for each key s * _SECTORS + j, the indices, in copy order, of the
+    # copies a flight leaving scatterer s in direction sector j can hit
+    sector_copies: tuple = field(repr=False)
 
     @property
     def n_scatterers(self) -> int:
@@ -101,14 +107,19 @@ def build_table(scatterers=DEFAULT_SCATTERERS, validation_rays: int = 1_000_000,
     copy_centers = (centers[None, :, :] + offs[:, None, :]).reshape(-1, 2)
     copy_sid = np.tile(np.arange(len(radii)), len(offs))
     copy_radii = np.tile(radii, len(offs))
-    # a flight is at least as long as the gap between the two boundaries
-    gap = (np.linalg.norm(copy_centers[None, :, :] - centers[:, None, :],
-                          axis=2) - radii[:, None] - copy_radii[None, :])
+    sector_copies = []
+    for c, r in zip(centers, radii):
+        dist = np.linalg.norm(copy_centers - c, axis=1)
+        # a flight is at least as long as the gap between the two
+        # boundaries; it leaves its own copy (distance 0) outward
+        reach = np.flatnonzero((dist - r - copy_radii < TAU_BOUND)
+                               & (dist > 0))
+        cones = _cone_sectors(c, copy_centers[reach], r + copy_radii[reach])
+        sector_copies += [reach[m] for m in cones]
     table = BilliardTable(centers=centers, radii=radii, tau_max=float("nan"),
                           copy_centers=copy_centers, copy_sid=copy_sid,
                           copy_radii=copy_radii,
-                          source_copies=tuple(np.flatnonzero(g < TAU_BOUND)
-                                              for g in gap))
+                          sector_copies=tuple(sector_copies))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -185,32 +196,72 @@ def _next_collision(table, p, v, copies):
     return t[np.arange(len(p)), hit], copies[hit]
 
 
-def _blocks(mask):
-    """The indices where ``mask`` holds, in pieces of at most _BLOCK."""
-    rows = np.flatnonzero(mask)
-    return [rows[i:i + _BLOCK] for i in range(0, len(rows), _BLOCK)]
+def _cone_sectors(origin, points, reach):
+    """(sector, point) mask: True where the sector meets the cone of
+    directions within asin(reach / d) + _CONE_MARGIN of the direction from
+    ``origin`` to the point, d > 0 apart.  A forward flight from a point
+    at distance r of ``origin`` that passes within reach - r of the point
+    has its direction in that cone."""
+    rel = points - origin
+    d = np.hypot(rel[:, 0], rel[:, 1])
+    half = np.arcsin(np.minimum(reach / d, 1.0)) + _CONE_MARGIN
+    width = 2 * math.pi / _SECTORS
+    mid = (np.arange(_SECTORS) + 0.5) * width
+    beta = np.arctan2(rel[:, 1], rel[:, 0])
+    off = np.abs((beta[None, :] - mid[:, None] + math.pi) % (2 * math.pi)
+                 - math.pi)
+    return off <= half[None, :] + width / 2
+
+
+def _sector_runs(sid, ang, n_keys):
+    """The rays sorted by key sid * _SECTORS + direction sector of the
+    flight angle ``ang``: returns the stable sorting permutation and the
+    start of each key's run, with the end of the last appended."""
+    sector = np.floor(ang * (_SECTORS / (2 * math.pi))).astype(np.intp)
+    # a stable argsort of 16-bit keys is a radix sort
+    key = (sid * _SECTORS + sector % _SECTORS).astype(np.int16)
+    order = np.argsort(key, kind="stable")
+    bounds = np.zeros(n_keys + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=n_keys), out=bounds[1:])
+    return order, bounds
+
+
+def _run_blocks(bounds, lists):
+    """(rows, list) for each piece of at most _BLOCK sorted rays of each
+    key's run whose list is not empty."""
+    for key, items in enumerate(lists):
+        if len(items):
+            for lo in range(bounds[key], bounds[key + 1], _BLOCK):
+                yield slice(lo, min(lo + _BLOCK, bounds[key + 1])), items
 
 
 def _step_arrays(table, sid, phi, theta):
     """One collision step on parallel state arrays.
 
-    Each ray is tested against the copies reachable from its own scatterer
-    only.  Returns (sid', phi', theta', flight length, flight start, flight
-    dir, grazing mask)."""
+    Each ray is tested against the copies of its (scatterer, direction
+    sector) only.  Returns (sid', phi', theta', flight length, flight
+    start, flight dir, grazing mask, (order, bounds) of the sector runs)."""
     p, v = _states_to_rays(table, sid, phi, theta)
-    t = np.empty(len(p), dtype=p.dtype)
-    hit = np.empty(len(p), dtype=np.intp)
-    for s, copies in enumerate(table.source_copies):
-        for rows in _blocks(sid == s):
-            t[rows], hit[rows] = _next_collision(table, p[rows], v[rows],
-                                                 copies)
+    runs = _sector_runs(sid, phi + theta, len(table.sector_copies))
+    order, bounds = runs
+    # np.take: fancy indexing copies (n, 2) rows one element at a time
+    ps, vs = np.take(p, order, axis=0), np.take(v, order, axis=0)
+    # a ray with no copy to search keeps t = inf and fails the horizon check
+    ts = np.full(len(p), np.inf, dtype=p.dtype)
+    hits = np.zeros(len(p), dtype=np.intp)
+    for rows, copies in _run_blocks(bounds, table.sector_copies):
+        ts[rows], hits[rows] = _next_collision(table, ps[rows], vs[rows],
+                                               copies)
+    t = np.empty_like(ts)
+    hit = np.empty_like(hits)
+    t[order], hit[order] = ts, hits
     if not np.all(t < TAU_BOUND):
         raise InfiniteHorizonError(
             f"free flight of length >= {TAU_BOUND} found; the table does "
             "not have a verified finite horizon")
     q = p + t[:, None] * v
     dt = p.dtype
-    c_hit = table.copy_centers.astype(dt, copy=False)[hit]
+    c_hit = np.take(table.copy_centers.astype(dt, copy=False), hit, axis=0)
     sid2 = table.copy_sid[hit]
     rel = q - c_hit
     phi2 = np.arctan2(rel[:, 1], rel[:, 0])
@@ -222,7 +273,7 @@ def _step_arrays(table, sid, phi, theta):
     theta2 = np.arctan2(sin_t, cos_t)
     guard = max(TANGENT_GUARD, 64.0 * float(np.finfo(dt).eps))
     grazing = np.abs(cos_t) < guard
-    return sid2, phi2, theta2, t, p, v, grazing
+    return sid2, phi2, theta2, t, p, v, grazing, runs
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +357,9 @@ def _hole_families(table: BilliardTable, holes: Sequence[BilliardHole]):
     threshold (arc halfwidth, disk radius).  Returns a list of
     (kind, where, [(hole index, threshold), ...]): ``where`` is
     (scatterer, centre) for an arc family and, for a disk family, the
-    periodic copies of the centre that a flight from each scatterer can
-    come within the largest radius of; an empty hole is never entered.
+    periodic copies of the centre that a flight leaving each scatterer in
+    each direction sector (key s * _SECTORS + j) can come within the
+    largest radius of; an empty hole is never entered.
     """
     groups = {}
     for i, h in enumerate(holes):
@@ -324,22 +376,24 @@ def _hole_families(table: BilliardTable, holes: Sequence[BilliardHole]):
         where = key[1:]
         if key[0] == "disk":
             copies = _disk_copy_centers(np.array(key[1]))
-            # a flight stays within TAU_BOUND of the boundary it leaves
-            reach = TAU_BOUND + max(r for _, r in members)
-            dist = np.abs(np.linalg.norm(copies[:, None, :]
-                                         - table.centers[None, :, :], axis=2)
-                          - table.radii[None, :])
-            where = tuple(copies[d < reach] for d in dist.T)
+            radius = max(r for _, r in members)
+            where = []
+            for c, r in zip(table.centers, table.radii):
+                # a flight stays within TAU_BOUND of the boundary it leaves
+                near = copies[np.abs(np.linalg.norm(copies - c, axis=1) - r)
+                              < TAU_BOUND + radius]
+                where += [near[m] for m in _cone_sectors(c, near,
+                                                         r + radius)]
         families.append((key[0], where, members))
     return families
 
 
-def _approach(families, closest, idx, src, sid, phi, flight):
+def _approach(families, closest, idx, sid, phi, flight):
     """Lower each family's closest approach (``closest``, one row per
-    family) by one collision step of the trajectories ``idx``: ``src`` is
-    the scatterer each one left, (``sid``, ``phi``) the collision it ends at
-    and ``flight`` the (start, direction, length) of its segment, or None
-    for the initial collision."""
+    family) by one collision step of the trajectories ``idx``: (``sid``,
+    ``phi``) is the collision each one ends at and ``flight`` the (start,
+    direction, length, sector runs) of its segment from ``_step_arrays``,
+    or None for the initial collision."""
     for row, (kind, where, _) in zip(closest, families):
         if kind == "arc":
             scatterer, centre = where
@@ -348,12 +402,16 @@ def _approach(families, closest, idx, src, sid, phi, flight):
                           - math.pi)
             row[idx[on]] = np.minimum(row[idx[on]], dphi)
         elif kind == "disk" and flight is not None:
-            start, direction, length = flight
-            for s, copies in enumerate(where):
-                for on in _blocks(src == s):
-                    dist = _segment_center_distance(
-                        start[on], direction[on], length[on], copies)
-                    row[idx[on]] = np.minimum(row[idx[on]], dist)
+            start, direction, length, (order, bounds) = flight
+            start, direction = (np.take(start, order, axis=0),
+                                np.take(direction, order, axis=0))
+            length = length[order]
+            dist = np.full(len(order), np.inf, dtype=row.dtype)
+            for rows, copies in _run_blocks(bounds, where):
+                dist[rows] = _segment_center_distance(
+                    start[rows], direction[rows], length[rows], copies)
+            on = idx[order]
+            row[on] = np.minimum(row[on], dist)
 
 
 def nested_arc_holes(table: BilliardTable, scatterer: int, center: float,
@@ -415,18 +473,21 @@ def billiard_escape_multi(table: BilliardTable, holes: Sequence[BilliardHole],
         h.validate(table)
 
     def run_shards(seeds, sizes):
-        n = len(sizes)
-        args = ([table] * n, [holes] * n, [n_max] * n, seeds, sizes)
         workers = min(len(os.sched_getaffinity(0)), MC_SHARDS)
+        # one contiguous run of shards per worker
+        cuts = [len(sizes) * w // workers for w in range(workers + 1)]
+        runs = [(seeds[a:b], sizes[a:b]) for a, b in zip(cuts, cuts[1:])]
         if workers == 1:
-            return map(_simulate_shard, *args)
+            return [_simulate_shards(table, holes, n_max, *runs[0])]
         import concurrent.futures
         import multiprocessing
 
         fork = multiprocessing.get_context("fork")
         with concurrent.futures.ProcessPoolExecutor(
                 workers, mp_context=fork) as pool:
-            return list(pool.map(_simulate_shard, *args))
+            return list(pool.map(_simulate_shards, [table] * workers,
+                                 [holes] * workers, [n_max] * workers,
+                                 *zip(*runs)))
 
     estimates = sharded_mc_estimates(run_shards, samples, seed, n_max,
                                      "billiard_mc")
@@ -437,28 +498,55 @@ def billiard_escape_multi(table: BilliardTable, holes: Sequence[BilliardHole],
     return estimates
 
 
-def _simulate_shard(table, holes, n_max, seed_seq, size):
-    """Survival counts (holes, n_max+1) and flagged count of one shard of
-    ``size`` trajectories drawn from ``seed_seq``."""
+def _simulate_shards(table, holes, n_max, seed_seqs, sizes):
+    """Survival counts (holes, n_max+1) and flagged count, summed over the
+    shards of ``sizes[i]`` trajectories drawn from ``seed_seqs[i]``.
+
+    Each shard draws its states in pieces of at most _CHUNK; the pieces are
+    simulated in batches of _CHUNK trajectories that run across shard
+    boundaries.  A trajectory's path does not depend on its batch, and the
+    counts are integers, so their sum does not depend on the grouping."""
     families = _hole_families(table, holes)
-    rng = np.random.default_rng(seed_seq)
     counts = np.zeros((len(holes), n_max + 1), dtype=np.int64)
     flagged = 0
-    for done in range(0, size, _CHUNK):
-        c, fl = _simulate_chunk(table, families, len(holes),
-                                min(size - done, _CHUNK), n_max, rng)
+    for states in _batches(_pieces(table, seed_seqs, sizes)):
+        c, fl = _simulate_chunk(table, families, len(holes), n_max, *states)
         counts += c
         flagged += fl
     return counts, flagged
 
 
-def _simulate_chunk(table, families, n_holes, size, n_max, rng):
-    """Simulate one chunk of trajectories against all holes at once.
+def _pieces(table, seed_seqs, sizes):
+    """Each shard's stationary states, drawn from its own seed in pieces
+    of at most _CHUNK."""
+    for seed_seq, size in zip(seed_seqs, sizes):
+        rng = np.random.default_rng(seed_seq)
+        for done in range(0, size, _CHUNK):
+            yield sample_srb(table, min(size - done, _CHUNK), rng)
+
+
+def _batches(pieces):
+    """The states of ``pieces`` regrouped into batches of _CHUNK (the last
+    one shorter); at most two pieces are held at once."""
+    held, n = [], 0
+    for piece in pieces:
+        held.append(piece)
+        n += len(piece[0])
+        if n >= _CHUNK:
+            joined = [np.concatenate(a) for a in zip(*held)]
+            yield [a[:_CHUNK] for a in joined]
+            held, n = [[a[_CHUNK:] for a in joined]], n - _CHUNK
+    if n:
+        yield [np.concatenate(a) for a in zip(*held)]
+
+
+def _simulate_chunk(table, families, n_holes, n_max, sid, phi, theta):
+    """Simulate one batch of trajectories against all holes at once.
 
     The bulk simulation runs in float32: collision geometry is accurate to
     ~1e-6, far below the Monte Carlo error, and single precision halves the
     memory traffic of the dominant ray-circle sweep."""
-    sid, phi, theta = sample_srb(table, size, rng)
+    size = len(sid)
     phi, theta = phi.astype(np.float32), theta.astype(np.float32)
     valid = np.ones(size, dtype=bool)
     closest = np.full((len(families), size), np.inf, dtype=phi.dtype)
@@ -472,7 +560,7 @@ def _simulate_chunk(table, families, n_holes, size, n_max, rng):
                                                 & valid)
 
     # a start inside an arc hole counts as in it at n = 0
-    _approach(families, closest, idx, None, sid, phi, None)
+    _approach(families, closest, idx, sid, phi, None)
     tally(0)
     for n in range(1, n_max + 1):
         # keep only trajectories outside some hole
@@ -482,12 +570,11 @@ def _simulate_chunk(table, families, n_holes, size, n_max, rng):
         idx = idx[need & valid[idx]]
         if len(idx) == 0:
             break
-        src = sid[idx]
-        sid2, phi2, theta2, t, p0, v0, grazing = _step_arrays(
-            table, src, phi[idx], theta[idx])
+        sid2, phi2, theta2, t, p0, v0, grazing, runs = _step_arrays(
+            table, sid[idx], phi[idx], theta[idx])
         sid[idx], phi[idx], theta[idx] = sid2, phi2, theta2
         valid[idx[grazing]] = False
-        _approach(families, closest, idx, src, sid2, phi2, (p0, v0, t))
+        _approach(families, closest, idx, sid2, phi2, (p0, v0, t, runs))
         tally(n)
     flagged = int(np.count_nonzero(~valid))
     return counts, flagged
@@ -522,7 +609,8 @@ def theta_chi2(table: BilliardTable, samples: int, seed: int):
         size = min(remaining, _CHUNK)
         remaining -= size
         sid, phi, theta = sample_srb(table, size, rng)
-        _, _, theta2, _, _, _, grazing = _step_arrays(table, sid, phi, theta)
+        _, _, theta2, _, _, _, grazing, _ = _step_arrays(table, sid, phi,
+                                                         theta)
         keep = theta2[~grazing]
         observed += np.histogram(keep, bins=edges)[0]
         total += len(keep)
@@ -543,7 +631,8 @@ def _collision_step_mp(table: BilliardTable, sid: int, phi, theta):
     ang = phi + theta
     vx, vy = mp.cos(ang), mp.sin(ang)
     best = None
-    for k in table.source_copies[sid]:
+    sector = int(mp.floor(ang * _SECTORS / (2 * mp.pi))) % _SECTORS
+    for k in table.sector_copies[sid * _SECTORS + sector]:
         cc, rr, hid = (table.copy_centers[k], table.copy_radii[k],
                        table.copy_sid[k])
         qx = px - mp.mpf(float(cc[0]))

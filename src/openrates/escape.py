@@ -120,11 +120,14 @@ def sharded_mc_estimates(run_shards: Callable, samples: int, seed: int,
     shards, reduced in shard order, so the result depends on the seed only.
 
     ``run_shards(seed_seqs, sizes)`` runs shard i on ``sizes[i]``
-    trajectories drawn from ``seed_seqs[i]`` and yields, in shard order,
-    (survival counts, flagged count); the counts have shape (n_max+1,) or,
-    for several holes on shared trajectories, (holes, n_max+1).  Returns one
-    estimate per hole, with the binomial error propagated through the
-    least-squares slope, fitted over ``default_window(n_max)``.
+    trajectories drawn from ``seed_seqs[i]`` and yields (survival counts,
+    flagged count) summed over consecutive runs of shards that together
+    cover them all, e.g. one per shard or one per worker; the integer
+    counts have shape (n_max+1,) or, for several holes on shared
+    trajectories, (holes, n_max+1), and their total does not depend on how
+    the shards are grouped.  Returns one estimate per hole, with the
+    binomial error propagated through the least-squares slope, fitted over
+    ``default_window(n_max)``.
     """
     n_lo, n_hi = window = default_window(n_max)
     shard_sizes = [samples // MC_SHARDS] * MC_SHARDS

@@ -28,6 +28,11 @@ class HoleKindError(ValueError):
     """Hole structure incompatible with the requested operation."""
 
 
+class TiedClassesError(HoleKindError):
+    """Two strongly connected classes share the spectral radius, so the
+    dominant Perron vector is not unique."""
+
+
 # ---------------------------------------------------------------------------
 # torus geometry helpers
 
@@ -408,28 +413,21 @@ def survivor_transition_matrix(sys: OpenSystem, k: int):
     return A, states
 
 
-def perron(A):
-    """Perron root and vectors of the unique dominant strongly connected
-    class of a nonnegative matrix.
+def _leading(M):
+    # eigenvalue of largest real part: a periodic class has others of the
+    # same modulus
+    evals, evecs = np.linalg.eig(M)
+    i = int(np.argmax(np.real(evals)))
+    vec = np.real(evecs[:, i])
+    return float(np.real(evals[i])), vec if vec.sum() > 0 else -vec
 
-    The spectral radius is the largest Perron root over the strongly
-    connected classes (sets of mutually reachable states) that carry a
-    cycle.  Returns (root, right, left): the right and left Perron vectors
-    of the dominant class, strictly positive on it and zero elsewhere, in
-    the state order of ``A``.  Raises HoleKindError when no class carries a
-    cycle (an empty subshift) or when two classes tie within a relative
-    1e-12.
-    """
+
+def _cyclic_classes(A):
+    """(Perron root, right Perron vector, indices, submatrix) of each
+    strongly connected class (set of mutually reachable states) of the
+    nonnegative matrix ``A`` that carries a cycle, largest root first.
+    Raises HoleKindError when there is none (an empty subshift)."""
     A = np.asarray(A, dtype=float)
-
-    def leading(M):
-        # eigenvalue of largest real part: a periodic class has others of
-        # the same modulus
-        evals, evecs = np.linalg.eig(M)
-        i = int(np.argmax(np.real(evals)))
-        vec = np.real(evecs[:, i])
-        return float(np.real(evals[i])), vec if vec.sum() > 0 else -vec
-
     # classes from the transitive closure; importing scipy.sparse.csgraph
     # would pull scipy.linalg into every process (measured 11 MB of peak
     # RSS and 0.1 s of import on a 2-core x86 VM)
@@ -445,19 +443,38 @@ def perron(A):
         idx = np.flatnonzero(cls)
         sub = A[np.ix_(idx, idx)]
         if sub.any():
-            classes.append((*leading(sub), idx, sub))
+            classes.append((*_leading(sub), idx, sub))
     if not classes:
         raise HoleKindError(
             "survivor subshift is empty: no strongly connected class "
             "carries a cycle")
     classes.sort(key=lambda c: -c[0])
+    return classes
+
+
+def spectral_radius(A) -> float:
+    """Spectral radius of a nonnegative matrix: the largest Perron root
+    over its cyclic classes, whether or not another class ties with it."""
+    return _cyclic_classes(A)[0][0]
+
+
+def perron(A):
+    """Perron root and vectors of the unique dominant strongly connected
+    class of a nonnegative matrix.
+
+    Returns (root, right, left): the right and left Perron vectors of the
+    dominant class, strictly positive on it and zero elsewhere, in the state
+    order of ``A``.  Raises HoleKindError when no class carries a cycle (an
+    empty subshift) or when two classes tie within a relative 1e-12.
+    """
+    classes = _cyclic_classes(A)
     lam, u, idx, sub = classes[0]
     if len(classes) > 1 and classes[1][0] >= lam * (1.0 - 1e-12):
-        raise HoleKindError(
+        raise TiedClassesError(
             f"two strongly connected classes tie at spectral radius {lam!r}: "
             "no unique Perron vector, hence no Parry chain with finite "
             "entries")
-    _, v = leading(sub.T)
+    _, v = _leading(sub.T)
     if not (np.all(u > 0) and np.all(v > 0)):
         raise HoleKindError("Perron vector of the dominant class is not "
                             "strictly positive")

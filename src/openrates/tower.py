@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .pressure import entropy_markov
-from .systems import (_is_number, _is_numbers, _reject_unknown, doob_chain,
-                      perron)
+from .systems import (TiedClassesError, _is_number, _is_numbers,
+                      _reject_unknown, doob_chain, spectral_radius)
 
 
 class NoRootError(RuntimeError):
@@ -111,7 +111,8 @@ def _spectral_radius_at(T: TowerSpec, r: float) -> float:
     w = _weights(T, r)
     if T.transition is None:
         return float(np.sum(w))
-    return perron(T.transition * w[None, :])[0]
+    # only the root: the bisection needs no unique dominant class
+    return spectral_radius(T.transition * w[None, :])
 
 
 def tower_eigenvalue(T: TowerSpec) -> float:
@@ -160,7 +161,12 @@ def gibbs_chain(T: TowerSpec, r: float):
     k = len(w)
     if T.transition is None:
         return w, np.tile(w, (k, 1))
-    idx, Q, q = doob_chain(T.transition * w[None, :])
+    try:
+        idx, Q, q = doob_chain(T.transition * w[None, :])
+    except TiedClassesError:
+        raise TiedClassesError(
+            f"the tower's Gibbs measure at r = {r!r} is not unique: two "
+            "classes of the transition tie at Perron root 1") from None
     pi, P = np.zeros(k), np.zeros((k, k))
     pi[idx] = q
     P[np.ix_(idx, idx)] = Q

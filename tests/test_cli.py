@@ -429,6 +429,17 @@ def test_tower_reducible_transition_weights(tmp_path, transition, j_a, j_b,
     assert (tw["gurevich_max_abs"] is None) == (transition[0][0] == 0)
 
 
+def test_tower_tied_classes_names_gibbs_measure(tmp_path, capsys):
+    # the root r = 1/2 exists, but both classes carry the Gibbs measure
+    cfg = {"tower": {**TOWER, "transition": [[1, 1], [0, 1]]}}
+    out = tmp_path / "tower"
+    assert main(["tower", "--config", str(_write(tmp_path, cfg)),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the tower's Gibbs measure at r = 0.5")
+    assert "is not unique" in err and "Parry" not in err
+
+
 def test_pressure_subcommand_verdict(tmp_path):
     cfg = json.loads(json.dumps(GOLDEN))
     cfg["escape"]["methods"] = ["words"]

@@ -45,6 +45,15 @@ def test_no_unholed_branch_raises():
         T.tower_eigenvalue(spec)
 
 
+def test_eigenvalue_tied_classes():
+    # the golden branches with A feeding B: the loops at A and at B are two
+    # classes whose weights 1/(2r) and 1/(4r^2) both reach 1 at r = 1/2
+    gm = T.golden_mean_tower()
+    spec = T.TowerSpec(branches=gm.branches, C0=1.0, theta0=0.5,
+                       transition=np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert T.tower_eigenvalue(spec) == pytest.approx(0.5, abs=1e-14)
+
+
 def test_gibbs_weights_golden(gm):
     r = T.tower_eigenvalue(gm)
     pi, P = T.gibbs_chain(gm, r)
