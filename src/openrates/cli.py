@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import billiard as billiard_mod
+from . import dynballs as dynballs_mod
 from . import escape as escape_mod
 from . import pressure as pressure_mod
 from . import tower as tower_mod
@@ -108,6 +109,9 @@ def _resolve(cfg) -> dict:
     resolved.update({name: _section(cfg.get(name, {}), defaults,
                                     f"{name} config")
                      for name, defaults in _DEFAULTS.items()})
+    for name, key in (("ulam", "resolution"), ("balls", "eps")):
+        if not resolved[name][key] > 0:
+            raise ConfigError(f"{key} in {name} config must be positive")
     return resolved
 
 
@@ -284,8 +288,6 @@ def cmd_pressure(cfg, out_dir, seed):
 
 
 def cmd_balls(cfg, out_dir, seed):
-    from . import dynballs as db
-
     sys_obj = system_from_config(cfg["system"])
     bcfg = cfg["balls"]
     eps = float(bcfg["eps"])
@@ -301,8 +303,9 @@ def cmd_balls(cfg, out_dir, seed):
                               "of the map: one number in 1D, two in 2D")
         c = np.asarray(center, dtype=float) if sys_obj.dimension == 2 \
             else float(center)
-        slope, masses = db.ball_slope(sys_obj, c, eps, bcfg["n_values"],
-                                      samples=int(bcfg["samples"]), rng=rng)
+        slope, masses = dynballs_mod.ball_slope(
+            sys_obj, c, eps, bcfg["n_values"], samples=int(bcfg["samples"]),
+            rng=rng)
         rows.append({"center": center, "slope": slope, "masses": masses})
     return {"balls": {"eps": eps, "results": rows}}, 0
 
@@ -430,6 +433,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, KeyError, OSError,
             escape_mod.InsufficientSurvivorsError,
             escape_mod.DegenerateFitError, ulam_mod.ConvergenceError,
+            dynballs_mod.ZeroCountError,
             tower_mod.NoRootError, tower_mod.DivergenceError,
             billiard_mod.InfiniteHorizonError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

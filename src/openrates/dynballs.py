@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import OpenSystem, orbit_tableau, torus_dist
+from .systems import OpenSystem, _mod1, orbit_tableau, torus_dist
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,9 @@ def ball_measure(sys: OpenSystem, spec: BallSpec, samples: int = 20000,
 
     u = rng.uniform(-1.0, 1.0, size=(samples, dim)) * widths[None, :]
     if dim == 1:
-        ys = (np.asarray(x) + u[:, 0]) % 1.0
+        ys = _mod1(np.asarray(x) + u[:, 0])
     else:
-        ys = (np.asarray(x)[None, :] + u @ axes.T) % 1.0
+        ys = _mod1(np.asarray(x)[None, :] + u @ axes.T)
 
     hits = _count_members(sys, orbit, g_vals, ys, spec)
     if hits < 30:

@@ -36,11 +36,24 @@ class TiedClassesError(HoleKindError):
 # ---------------------------------------------------------------------------
 # torus geometry helpers
 
-# |a - b| mod 1 goes through np.fmod: on non-negative operands it equals
-# np.remainder (the % operator) bit for bit and skips its sign fix-up.
+def _mod1(x):
+    """x mod 1 as ``x - floor(x)``, written into ``x`` when it is a float
+    array: pass a fresh array (or a scalar, which is copied).
+
+    For every finite x this is the one rounding of the same real number that
+    ``x % 1.0`` gives (numpy's fmod, plus 1 where the signs differ), so the
+    two agree bit for bit, +0.0 at integers and at -0.0 included, and both
+    give NaN at +-inf and NaN; the subtraction costs a fraction of either
+    remainder routine.  Private because it is an element-wise kernel of its
+    callers: perfbench's tracer wraps public functions, and a span per call
+    would cost more than the call."""
+    x = np.asarray(x, dtype=float)
+    x -= np.floor(x)
+    return x
+
 
 def torus_dist_1d(a, b):
-    d = np.fmod(np.abs(np.asarray(a) - np.asarray(b)), 1.0)
+    d = _mod1(np.abs(np.asarray(a) - np.asarray(b)))
     return np.minimum(d, 1.0 - d)
 
 
@@ -51,7 +64,7 @@ def torus_dist_2d(a, b):
     axis."""
     d = np.subtract(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     np.abs(d, out=d)
-    np.fmod(d, 1.0, out=d)
+    _mod1(d)
     np.minimum(d, 1.0 - d, out=d)
     d *= d
     return np.sqrt(d[..., 0] + d[..., 1])
@@ -105,7 +118,7 @@ def adic_map(m: int) -> MapModel:
 
     return MapModel(
         dimension=1,
-        step_many=lambda xs: (mf * np.asarray(xs)) % 1.0,
+        step_many=lambda xs: _mod1(mf * np.asarray(xs)),
         derivative=_constant_derivative(np.array([[mf]])),
         singularity_distance=_no_singularities,
         reference_density=_lebesgue,
@@ -146,7 +159,7 @@ def cat_map() -> MapModel:
 
     return MapModel(
         dimension=2,
-        step_many=lambda ps: (np.asarray(ps, dtype=float) @ A.T) % 1.0,
+        step_many=lambda ps: _mod1(np.asarray(ps, dtype=float) @ A.T),
         derivative=_constant_derivative(A),
         singularity_distance=_no_singularities,
         reference_density=_lebesgue,
@@ -157,8 +170,9 @@ def cat_map() -> MapModel:
 def baker_map() -> MapModel:
     def f_many(ps):
         ps = np.asarray(ps, dtype=float)
-        b = np.floor(2.0 * ps[:, 0])
-        return np.column_stack([(2.0 * ps[:, 0]) % 1.0, (ps[:, 1] + b) / 2.0])
+        x2 = 2.0 * ps[:, 0]
+        b = np.floor(x2)
+        return np.column_stack([x2 - b, (ps[:, 1] + b) / 2.0])
 
     return MapModel(
         dimension=2,
@@ -237,7 +251,7 @@ def _interval_hole(intervals, kind, **meta):
             inside |= (a < xs) & (xs < b)
         return inside
 
-    endpoints = np.unique(np.concatenate([lo, hi])) % 1.0
+    endpoints = _mod1(np.unique(np.concatenate([lo, hi])))
 
     def boundary_distance(xs):
         xs = np.asarray(xs, dtype=float)
@@ -657,6 +671,8 @@ def hole_from_config(cfg: dict) -> HoleSpec:
         if not (_is_numbers(cfg["center"], 2) and _is_number(cfg["radius"])):
             raise ValueError(
                 "hole center must be two numbers and hole radius a number")
+        if not cfg["radius"] > 0:
+            raise ValueError("hole radius must be positive")
         return ball_hole_2d(cfg["center"], cfg["radius"])
     if cfg.get("dimension", 1) not in (1, 2):
         raise ValueError("hole dimension must be 1 or 2")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .systems import OpenSystem
+from .systems import OpenSystem, _mod1
 
 
 class ConvergenceError(RuntimeError):
@@ -156,7 +156,7 @@ def _assemble_exact_1d(sys: OpenSystem, n: int):
     edges = np.arange(1, n) / n
     mism = []
     for a, b in sys.hole.meta.get("intervals", []):
-        for e in (a % 1.0, b % 1.0):
+        for e in _mod1([a, b]).tolist():
             if not np.any(np.isclose(edges, e, atol=1e-12)) and e not in (0.0,):
                 mism.append(e)
     if mism:

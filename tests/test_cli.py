@@ -277,6 +277,19 @@ def test_unknown_config_key(tmp_path, capsys):
     # only the depth-1 and depth-2 weights are read, so depth is not a key
     ("tower", lambda c: c.update(tower=TOWER, tower_options={"depth": 3}),
      "error: unknown keys ['depth'] in tower_options config"),
+    # a grid size, a ball radius and a hole radius must be positive
+    ("ulam", lambda c: c["ulam"].update(resolution=0),
+     "error: resolution in ulam config must be positive"),
+    ("ulam", lambda c: c["ulam"].update(resolution=-4),
+     "error: resolution in ulam config must be positive"),
+    ("balls", lambda c: c.update(balls={"eps": -0.1}),
+     "error: eps in balls config must be positive"),
+    ("ulam", lambda c: c["system"].update(map={"name": "cat"}, hole={
+        "kind": "region_2d", "center": [0.5, 0.5], "radius": -0.1}),
+     "error: hole radius must be positive"),
+    # a valid config whose ball envelope cannot hold 30 hits
+    ("balls", lambda c: c.update(balls={"samples": 10}),
+     "error: only 5 hits in the envelope; increase samples or eps"),
 ])
 def test_unknown_section_key_exits_1(tmp_path, capsys, command, edit,
                                      message):

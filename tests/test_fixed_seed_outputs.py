@@ -15,11 +15,13 @@ from openrates import billiard as B
 from openrates import dynballs as D
 from openrates import pressure as P
 from openrates import ulam as U
-from openrates.systems import (OpenSystem, baker_map, ball_hole_2d, cat_map,
-                               cylinder_union_hole, doubling_map,
-                               evolve_survivors, sample_survivor_points)
+from openrates.systems import (OpenSystem, adic_map, baker_map, ball_hole_2d,
+                               cat_map, cylinder_union_hole, doubling_map,
+                               empty_hole, evolve_survivors,
+                               sample_survivor_points)
 
 GOLDEN = OpenSystem(doubling_map(), cylinder_union_hole(2, 2, [(1, 1)]))
+FIVE = OpenSystem(adic_map(5), cylinder_union_hole(5, 2, [(1, 3), (4, 0)]))
 HOLE = ball_hole_2d((0.25, 0.75), 0.1)
 CAT = OpenSystem(cat_map(), HOLE)
 BAKER = OpenSystem(baker_map(), HOLE)
@@ -54,6 +56,58 @@ def test_brin_katok_cat_pinned():
     assert out == (0.8909022081393679, 0.014717689221409789,
                    [(0.15, 0.9145626037402519, 0.010327140174710911),
                     (0.1, 0.8909022081393679, 0.014717689221409789)])
+
+
+# the three pins below were recorded with the `% 1.0` map steps, torus
+# distances and ball sampler that systems._mod1 replaced
+
+def test_brin_katok_baker_pinned():
+    out = P.entropy_brin_katok(BAKER, _cloud(BAKER, 35),
+                               eps_list=(0.15, 0.1), n_max=8, centers=20,
+                               rng=np.random.default_rng(36))
+    assert out == (0.6696096666763127, 0.010508883922477664,
+                   [(0.15, 0.6768062540041773, 0.00956014672235852),
+                    (0.1, 0.6696096666763127, 0.010508883922477664)])
+
+
+@pytest.mark.parametrize("sys_obj, shape, counts, digest", [
+    (FIVE, (30_000,),
+     [27643, 25186, 22964, 20991, 19132, 17502, 15987, 14571, 13283, 12101,
+      11069, 10067, 9202],
+     "82f3bcf2895b518c0bb1f2e3572f43055bab1134c3283b72427db609f31873ca"),
+    (CAT, (30_000, 2),
+     [29027, 28062, 27105, 26265, 25454, 24666, 23873, 23132, 22380, 21672,
+      20952, 20263, 19631],
+     "e232093894165ed695221708fd653678a3b483123d4f26304cad75ff607270f6"),
+    (BAKER, (30_000, 2),
+     [29027, 28111, 27361, 26619, 25914, 25172, 24522, 23863, 23213, 22614,
+      21989, 21336, 20699],
+     "750d34691d434b66dd00560812adb055751cc8301bca3c96f2333a20f26c6a7f"),
+], ids=["5-adic", "cat", "baker"])
+def test_evolve_survivors_pinned(sys_obj, shape, counts, digest):
+    start = np.random.default_rng(31).random(shape)
+    out, flagged, final = evolve_survivors(sys_obj, start, 12)
+    assert out.tolist() == counts
+    assert flagged == 0
+    assert hashlib.sha256(final.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "sys_obj, center, n_values, samples, seed, expected", [
+    (OpenSystem(doubling_map(), empty_hole(1)), 0.3137, [4, 6, 8], 10_000, 33,
+     (0.6931471805599458, [(4, 0.004166666666666667),
+                           (6, 0.0010416666666666667),
+                           (8, 0.00026041666666666666)])),
+    (CAT, np.array([0.61, 0.37]), [3, 5, 7], 20_000, 34,
+     (0.9620608870523792, [(3, 0.0002473212634237334),
+                           (5, 3.613427655486916e-05),
+                           (7, 5.2721835095210094e-06)])),
+], ids=["doubling", "cat"])
+def test_ball_slope_pinned(sys_obj, center, n_values, samples, seed,
+                           expected):
+    out = D.ball_slope(sys_obj, center, 0.1, n_values, samples=samples,
+                       rng=np.random.default_rng(seed))
+    assert out == expected
 
 
 @pytest.mark.parametrize("sys_obj, seeds, expected", [

@@ -125,6 +125,61 @@ def test_torus_dist_bit_equal_to_broadcast_formula():
         assert _bit_equal(S.torus_dist_2d(a, b), _torus_dist_2d_ref(a, b))
 
 
+def _mod1_grid():
+    """Edge values of a mod-1 reduction, both signs, then 1e5 uniform draws
+    on [-3, 3) and their images under x -> m x for m = 2, 3, 5."""
+    edges = [0.0, np.nextafter(0.0, 1.0), 2.0 ** -1030, 1e-300,
+             np.nextafter(1.0, 0.0), np.nextafter(0.5, 0.0),
+             np.nextafter(0.5, 1.0), 2.0 ** 53, 1e300, np.inf,
+             *(2.0 ** 52 + d for d in (-1.0, -0.5, 0.0, 0.5, 1.0)),
+             *range(1, 8)]
+    u = np.random.default_rng(17).uniform(-3.0, 3.0, 100_000)
+    return np.concatenate([edges, np.negative(edges), [np.nan],
+                           u, 2.0 * u, 3.0 * u, 5.0 * u])
+
+
+def _same_bits(x, y):
+    """Equal int64 bit patterns wherever x is a number, NaN at the same
+    places (the bits of a NaN are left free)."""
+    x, y = np.asarray(x), np.asarray(y)
+    nan = np.isnan(x)
+    return x.shape == y.shape and x.dtype == y.dtype == np.float64 and \
+        np.array_equal(nan, np.isnan(y)) and \
+        np.array_equal(x[~nan].view(np.int64), y[~nan].view(np.int64))
+
+
+def test_mod1_bit_equal_to_remainder():
+    x = _mod1_grid()
+    fresh = x.copy()
+    with np.errstate(invalid="ignore"):      # +-inf reduce to NaN
+        ref = x % 1.0
+        out = S._mod1(fresh)
+    assert out is fresh                      # a fresh float array is reused
+    assert _same_bits(out, ref)
+    # 0-d input, as torus_dist_1d passes for two scalars
+    for v in (2.75, -0.25, -0.0, -3.0, np.float64(np.nextafter(1.0, 0.0))):
+        out = S._mod1(v)
+        assert out.shape == ()
+        assert _same_bits(out.reshape(1), np.array([v % 1.0]))
+
+
+def test_step_many_bit_equal_to_remainder_formula():
+    # the formulas the maps used before reducing with x - floor(x)
+    x = _mod1_grid()
+    pts = np.column_stack([x, np.roll(x, 7)])
+    unit = pts[np.all((0.0 <= pts) & (pts < 1.0), axis=1)]
+    with np.errstate(invalid="ignore"):
+        for m in (2, 3, 5):
+            assert _same_bits(S.adic_map(m).step_many(x), (m * x) % 1.0)
+        assert _same_bits(S.cat_map().step_many(pts),
+                          (pts @ S.CAT_MATRIX.T) % 1.0)
+    # the baker map is defined on the unit square only
+    assert len(unit) > 1000
+    assert _same_bits(S.baker_map().step_many(unit), np.column_stack([
+        (2.0 * unit[:, 0]) % 1.0,
+        (unit[:, 1] + np.floor(2.0 * unit[:, 0])) / 2.0]))
+
+
 # ---------------------------------------------------------------------------
 # holes
 
