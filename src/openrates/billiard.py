@@ -101,6 +101,11 @@ def build_table(scatterers=DEFAULT_SCATTERERS, validation_rays: int = 1_000_000,
     if np.any(radii <= 0):
         raise TableGeometryError("radii must be positive")
     _check_disjoint(centers, radii)
+    # tau_max is the longest validation flight: with no ray it would read
+    # 0.0, shorter than any flight
+    if validation_rays < 1:
+        raise ValueError(f"validation_rays must be at least 1, got "
+                         f"{validation_rays}")
 
     span = range(-_COPY_RANGE, _COPY_RANGE + 1)
     offs = np.array([(i, j) for i in span for j in span], dtype=float)

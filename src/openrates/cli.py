@@ -109,8 +109,12 @@ def _resolve(cfg) -> dict:
     resolved.update({name: _section(cfg.get(name, {}), defaults,
                                     f"{name} config")
                      for name, defaults in _DEFAULTS.items()})
-    for name, key in (("ulam", "resolution"), ("balls", "eps")):
-        if not resolved[name][key] > 0:
+    if resolved["escape"]["resolution"] is not None:
+        _check_integer(resolved["escape"]["resolution"],
+                       "resolution in escape config")
+    for name, key in (("ulam", "resolution"), ("balls", "eps"),
+                      ("escape", "resolution")):
+        if resolved[name][key] is not None and not resolved[name][key] > 0:
             raise ConfigError(f"{key} in {name} config must be positive")
     return resolved
 

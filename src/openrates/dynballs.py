@@ -129,6 +129,11 @@ def ball_slope(sys: OpenSystem, center, eps: float, n_values,
 
     Returns (slope, [(n, mass), ...]); the volume estimate bounds the slope
     by the positive Lyapunov exponent sum."""
+    # a line through fewer than two horizons has no slope
+    if not (all(n >= 0 and float(n).is_integer() for n in n_values)
+            and len(set(n_values)) >= 2):
+        raise ValueError("n_values must hold at least two distinct "
+                         f"non-negative integers, got {list(n_values)}")
     if rng is None:
         rng = np.random.default_rng(2)
     rows = []

@@ -144,26 +144,43 @@ def entropy_brin_katok(sys: OpenSystem, samples: np.ndarray,
     sing = sys.map.singularity_distance(
         orbits[:, center_idx].reshape((-1,) + samples.shape[1:])).reshape(
         n_max + 1, len(center_idx))
+    # cutoff g_hat = min(eps, d(., S)) at each center, shape (len(eps_list),
+    # n_max + 1, centers); it grows with eps, so at every step each eps's
+    # ball lies inside the ball of the largest one
+    cutoff = np.minimum(np.asarray(eps_list, dtype=float)[:, None, None],
+                        sing)
+    big = int(np.argmax(eps_list))
+    counts = [[[] for _ in center_idx] for _ in eps_list]
+    for k, ci in enumerate(center_idx):
+        # indices still inside the largest ball (leave-one-out drops the
+        # center), and for each smaller eps still counting, which of them
+        # are inside its ball
+        close = np.delete(np.arange(nsamp), ci)
+        inside = {e: np.ones(len(close), dtype=bool)
+                  for e in range(len(eps_list)) if e != big}
+        for i in range(n_max + 1):
+            d = torus_dist(orbits[i, close], orbits[i, ci], dim)
+            keep = d < cutoff[big, i, k]
+            close, d = close[keep], d[keep]
+            counts[big][k].append(len(close))
+            # each eps stops at its first count below MIN_BALL_COUNT; the
+            # largest stops last
+            for e in list(inside):
+                inside[e] = inside[e][keep] & (d < cutoff[e, i, k])
+                counts[e][k].append(np.count_nonzero(inside[e]))
+                if counts[e][k][-1] < MIN_BALL_COUNT:
+                    del inside[e]
+            if len(close) < MIN_BALL_COUNT:
+                break
     per_eps = []
-    for eps in eps_list:
-        # cutoff g_hat = min(eps, d(., S)) at each center
-        cutoff = np.minimum(eps, sing)
+    for eps, eps_counts in zip(eps_list, counts):
         slopes = []
-        for k, ci in enumerate(center_idx):
-            # indices still inside the ball; leave-one-out drops the center
-            close = np.delete(np.arange(nsamp), ci)
-            counts = []
-            for i in range(n_max + 1):
-                d = torus_dist(orbits[i, close], orbits[i, ci], dim)
-                close = close[d < cutoff[i, k]]
-                counts.append(len(close))
-                if counts[-1] < MIN_BALL_COUNT:
-                    break
-            ns = np.arange(len(counts))
-            ok = np.array(counts) >= MIN_BALL_COUNT
+        for cnt in eps_counts:
+            ns = np.arange(len(cnt))
+            ok = np.array(cnt) >= MIN_BALL_COUNT
             if np.count_nonzero(ok) < 3:
                 continue
-            y = -np.log(np.array(counts, dtype=float)[ok] / nsamp)
+            y = -np.log(np.array(cnt, dtype=float)[ok] / nsamp)
             slope, _ = np.polyfit(ns[ok].astype(float), y, 1)
             slopes.append(slope)
         if len(slopes) < max(5, len(center_idx) // 4):

@@ -10,11 +10,17 @@ modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .systems import OpenSystem, _mod1
+
+if TYPE_CHECKING:
+    # scipy.sparse is imported where a matrix is built, so a process that
+    # builds none never loads it (on numpy 2.4 / scipy 1.17 it pulls in
+    # numpy.f2py, numpy.testing and numpy.ma: ~0.2 s and ~11 MB)
+    import scipy.sparse as sp
 
 
 class ConvergenceError(RuntimeError):
@@ -145,6 +151,8 @@ class SpectralData:
 
 def _assemble_exact_1d(sys: OpenSystem, n: int):
     """Exact geometry for piecewise-linear full-branch m-adic maps."""
+    import scipy.sparse as sp
+
     m = sys.map.branch_count
     if n % m != 0 and n != 1:
         raise ValueError(
@@ -186,6 +194,8 @@ def _assemble_quadrature(sys: OpenSystem, n: int):
     O(nnz + block) rather than O(n^dim * 8^dim).  A row's entry is
     count / 8^dim, which equals the sum of count copies of 1 / 8^dim exactly
     (a power of two)."""
+    import scipy.sparse as sp
+
     dim = sys.map.dimension
     s = 8
     ncells = n ** dim
@@ -389,6 +399,8 @@ def doob_transform(U: UlamOperator, S: SpectralData) -> sp.csr_matrix:
 
     Q[i, j] = P[i, j] * u_j / (r * u_i) on cells where the survival function
     u is positive; the survivor measure is Q-stationary."""
+    import scipy.sparse as sp
+
     u = S.left
     lam = S.eigenvalue
     pos = u > 1e-14 * np.max(u)

@@ -18,6 +18,12 @@ def test_sparse_table_has_infinite_horizon():
         B.build_table((((0.5, 0.5), 0.1),), validation_rays=20_000)
 
 
+def test_table_needs_a_validation_ray():
+    # with no flight, tau_max read 0.0, below every flight
+    with pytest.raises(ValueError, match="validation_rays"):
+        B.build_table(validation_rays=0)
+
+
 def test_tau_max_below_bound(small_table):
     assert 0 < small_table.tau_max < 1.5
 

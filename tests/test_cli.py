@@ -41,6 +41,12 @@ def _tower(**branch_a):
     return tower
 
 
+# the cat map with the r = 0.1 ball hole
+_CAT_BALL = {"map": {"name": "cat"},
+             "hole": {"kind": "region_2d", "shape": "ball",
+                      "center": [0.25, 0.75], "radius": 0.1}}
+
+
 def _write(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -287,6 +293,32 @@ def test_unknown_config_key(tmp_path, capsys):
     ("ulam", lambda c: c["system"].update(map={"name": "cat"}, hole={
         "kind": "region_2d", "center": [0.5, 0.5], "radius": -0.1}),
      "error: hole radius must be positive"),
+    # escape.resolution is null or a positive integer
+    ("escape", lambda c: c.update(escape={"methods": ["grid"],
+                                          "resolution": 0}),
+     "error: resolution in escape config must be positive"),
+    ("escape", lambda c: c.update(system=_CAT_BALL, escape={
+        "methods": ["grid"], "resolution": 2.5}),
+     "error: resolution in escape config must be an integer"),
+    ("escape", lambda c: c.update(system=_CAT_BALL, escape={
+        "methods": ["grid"], "resolution": -4}),
+     "error: resolution in escape config must be positive"),
+    # a slope needs two distinct horizons, none of them negative
+    ("balls", lambda c: c.update(balls={"n_values": []}),
+     "error: n_values must hold at least two distinct non-negative "
+     "integers, got []"),
+    ("balls", lambda c: c.update(balls={"n_values": [-1, 3]}),
+     "error: n_values must hold at least two distinct non-negative "
+     "integers, got [-1, 3]"),
+    ("balls", lambda c: c.update(balls={"n_values": [3]}),
+     "error: n_values must hold at least two distinct non-negative "
+     "integers, got [3]"),
+    ("balls", lambda c: c.update(balls={"n_values": [5, 5, 5]}),
+     "error: n_values must hold at least two distinct non-negative "
+     "integers, got [5, 5, 5]"),
+    # tau_max is the longest validation flight, so it needs one
+    ("billiard", lambda c: c.update(billiard={"validation_rays": 0}),
+     "error: validation_rays must be at least 1, got 0"),
     # a valid config whose ball envelope cannot hold 30 hits
     ("balls", lambda c: c.update(balls={"samples": 10}),
      "error: only 5 hits in the envelope; increase samples or eps"),

@@ -75,6 +75,14 @@ def test_slope_cat(closed_cat):
     assert slope == pytest.approx(LAMBDA_CAT, abs=0.05)
 
 
+@pytest.mark.parametrize("n_values", [[], [-1, 3], [3], [5, 5, 5]])
+def test_slope_needs_two_distinct_horizons(closed_doubling, n_values):
+    # [] and [-1, 3] ended in a TypeError and an IndexError; [3] and
+    # [5, 5, 5] fitted a line through one abscissa
+    with pytest.raises(ValueError, match="at least two distinct"):
+        D.ball_slope(closed_doubling, 0.3137, 0.1, n_values, samples=2_000)
+
+
 def test_open_system_ball_decay(golden_system):
     slope, rows = D.ball_slope(golden_system, 2 / 3, 0.1, [4, 6, 8],
                                samples=60_000)

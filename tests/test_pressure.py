@@ -152,6 +152,22 @@ def _squeeze_towards_s():
         reference_density=lambda ps: np.ones(len(ps)), label="squeeze")
 
 
+def test_brin_katok_eps_in_any_order(golden_system):
+    # the balls of all eps are counted in one pass inside the largest one;
+    # each eps must still give what it gives alone, in the caller's order
+    samples = sample_survivor_points(golden_system, 2, 5000,
+                                     np.random.default_rng(1))
+
+    def run(eps_list):
+        return P.entropy_brin_katok(golden_system, samples, eps_list,
+                                    n_max=10, centers=20,
+                                    rng=np.random.default_rng(2))[2]
+
+    alone = {eps: run((eps,))[0] for eps in (0.02, 0.05, 0.1)}
+    for order in ((0.05, 0.1, 0.02), (0.1, 0.02, 0.05), (0.05, 0.05)):
+        assert run(order) == [alone[eps] for eps in order]
+
+
 def test_brin_katok_cutoff_is_distance_of_center_to_s():
     # all samples lie on the grid x = k / N of the line y = 1/2 + 0.02, so
     # d(f^i c, S) = 0.02 / 2^i at every center c, and the ball of step i
