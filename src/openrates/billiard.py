@@ -17,7 +17,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ TAU_BOUND = 1.5             # every free flight of a valid table is shorter
 CLEARANCE = 1e-3
 _COPY_RANGE = 2             # search copies at offsets -2..2 (< TAU_BOUND)
 _CHUNK = 1 << 15
-# rays per collision or segment search, so that its (rays, copies)
+# rays per collision or segment search, so that its (copies, rays)
 # temporaries stay in cache; each ray's result does not depend on it
 _BLOCK = 1 << 12
 # each collision or segment search runs over the copies a flight in one of
@@ -167,38 +167,69 @@ def _states_to_rays(table, sid, phi, theta):
     return p, v
 
 
-def _next_collision(table, p, v, copies):
-    """First ray-circle intersection over the periodic copies ``copies``.
+def _rowdot(a, b):
+    """Row-wise dot products of two (n, 2) arrays: both products rounded,
+    then their sum, as einsum rounds them."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+
+
+def _copy_products(C, x):
+    """``C @ x.T``, a (copies, rays) array.  numpy hands a product with a
+    single row on either side to gemv, which rounds otherwise than gemm;
+    a lone row is paired with a copy of itself, so that every ray and copy
+    rounds as in a product of many."""
+    k, n = len(C), len(x)
+    if k == 1:
+        C = np.concatenate([C, C])
+    if n == 1:
+        x = np.concatenate([x, x])
+    return (C @ x.T)[:k, :n]
+
+
+def _next_collision(table, p, v, pv, pp, copies):
+    """First ray-circle intersection over the periodic copies ``copies``;
+    ``pv`` and ``pp`` are the rays' p.v and p.p.
 
     Returns (t, index into table.copy_centers of the hit copy); t = +inf
-    when no copy is hit.  Inner products against the copy list are matrix
-    products, keeping the hot loop in BLAS."""
+    and the first copy when no copy is hit.  Inner products against the
+    copy list are matrix products, keeping the hot loop in BLAS, and every
+    elementwise pass runs along the rays of one copy."""
     dt = p.dtype
     C = table.copy_centers[copies].astype(dt, copy=False)    # (K, 2)
     cr = table.copy_radii[copies].astype(dt, copy=False)
-    pv = np.einsum("nd,nd->n", p, v)
-    pp = np.einsum("nd,nd->n", p, p)
-    # the (n, K) arrays are updated in place; 2.0 * C scales each product
-    # exactly, and -(b + sqrt) rounds as -b - sqrt does
-    b = v @ C.T
-    np.subtract(pv[:, None], b, out=b)           # (p - c) . v
-    c = p @ (2.0 * C).T
-    np.subtract(pp[:, None], c, out=c)
-    c += np.einsum("kd,kd->k", C, C)[None, :]
-    c -= (cr ** 2)[None, :]                      # |p - c|^2 - r^2
-    disc = b * b
+    # the (K, n) arrays are updated in place; 2.0 * C scales each product
+    # exactly, and nb = C.v - pv and nb - sqrt round as the negations of
+    # b = pv - C.v and b + sqrt do
+    nb = _copy_products(C, v)
+    nb -= pv                                     # -(p - c) . v
+    c = _copy_products(2.0 * C, p)
+    np.subtract(pp, c, out=c)
+    c += np.einsum("kd,kd->k", C, C)[:, None]
+    c -= (cr ** 2)[:, None]                      # |p - c|^2 - r^2
+    disc = nb * nb
     disc -= c
     with np.errstate(invalid="ignore"):
         t = np.sqrt(disc, out=c)
-    t += b
-    np.negative(t, out=t)
+    np.subtract(nb, t, out=t)
     # true flights are never shorter than the scatterer clearance, so the
     # self-intersection guard can sit far above either dtype's roundoff
-    keep = disc > 0
-    keep &= t > CLEARANCE
-    np.copyto(t, np.inf, where=~keep)
-    hit = np.argmin(t, axis=1)
-    return t[np.arange(len(p)), hit], copies[hit]
+    miss = disc > 0
+    miss &= t > CLEARANCE
+    np.logical_not(miss, out=miss)
+    # a missed root becomes inf: fmax passes over the NaN of 0 * inf
+    with np.errstate(invalid="ignore"):
+        np.fmax(t, np.multiply(miss, np.inf, dtype=dt, out=disc), out=t)
+    # a running minimum over the copies; a strictly nearer root moves the
+    # hit, so ties go to the first copy, as argmin's do
+    best = t[0].copy()
+    nearer = np.empty_like(miss[1:])
+    for k in range(1, len(t)):
+        np.less(t[k], best, out=nearer[k - 1])
+        np.fmin(best, t[k], out=best)
+    # the nearest copy is the last one that was strictly nearer
+    ks = np.arange(1, len(t), dtype=np.min_scalar_type(len(t)))
+    hit = np.max(np.multiply(nearer, ks[:, None]), axis=0, initial=0)
+    return best, copies[hit]
 
 
 def _cone_sectors(origin, points, reach):
@@ -240,23 +271,38 @@ def _run_blocks(bounds, lists):
                 yield slice(lo, min(lo + _BLOCK, bounds[key + 1])), items
 
 
+class _Flights(NamedTuple):
+    """The flights of one collision step in sector-run order: ``order``
+    sorts the rays into the runs of each key, which start at ``bounds``
+    (the end of the last appended).  ``start``, ``direction`` and
+    ``length`` are sorted by it, ``pv`` and ``pp`` are start . direction and
+    start . start."""
+    order: np.ndarray
+    bounds: np.ndarray
+    start: np.ndarray
+    direction: np.ndarray
+    length: np.ndarray
+    pv: np.ndarray
+    pp: np.ndarray
+
+
 def _step_arrays(table, sid, phi, theta):
     """One collision step on parallel state arrays.
 
     Each ray is tested against the copies of its (scatterer, direction
-    sector) only.  Returns (sid', phi', theta', flight length, flight
-    start, flight dir, grazing mask, (order, bounds) of the sector runs)."""
+    sector) only.  Returns (sid', phi', theta', flight length, grazing
+    mask, the step's _Flights)."""
     p, v = _states_to_rays(table, sid, phi, theta)
-    runs = _sector_runs(sid, phi + theta, len(table.sector_copies))
-    order, bounds = runs
+    order, bounds = _sector_runs(sid, phi + theta, len(table.sector_copies))
     # np.take: fancy indexing copies (n, 2) rows one element at a time
     ps, vs = np.take(p, order, axis=0), np.take(v, order, axis=0)
+    pv, pp = _rowdot(ps, vs), _rowdot(ps, ps)
     # a ray with no copy to search keeps t = inf and fails the horizon check
     ts = np.full(len(p), np.inf, dtype=p.dtype)
     hits = np.zeros(len(p), dtype=np.intp)
     for rows, copies in _run_blocks(bounds, table.sector_copies):
-        ts[rows], hits[rows] = _next_collision(table, ps[rows], vs[rows],
-                                               copies)
+        ts[rows], hits[rows] = _next_collision(
+            table, ps[rows], vs[rows], pv[rows], pp[rows], copies)
     t = np.empty_like(ts)
     hit = np.empty_like(hits)
     t[order], hit[order] = ts, hits
@@ -271,14 +317,15 @@ def _step_arrays(table, sid, phi, theta):
     rel = q - c_hit
     phi2 = np.arctan2(rel[:, 1], rel[:, 0])
     normal = rel / table.copy_radii.astype(dt, copy=False)[hit][:, None]
-    vn = np.einsum("nd,nd->n", v, normal)
+    vn = _rowdot(v, normal)
     v2 = v - 2.0 * vn[:, None] * normal
-    cos_t = np.einsum("nd,nd->n", v2, normal)
+    cos_t = _rowdot(v2, normal)
     sin_t = normal[:, 0] * v2[:, 1] - normal[:, 1] * v2[:, 0]
     theta2 = np.arctan2(sin_t, cos_t)
     guard = max(TANGENT_GUARD, 64.0 * float(np.finfo(dt).eps))
     grazing = np.abs(cos_t) < guard
-    return sid2, phi2, theta2, t, p, v, grazing, runs
+    return sid2, phi2, theta2, t, grazing, _Flights(order, bounds, ps, vs,
+                                                    ts, pv, pp)
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +378,26 @@ def _disk_copy_centers(center: np.ndarray) -> np.ndarray:
     return copies[reach]
 
 
-def _segment_center_distance(start, direction, length, copies):
-    """Min distance from each flight segment to the points ``copies``,
-    vectorized over segments and copies via matrix products."""
+def _segment_center_distance(start, direction, length, pv, pp, copies):
+    """Min distance from each flight segment to the points ``copies``;
+    ``pv`` and ``pp`` are start . direction and start . start.  Vectorized
+    over segments and copies via matrix products, every elementwise pass
+    along the segments of one copy."""
     copies = copies.astype(start.dtype)           # (K, 2)
-    pv = np.einsum("nd,nd->n", start, direction)
-    pp = np.einsum("nd,nd->n", start, start)
-    # in place, rounding as rel2 - 2 proj_c proj + proj_c^2 does
-    proj = direction @ copies.T
-    proj -= pv[:, None]                            # (c - p) . v
-    d2 = start @ (2.0 * copies).T
-    np.subtract(pp[:, None], d2, out=d2)
-    d2 += np.einsum("kd,kd->k", copies, copies)[None, :]   # |c - p|^2
+    # the (K, n) arrays are updated in place, rounding as
+    # rel2 - 2 proj_c proj + proj_c^2 does
+    proj = _copy_products(copies, direction)
+    proj -= pv                                     # (c - p) . v
+    d2 = _copy_products(2.0 * copies, start)
+    np.subtract(pp, d2, out=d2)
+    d2 += np.einsum("kd,kd->k", copies, copies)[:, None]   # |c - p|^2
     proj_c = np.maximum(proj, 0.0)
-    np.minimum(proj_c, length[:, None], out=proj_c)
+    np.minimum(proj_c, length, out=proj_c)
     proj *= 2.0
     proj *= proj_c
     d2 -= proj
     d2 += np.square(proj_c, out=proj_c)
-    return np.sqrt(np.maximum(np.min(d2, axis=1), 0.0))
+    return np.sqrt(np.maximum(np.minimum.reduce(d2, axis=0), 0.0))
 
 
 def _hole_families(table: BilliardTable, holes: Sequence[BilliardHole]):
@@ -393,12 +441,12 @@ def _hole_families(table: BilliardTable, holes: Sequence[BilliardHole]):
     return families
 
 
-def _approach(families, closest, idx, sid, phi, flight):
+def _approach(families, closest, idx, sid, phi, flights):
     """Lower each family's closest approach (``closest``, one row per
     family) by one collision step of the trajectories ``idx``: (``sid``,
-    ``phi``) is the collision each one ends at and ``flight`` the (start,
-    direction, length, sector runs) of its segment from ``_step_arrays``,
-    or None for the initial collision."""
+    ``phi``) is the collision each one ends at and ``flights`` the
+    _Flights of its segment from ``_step_arrays``, or None for the initial
+    collision."""
     for row, (kind, where, _) in zip(closest, families):
         if kind == "arc":
             scatterer, centre = where
@@ -406,16 +454,14 @@ def _approach(families, closest, idx, sid, phi, flight):
             dphi = np.abs((phi[on] - centre + math.pi) % (2 * math.pi)
                           - math.pi)
             row[idx[on]] = np.minimum(row[idx[on]], dphi)
-        elif kind == "disk" and flight is not None:
-            start, direction, length, (order, bounds) = flight
-            start, direction = (np.take(start, order, axis=0),
-                                np.take(direction, order, axis=0))
-            length = length[order]
-            dist = np.full(len(order), np.inf, dtype=row.dtype)
-            for rows, copies in _run_blocks(bounds, where):
+        elif kind == "disk" and flights is not None:
+            f = flights
+            dist = np.full(len(f.order), np.inf, dtype=row.dtype)
+            for rows, copies in _run_blocks(f.bounds, where):
                 dist[rows] = _segment_center_distance(
-                    start[rows], direction[rows], length[rows], copies)
-            on = idx[order]
+                    f.start[rows], f.direction[rows], f.length[rows],
+                    f.pv[rows], f.pp[rows], copies)
+            on = idx[f.order]
             row[on] = np.minimum(row[on], dist)
 
 
@@ -575,11 +621,11 @@ def _simulate_chunk(table, families, n_holes, n_max, sid, phi, theta):
         idx = idx[need & valid[idx]]
         if len(idx) == 0:
             break
-        sid2, phi2, theta2, t, p0, v0, grazing, runs = _step_arrays(
+        sid2, phi2, theta2, _, grazing, flights = _step_arrays(
             table, sid[idx], phi[idx], theta[idx])
         sid[idx], phi[idx], theta[idx] = sid2, phi2, theta2
         valid[idx[grazing]] = False
-        _approach(families, closest, idx, sid2, phi2, (p0, v0, t, runs))
+        _approach(families, closest, idx, sid2, phi2, flights)
         tally(n)
     flagged = int(np.count_nonzero(~valid))
     return counts, flagged
@@ -614,8 +660,7 @@ def theta_chi2(table: BilliardTable, samples: int, seed: int):
         size = min(remaining, _CHUNK)
         remaining -= size
         sid, phi, theta = sample_srb(table, size, rng)
-        _, _, theta2, _, _, _, grazing, _ = _step_arrays(table, sid, phi,
-                                                         theta)
+        _, _, theta2, _, grazing, _ = _step_arrays(table, sid, phi, theta)
         keep = theta2[~grazing]
         observed += np.histogram(keep, bins=edges)[0]
         total += len(keep)

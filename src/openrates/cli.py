@@ -152,8 +152,9 @@ def _escape_estimates(sys_obj, ecfg: dict, seed: int, out_dir: Path):
     results = {}
     for method in ecfg["methods"]:
         if method == "grid":
+            res = ecfg["resolution"]
             est = escape_mod.escape_rate_grid(
-                sys_obj, n_max, resolution=ecfg["resolution"])
+                sys_obj, n_max, resolution=None if res is None else int(res))
         elif method == "words":
             est = escape_mod.escape_rate_words(
                 sys_obj, int(ecfg["level"]), n_max=n_max)
@@ -242,17 +243,31 @@ def cmd_ulam(cfg, out_dir, seed):
 
 
 def _write_cell_masses(path, column, values):
-    """``cell,<column>`` CSV in the bytes np.savetxt writes for the float
-    column pair (cell index, value); each slice of 65536 rows is formatted
-    by one ``%`` call."""
+    """``cell,<column>`` CSV in the bytes np.savetxt(fmt="%.18e",
+    delimiter=",") writes for the column pair (cell index, value).  An
+    index of d digits is written from its digits: the leading one, a point,
+    the other d - 1 padded with zeros to 18, and the exponent d - 1.  Each
+    run of at most 65536 rows with one leading digit and digit count is
+    formatted by one ``%`` call."""
     with open(path, "w") as fh:
         fh.write(f"cell,{column}\n")
-        for k in range(0, len(values), 65536):
-            part = values[k:k + 65536]
-            rows = np.column_stack([np.arange(k, k + len(part), dtype=float),
-                                    part])
-            fh.write("%.18e,%.18e\n" * len(part)
-                     % tuple(rows.ravel().tolist()))
+        lo = 0
+        while lo < len(values):
+            d = len(str(lo))
+            scale = 10 ** (d - 1)
+            lead = lo // scale
+            hi = min(len(values), lo + 65536, (lead + 1) * scale)
+            part = values[lo:hi].tolist()
+            if d == 1:
+                row, args = f"{lead}.{'0' * 18}e+00,%.18e\n", part
+            else:
+                row = (f"{lead}.%0{d - 1}d{'0' * (19 - d)}e+{d - 1:02d},"
+                       "%.18e\n")
+                args = [None] * (2 * len(part))
+                args[0::2] = range(lo - lead * scale, hi - lead * scale)
+                args[1::2] = part
+            fh.write(row * (hi - lo) % tuple(args))
+            lo = hi
 
 
 def cmd_tower(cfg, out_dir, seed):

@@ -242,6 +242,10 @@ def _assemble_quadrature(sys: OpenSystem, n: int):
 
 
 def build_ulam(sys: OpenSystem, resolution: int) -> UlamOperator:
+    if isinstance(resolution, bool) or \
+            not isinstance(resolution, (int, np.integer)) or resolution < 1:
+        raise ValueError(f"Ulam resolution must be a positive integer, got "
+                         f"{resolution!r}")
     if sys.map.branch_count is not None:
         P, hole_cells = _assemble_exact_1d(sys, resolution)
         method = "exact"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,14 +31,13 @@ def test_tau_max_below_bound(small_table):
 
 def test_diameter_period_two_orbit(small_table):
     # bounce along the diagonal between the two scatterers
-    sid1, phi1, theta1, t, _, _, grazing, _ = B._step_arrays(
+    sid1, phi1, theta1, t, grazing, _ = B._step_arrays(
         small_table, np.array([0]), np.array([math.pi / 4]), np.array([0.0]))
     assert sid1[0] == 1 and not grazing[0]
     gap = math.sqrt(0.5) - 0.45 - 0.15
     assert t[0] == pytest.approx(gap, abs=1e-12)
     assert abs(theta1[0]) < 1e-12
-    sid2, phi2, _, _, _, _, _, _ = B._step_arrays(small_table, sid1, phi1,
-                                                  theta1)
+    sid2, phi2, _, _, _, _ = B._step_arrays(small_table, sid1, phi1, theta1)
     assert sid2[0] == 0
     assert phi2[0] % (2 * math.pi) == pytest.approx(math.pi / 4, abs=1e-12)
 
@@ -82,7 +82,8 @@ def test_segment_distance_matches_bruteforce(rng):
     direction = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     length = rng.uniform(0.05, 1.3, 50)
     copies = B._disk_copy_centers(np.array([0.25, 0.75]))
-    got = B._segment_center_distance(start, direction, length, copies)
+    got = B._segment_center_distance(start, direction, length,
+                                     *_dots(start, direction), copies)
     for i in range(50):
         best = math.inf
         for c in copies:
@@ -180,16 +181,17 @@ def test_sector_search_matches_all_copies(small_table, dtype):
         phi, theta = phi.astype(dtype), theta.astype(dtype)
         p, v = B._states_to_rays(table, sid, phi, theta)
         t_all, hit_all = B._next_collision(
-            table, p, v, np.arange(len(table.copy_centers)))
+            table, p, v, *_dots(p, v), np.arange(len(table.copy_centers)))
         # the step function groups the rays by (scatterer, sector) itself
-        sid2, _, _, t, _, _, _, (order, bounds) = B._step_arrays(
-            table, sid, phi, theta)
+        sid2, _, _, t, _, flights = B._step_arrays(table, sid, phi, theta)
+        order, bounds = flights.order, flights.bounds
         assert np.array_equal(t, t_all)
         assert np.array_equal(sid2, table.copy_sid[hit_all])
         for key, copies in enumerate(table.sector_copies):
             rows = order[bounds[key]:bounds[key + 1]]
             assert np.all(sid[rows] == key // B._SECTORS)
-            t_key, hit = B._next_collision(table, p[rows], v[rows], copies)
+            t_key, hit = B._next_collision(table, p[rows], v[rows],
+                                           *_dots(p[rows], v[rows]), copies)
             assert np.array_equal(t_key, t_all[rows])
             assert np.array_equal(hit, hit_all[rows])
     # of the 50 copies in the window, 33 are reachable from the large
@@ -259,17 +261,20 @@ def test_culled_disk_copies_keep_verdicts(small_table, dtype):
     assert len(everywhere) == 23
     sid, phi, theta = B.sample_srb(small_table, 100_000,
                                    np.random.default_rng(6))
-    _, _, _, t, start, direction, _, (order, bounds) = B._step_arrays(
-        small_table, sid, phi.astype(dtype), theta.astype(dtype))
-    d_all = B._segment_center_distance(start, direction, t, everywhere)
+    f = B._step_arrays(small_table, sid, phi.astype(dtype),
+                       theta.astype(dtype))[-1]
+    d_all = B._segment_center_distance(f.start, f.direction, f.length, f.pv,
+                                       f.pp, everywhere)
     near_total = [0, 0]
     for key, copies in enumerate(per_sector):
-        rows = order[bounds[key]:bounds[key + 1]]
+        # the flights are sorted into runs of one key each
+        rows = slice(f.bounds[key], f.bounds[key + 1])
         if len(copies) == 0:
-            d = np.full(len(rows), np.inf, dtype=d_all.dtype)
+            d = np.full_like(d_all[rows], np.inf)
         else:
-            d = B._segment_center_distance(start[rows], direction[rows],
-                                           t[rows], copies)
+            d = B._segment_center_distance(
+                f.start[rows], f.direction[rows], f.length[rows], f.pv[rows],
+                f.pp[rows], copies)
         for r in radii:
             assert np.array_equal(d < r, d_all[rows] < r)
         # the nearest copy is kept wherever a hole could be hit
@@ -277,6 +282,138 @@ def test_culled_disk_copies_keep_verdicts(small_table, dtype):
         near_total[key // B._SECTORS] += np.count_nonzero(near)
         assert np.array_equal(d[near], d_all[rows][near])
     assert min(near_total) > 100
+
+
+def _dots(p, v):
+    """The rays' p.v and p.p that the kernels take."""
+    return np.einsum("nd,nd->n", p, v), np.einsum("nd,nd->n", p, p)
+
+
+def _next_collision_reference(table, p, v, copies):
+    """The collision search in (rays, copies) layout: an argmin over the
+    copy axis of the roots, with the missed ones masked to inf."""
+    dt = p.dtype
+    C = table.copy_centers[copies].astype(dt, copy=False)
+    cr = table.copy_radii[copies].astype(dt, copy=False)
+    pv, pp = _dots(p, v)
+    b = v @ C.T
+    np.subtract(pv[:, None], b, out=b)
+    c = p @ (2.0 * C).T
+    np.subtract(pp[:, None], c, out=c)
+    c += np.einsum("kd,kd->k", C, C)[None, :]
+    c -= (cr ** 2)[None, :]
+    disc = b * b
+    disc -= c
+    with np.errstate(invalid="ignore"):
+        t = np.sqrt(disc, out=c)
+    t += b
+    np.negative(t, out=t)
+    keep = disc > 0
+    keep &= t > B.CLEARANCE
+    np.copyto(t, np.inf, where=~keep)
+    hit = np.argmin(t, axis=1)
+    return t[np.arange(len(p)), hit], copies[hit]
+
+
+def _segment_distance_reference(start, direction, length, copies):
+    """The segment distance in (rays, copies) layout, reduced over the
+    copy axis."""
+    copies = copies.astype(start.dtype)
+    pv, pp = _dots(start, direction)
+    proj = direction @ copies.T
+    proj -= pv[:, None]
+    d2 = start @ (2.0 * copies).T
+    np.subtract(pp[:, None], d2, out=d2)
+    d2 += np.einsum("kd,kd->k", copies, copies)[None, :]
+    proj_c = np.maximum(proj, 0.0)
+    np.minimum(proj_c, length[:, None], out=proj_c)
+    proj *= 2.0
+    proj *= proj_c
+    d2 -= proj
+    d2 += np.square(proj_c, out=proj_c)
+    return np.sqrt(np.maximum(np.min(d2, axis=1), 0.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_match_rays_by_copies_reference(small_table, dtype):
+    table = small_table
+    everything = np.arange(len(table.copy_centers))
+    assert len(everything) == 50
+    stationary = B.sample_srb(table, 100_000, np.random.default_rng(7))
+    for sid, phi, theta in (stationary, _edge_states(table)):
+        phi, theta = phi.astype(dtype), theta.astype(dtype)
+        p, v = B._states_to_rays(table, sid, phi, theta)
+        # the full list holds the ray's own copy, whose root t ~ 0 is missed
+        for copies in (everything, everything[::-1],
+                       table.sector_copies[3]):
+            t, hit = B._next_collision(table, p, v, *_dots(p, v), copies)
+            t_ref, hit_ref = _next_collision_reference(table, p, v, copies)
+            assert np.array_equal(t, t_ref) and np.array_equal(hit, hit_ref)
+        # flights of every kind and length against the disk copies; a list
+        # of one copy rounds as gemv in the reference, so take two or more
+        f = B._step_arrays(table, sid, phi, theta)[-1]
+        for copies in (B._disk_copy_centers(np.array([0.5, 0.0])),
+                       B._disk_copy_centers(np.array([0.25, 0.75]))[:2]):
+            d = B._segment_center_distance(f.start, f.direction, f.length,
+                                           f.pv, f.pp, copies)
+            d_ref = _segment_distance_reference(f.start, f.direction,
+                                                f.length, copies)
+            assert np.array_equal(d, d_ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_collision_ties_and_misses(small_table, dtype):
+    # copy 50 is a second copy 7: every ray meets both at the same t
+    table = dataclasses.replace(
+        small_table,
+        copy_centers=np.concatenate([small_table.copy_centers,
+                                     small_table.copy_centers[[7]]]),
+        copy_radii=np.append(small_table.copy_radii,
+                             small_table.copy_radii[7]))
+    sid, phi, theta = B.sample_srb(table, 20_000, np.random.default_rng(8))
+    p, v = B._states_to_rays(table, sid, phi.astype(dtype),
+                             theta.astype(dtype))
+    for copies in ([7, 50], [50, 7], [3, 50, 12, 7], [3, 7, 12, 50]):
+        copies = np.array(copies)
+        t, hit = B._next_collision(table, p, v, *_dots(p, v), copies)
+        t_ref, hit_ref = _next_collision_reference(table, p, v, copies)
+        assert np.array_equal(t, t_ref) and np.array_equal(hit, hit_ref)
+        # the first of the twins in copy order wins every tie
+        first = copies[np.isin(copies, (7, 50))][0]
+        tied = np.isin(hit, (7, 50))
+        assert np.count_nonzero(tied) > 100 and np.all(hit[tied] == first)
+    # rays from beyond the window pointing away from every copy
+    far = np.full((5, 2), 3.0, dtype=dtype)
+    away = np.tile(np.array([1.0, 0.0], dtype=dtype), (5, 1))
+    for copies in (np.array([12, 3, 40]), np.arange(50)[::-1],
+                   np.array([9])):
+        for n in (1, 2, 5):
+            t, hit = B._next_collision(table, far[:n], away[:n],
+                                       *_dots(far[:n], away[:n]), copies)
+            assert np.all(t == np.inf) and np.all(hit == copies[0])
+            assert t.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_step_independent_of_block_size(small_table, monkeypatch, dtype):
+    sid, phi, theta = B.sample_srb(small_table, 3_000,
+                                   np.random.default_rng(10))
+    phi, theta = phi.astype(dtype), theta.astype(dtype)
+    holes = B.nested_disk_holes(small_table, (0.5, 0.0), [0.02, 0.04])
+    families = B._hole_families(small_table, holes)
+    # some sectors of the small scatterer hold a single disk copy
+    assert min(len(c) for c in families[0][1]) == 1
+    results = []
+    for block in (4096, 1000, 7, 2, 1):
+        monkeypatch.setattr(B, "_BLOCK", block)
+        step = B._step_arrays(small_table, sid, phi, theta)
+        closest = np.full((1, len(sid)), np.inf, dtype=dtype)
+        B._approach(families, closest, np.arange(len(sid)), step[0],
+                    step[1], step[-1])
+        results.append([*step[:-1], *step[-1], closest[0]])
+    for got in results[1:]:
+        for a, b in zip(got, results[0]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_escape_independent_of_worker_count(small_table, monkeypatch):
@@ -336,3 +473,26 @@ def test_batched_sweep_matches_per_shard_loop(small_table, monkeypatch,
             assert a.rho == b.rho and a.stderr == b.stderr
             assert a.per_n_mass == b.per_n_mass
             assert a.meta == b.meta
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lone_copy_rounds_as_in_a_list(small_table, dtype):
+    # numpy sends a product with a single copy to gemv; the kernels round
+    # it as the same copy's row in a list of two
+    sid, phi, theta = B.sample_srb(small_table, 20_000,
+                                   np.random.default_rng(12))
+    p, v = B._states_to_rays(small_table, sid, phi.astype(dtype),
+                             theta.astype(dtype))
+    pv, pp = _dots(p, v)
+    for k in range(len(small_table.copy_centers)):
+        t, hit = B._next_collision(small_table, p, v, pv, pp, np.array([k]))
+        t2, hit2 = B._next_collision(small_table, p, v, pv, pp,
+                                     np.array([k, k]))
+        assert np.array_equal(t, t2) and np.array_equal(hit, hit2)
+    f = B._step_arrays(small_table, sid, phi.astype(dtype),
+                       theta.astype(dtype))[-1]
+    flights = (f.start, f.direction, f.length, f.pv, f.pp)
+    for centre in B._disk_copy_centers(np.array([0.5, 0.0])):
+        d = B._segment_center_distance(*flights, centre[None, :])
+        d2 = B._segment_center_distance(*flights, np.stack([centre, centre]))
+        assert np.array_equal(d, d2)

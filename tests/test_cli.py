@@ -548,6 +548,21 @@ def test_compare_runs(tmp_path, capsys):
     assert worst < 1e-6
 
 
+def test_escape_grid_takes_integral_float_resolution(tmp_path):
+    # the config reader accepts 16.0 as an integer; the grid route runs at
+    # 16 cells, as for 16
+    runs = []
+    for res in (16, 16.0):
+        cfg = json.loads(json.dumps(GOLDEN))
+        cfg["escape"].update(methods=["grid"], resolution=res)
+        out = tmp_path / f"grid{res}"
+        assert main(["escape", "--config",
+                     str(_write(tmp_path, cfg, f"g{res}.json")),
+                     "--out-dir", str(out)]) == 0
+        runs.append(json.loads((out / "summary.json").read_text())["escape"])
+    assert runs[0] == runs[1]
+
+
 def test_compare_schema_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, GOLDEN)
     cfg2 = json.loads(json.dumps(GOLDEN))
@@ -574,15 +589,18 @@ def test_readme_lists_section_defaults(section):
     assert f"| `{section}` | `{json.dumps(filled)}` |" in README
 
 
-def test_cell_mass_csv_matches_savetxt(tmp_path):
-    # 131073 rows: two full 65536-row slices and one row more
-    special = [0.0, 1.0, 0.1, 5e-324, 1e-300, 0.3333333333333333, 2.5e17]
+@pytest.mark.parametrize("rows", [1, 10, 11, 131073])
+def test_cell_mass_csv_matches_savetxt(tmp_path, rows):
+    # 131073 rows: two full 65536-row slices and one row more, with indices
+    # of one to six digits
+    special = [0.0, 1.0, 0.1, 5e-324, 1e-300, 0.3333333333333333, 2.5e17,
+               -0.0, -7.25, np.inf, np.nan]
     masses = np.concatenate([special, np.random.default_rng(3).random(
-        131073 - len(special))])
+        max(rows - len(special), 0))])[:rows]
     _write_cell_masses(tmp_path / "plain.csv", "mass", masses)
     np.savetxt(tmp_path / "savetxt.csv",
                np.column_stack([np.arange(len(masses)), masses]),
-               delimiter=",", header="cell,mass", comments="")
+               fmt="%.18e", delimiter=",", header="cell,mass", comments="")
     assert (tmp_path / "plain.csv").read_bytes() == \
         (tmp_path / "savetxt.csv").read_bytes()
 

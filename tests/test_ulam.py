@@ -118,6 +118,21 @@ def test_doob_transform_stochastic(golden_system):
     assert np.allclose(nu.masses @ Q, nu.masses, atol=1e-12)
 
 
+@pytest.mark.parametrize("resolution", [0, -4, 2.5, 16.0, True, "8"])
+@pytest.mark.parametrize("sys_obj", [
+    OpenSystem(cat_map(), ball_hole_2d((0.25, 0.75), 0.1)),
+    OpenSystem(doubling_map(), cylinder_union_hole(2, 2, [(1, 1)]))],
+    ids=["cat", "doubling"])
+def test_build_ulam_rejects_bad_resolution(sys_obj, resolution):
+    with pytest.raises(ValueError, match="positive integer"):
+        U.build_ulam(sys_obj, resolution)
+
+
+def test_build_ulam_takes_numpy_integer(golden_system):
+    op = U.build_ulam(golden_system, np.int64(16))
+    assert op.matrix.shape == (16, 16)
+
+
 def test_grid_measure_sample_and_index(rng):
     gm = U.GridMeasure.lebesgue(2, 8)
     pts = gm.sample(rng, 500)
