@@ -159,7 +159,8 @@ def sample_srb(table: BilliardTable, size: int, rng):
 def _states_to_rays(table, sid, phi, theta):
     dt = np.asarray(phi).dtype
     r = table.radii.astype(dt, copy=False)[sid]
-    c = table.centers.astype(dt, copy=False)[sid]
+    # np.take: fancy indexing copies (n, 2) rows one element at a time
+    c = np.take(table.centers.astype(dt, copy=False), sid, axis=0)
     normal = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     p = c + r[:, None] * normal
     ang = phi + theta
@@ -341,8 +342,6 @@ class BilliardHole:
     radius: float = 0.0                         # disk only
 
     def validate(self, table: BilliardTable):
-        if self.kind == "empty":
-            return
         if self.kind == "arc":
             if not 0 <= self.scatterer < table.n_scatterers:
                 raise ValueError("arc hole references a missing scatterer")
@@ -412,17 +411,15 @@ def _hole_families(table: BilliardTable, holes: Sequence[BilliardHole]):
     (scatterer, centre) for an arc family and, for a disk family, the
     periodic copies of the centre that a flight leaving each scatterer in
     each direction sector (key s * _SECTORS + j) can come within the
-    largest radius of; an empty hole is never entered.
+    largest radius of.
     """
     groups = {}
     for i, h in enumerate(holes):
         if h.kind == "arc":
             key, threshold = ("arc", h.scatterer, h.arc_center), \
                 h.arc_halfwidth
-        elif h.kind == "disk":
-            key, threshold = ("disk", tuple(h.center)), h.radius
         else:
-            key, threshold = ("empty",), 0.0
+            key, threshold = ("disk", tuple(h.center)), h.radius
         groups.setdefault(key, []).append((i, threshold))
     families = []
     for key, members in groups.items():

@@ -113,7 +113,8 @@ def _resolve(cfg) -> dict:
         _check_integer(resolved["escape"]["resolution"],
                        "resolution in escape config")
     for name, key in (("ulam", "resolution"), ("balls", "eps"),
-                      ("escape", "resolution")):
+                      ("escape", "resolution"), ("escape", "samples"),
+                      ("balls", "samples"), ("billiard", "samples")):
         if resolved[name][key] is not None and not resolved[name][key] > 0:
             raise ConfigError(f"{key} in {name} config must be positive")
     return resolved
@@ -277,7 +278,7 @@ def cmd_tower(cfg, out_dir, seed):
     pi, _ = tower_mod.gibbs_chain(T, r)
     seq = tower_mod.gurevich_pressure(T, r, n_max=int(opts["n_max"]))
     abram = tower_mod.abramov_check(T, r)
-    hyp = tower_mod.validate_hypotheses(T, r)
+    hyp = tower_mod.validate_hypotheses(T)
     # P(nu) <= log r at the uniform Bernoulli measure on the unholed
     # branches; a transition matrix may forbid some of its words
     inequality = None

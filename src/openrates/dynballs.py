@@ -10,7 +10,6 @@ uniform phase-space sampling would waste exponentially many points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,26 +17,9 @@ import numpy as np
 from .systems import OpenSystem, _mod1, orbit_tableau, torus_dist
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    center: object
-    n: int
-    mode: str = "g_eps"      # g_eps | star
-    eps: float = 0.1
-    gamma: float = 0.0
-
-
 def g_cutoff(sys: OpenSystem, xs, eps: float):
     """g_eps(x) = min(eps, d(x, S)) / 3 at an array of points."""
     return np.minimum(eps, sys.map.singularity_distance(xs)) / 3.0
-
-
-def _radii(sys: OpenSystem, spec: BallSpec, orbit):
-    """Ball radius at each step of the center orbit."""
-    if spec.mode == "g_eps":
-        return g_cutoff(sys, orbit, spec.eps)
-    return np.array([spec.eps * math.exp(-spec.gamma * i)
-                     for i in range(spec.n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -73,29 +55,26 @@ def _envelope(sys: OpenSystem, orbit, g_vals):
     return axes, widths, vol
 
 
-def ball_measure(sys: OpenSystem, spec: BallSpec, samples: int = 20000,
-                 rng: Optional[np.random.Generator] = None):
-    """Monte Carlo mass of the ball under Lebesgue, with stderr.
+def ball_measure(sys: OpenSystem, center, n: int, eps: float, samples: int,
+                 rng: np.random.Generator):
+    """Monte Carlo Lebesgue mass of B(center, n, g_eps), with stderr.
 
     Samples uniformly in the linearization envelope (an unbiased superset of
     the ball) and multiplies the hit fraction by the envelope volume; fewer
     than 30 hits raise ZeroCountError.
     """
-    if rng is None:
-        rng = np.random.default_rng(1)
     dim = sys.map.dimension
-    x = spec.center
-    orbit = orbit_tableau(sys.map, [x], spec.n)[:, 0]
-    g_vals = _radii(sys, spec, orbit)
+    orbit = orbit_tableau(sys.map, [center], n)[:, 0]
+    g_vals = g_cutoff(sys, orbit, eps)
     axes, widths, vol = _envelope(sys, orbit, g_vals)
 
     u = rng.uniform(-1.0, 1.0, size=(samples, dim)) * widths[None, :]
     if dim == 1:
-        ys = _mod1(np.asarray(x) + u[:, 0])
+        ys = _mod1(np.asarray(center) + u[:, 0])
     else:
-        ys = _mod1(np.asarray(x)[None, :] + u @ axes.T)
+        ys = _mod1(np.asarray(center)[None, :] + u @ axes.T)
 
-    hits = _count_members(sys, orbit, g_vals, ys, spec)
+    hits = _count_members(sys, orbit, g_vals, ys)
     if hits < 30:
         raise ZeroCountError(
             f"only {hits} hits in the envelope; increase samples or eps")
@@ -105,17 +84,16 @@ def ball_measure(sys: OpenSystem, spec: BallSpec, samples: int = 20000,
     return mass, stderr
 
 
-def _count_members(sys: OpenSystem, orbit, g_vals, ys, spec):
+def _count_members(sys: OpenSystem, orbit, g_vals, ys):
     """Number of the points ``ys`` within ``g_vals[i]`` of ``orbit[i]`` at
-    every step i; in g_eps mode a member must also survive to time n."""
+    every step i that survive to the last step."""
     dim = sys.map.dimension
     alive = np.ones(len(ys), dtype=bool)
     cur = ys
     for i, (p, g) in enumerate(zip(orbit, g_vals)):
         d = torus_dist(cur, p, dim)
         alive &= d < g
-        if spec.mode == "g_eps":
-            alive &= ~sys.hole.in_hole_many(cur)
+        alive &= ~sys.hole.in_hole_many(cur)
         if not alive.any() or i == len(orbit) - 1:
             break
         cur = sys.map.step_many(cur)
@@ -138,8 +116,7 @@ def ball_slope(sys: OpenSystem, center, eps: float, n_values,
         rng = np.random.default_rng(2)
     rows = []
     for n in n_values:
-        mass, _ = ball_measure(sys, BallSpec(center, n, "g_eps", eps),
-                               samples=samples, rng=rng)
+        mass, _ = ball_measure(sys, center, n, eps, samples, rng)
         rows.append((n, mass))
     ns = np.array([n for n, _ in rows], dtype=float)
     ys = np.array([-math.log(m) for _, m in rows])

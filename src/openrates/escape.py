@@ -17,7 +17,7 @@ import numpy as np
 from .systems import (OpenSystem, evolve_survivors, perron,
                       survivor_transition_matrix, word_counts)
 from . import ulam as ulam_mod
-from .ulam import GridMeasure, UlamOperator
+from .ulam import GridMeasure
 
 MC_SHARDS = 32  # fixed shard count, so a result depends on the seed only
 
@@ -78,13 +78,11 @@ def _fit_window(per_n_mass, window, method, stderr=0.0, meta=None):
 
 
 def escape_rate_grid(sys: OpenSystem, n_max: int,
-                     resolution: Optional[int] = None,
-                     operator: Optional[UlamOperator] = None) -> EscapeEstimate:
+                     resolution: Optional[int] = None) -> EscapeEstimate:
     """m(M^n) by pushing Lebesgue mass through the Ulam cell transition."""
-    if operator is None:
-        if resolution is None:
-            resolution = 512 if sys.map.dimension == 1 else 128
-        operator = ulam_mod.build_ulam(sys, resolution)
+    if resolution is None:
+        resolution = 512 if sys.map.dimension == 1 else 128
+    operator = ulam_mod.build_ulam(sys, resolution)
     m = GridMeasure.lebesgue(operator.dimension, operator.resolution)
     # ||v P^{k}|| is the mass of M^{k-1}; record per_n_mass[n] = m(M^n)
     masses, _ = ulam_mod.evolve_mass(operator, m.masses, n_max + 1)
@@ -130,6 +128,8 @@ def sharded_mc_estimates(run_shards: Callable, samples: int, seed: int,
     ``default_window(n_max)``.
     """
     n_lo, n_hi = window = default_window(n_max)
+    if n_hi - n_lo < 1:
+        raise DegenerateFitError("window contains fewer than two points")
     shard_sizes = [samples // MC_SHARDS] * MC_SHARDS
     shard_sizes[-1] += samples - sum(shard_sizes)
     counts = 0

@@ -100,24 +100,6 @@ def entropy_markov(P: np.ndarray, pi: Optional[np.ndarray] = None) -> float:
     return float(-np.sum(pi * plogp.sum(axis=1)))
 
 
-def entropy_markov_sparse(Q, pi) -> float:
-    """Markov-chain entropy for a sparse row-stochastic matrix.
-
-    Used for the cell-level closed survivor chain (Doob transform of the Ulam
-    operator); this is a discretization-limited surrogate for the measure
-    entropy and should be paired with a generous stderr.
-    """
-    Q = Q.tocsr()
-    h = 0.0
-    for i in range(Q.shape[0]):
-        if pi[i] <= 0:
-            continue
-        row = Q.data[Q.indptr[i]:Q.indptr[i + 1]]
-        row = row[row > 0]
-        h -= pi[i] * float(np.sum(row * np.log(row)))
-    return h
-
-
 def entropy_brin_katok(sys: OpenSystem, samples: np.ndarray,
                        eps_list: Sequence[float], n_max: int,
                        centers: int = 100,

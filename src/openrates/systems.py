@@ -108,7 +108,6 @@ class MapModel:
     derivative: Callable
     singularity_distance: Callable
     reference_density: Callable
-    label: str
     branch_count: Optional[int] = None
 
 
@@ -122,7 +121,6 @@ def adic_map(m: int) -> MapModel:
         derivative=_constant_derivative(np.array([[mf]])),
         singularity_distance=_no_singularities,
         reference_density=_lebesgue,
-        label=f"{m}-adic",
         branch_count=m,
     )
 
@@ -147,7 +145,6 @@ def logistic_like(a: float = 3.9) -> MapModel:
         derivative=derivative,
         singularity_distance=_no_singularities,
         reference_density=_lebesgue,
-        label=f"logistic-{a}",
     )
 
 
@@ -163,7 +160,6 @@ def cat_map() -> MapModel:
         derivative=_constant_derivative(A),
         singularity_distance=_no_singularities,
         reference_density=_lebesgue,
-        label="cat",
     )
 
 
@@ -180,7 +176,6 @@ def baker_map() -> MapModel:
         derivative=_constant_derivative(np.array([[2.0, 0.0], [0.0, 0.5]])),
         singularity_distance=_no_singularities,
         reference_density=_lebesgue,
-        label="baker",
     )
 
 
@@ -315,34 +310,6 @@ class OpenSystem:
         return self.map.dimension
 
 
-@dataclass
-class TrajectoryRecord:
-    points: list
-    escape_step: Optional[int]
-    singularity_hit: Optional[int]
-
-
-def iterate(sys: OpenSystem, x, n: int) -> TrajectoryRecord:
-    """Orbit of x up to n steps, truncated at first entry into the hole or at
-    first arrival within the guard band of the singularity set."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    cur = np.asarray(x, dtype=float)[None]      # a one-point array
-    if sys.map.singularity_distance(cur)[0] <= 0.0:
-        raise DomainError(f"{x!r} lies on the singularity set")
-    pts = [x]
-    if sys.hole.in_hole_many(cur)[0]:
-        return TrajectoryRecord(pts, 0, None)
-    for i in range(1, n + 1):
-        if sys.map.singularity_distance(cur)[0] <= SINGULARITY_GUARD:
-            return TrajectoryRecord(pts, None, i - 1)
-        cur = sys.map.step_many(cur)
-        pts.append(cur[0])
-        if sys.hole.in_hole_many(cur)[0]:
-            return TrajectoryRecord(pts, i, None)
-    return TrajectoryRecord(pts, None, None)
-
-
 def orbit_tableau(m: MapModel, xs, n: int):
     """f^i x for i = 0..n and every point x of an array: shape
     (n + 1,) + xs.shape."""
@@ -356,13 +323,24 @@ def orbit_tableau(m: MapModel, xs, n: int):
 
 
 def survival_time(sys: OpenSystem, x, horizon: int):
-    """min{i >= 0 : f^i x in H}, or +inf if no escape within the horizon."""
-    rec = iterate(sys, x, horizon)
-    if rec.singularity_hit is not None:
+    """min{i >= 0 : f^i x in H}, or +inf if no escape within the horizon.
+
+    The orbit runs as a one-point cloud of ``evolve_survivors``; a start on
+    S, or an orbit that reaches the guard band of S first, raises
+    DomainError."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    pt = np.asarray(x, dtype=float)[None]
+    if sys.map.singularity_distance(pt)[0] <= 0.0:
+        raise DomainError(f"{x!r} lies on the singularity set")
+    counts, flagged, _ = evolve_survivors(sys, pt, horizon)
+    # counts is 1 up to the step the point leaves, 0 from there on
+    steps = int(np.count_nonzero(counts))
+    if flagged:
         raise DomainError(
             f"orbit of {x!r} hit the singularity guard band at step "
-            f"{rec.singularity_hit}")
-    return rec.escape_step if rec.escape_step is not None else INF
+            f"{steps - 1}")
+    return steps if steps <= horizon else INF
 
 
 def _hole_words_at_level(hole: HoleSpec, k: int):

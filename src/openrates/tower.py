@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -176,10 +176,9 @@ def gibbs_chain(T: TowerSpec, r: float):
 # ---------------------------------------------------------------------------
 # Gurevich pressure
 
-def gurevich_pressure(T: TowerSpec, r: float, n_max: int = 20,
-                      potential: Optional[Sequence[float]] = None):
-    """Pressure of the induced potential from weighted periodic-orbit sums
-    through the first unholed branch.
+def gurevich_pressure(T: TowerSpec, r: float, n_max: int = 20):
+    """Pressure of the induced potential phi = -(R log r + log J) from
+    weighted periodic-orbit sums through the first unholed branch.
 
     Z_n sums exp(S_n phi) over period-n words returning to the reference
     branch; the estimate at n is log(Z_m / Z_n) / (m - n), m the next
@@ -189,10 +188,7 @@ def gurevich_pressure(T: TowerSpec, r: float, n_max: int = 20,
     """
     unholed = T.unholed
     k = len(unholed)
-    if potential is None:
-        phi = np.array([-(b.R * math.log(r) + math.log(b.J)) for b in unholed])
-    else:
-        phi = np.asarray(potential, dtype=float)
+    phi = np.array([-(b.R * math.log(r) + math.log(b.J)) for b in unholed])
     A = T.transition if T.transition is not None else np.ones((k, k))
 
     # log-space matrix powers: W[i, j] = A[i, j] * e^{phi_j}
@@ -262,15 +258,13 @@ def abramov_check(T: TowerSpec, r: float) -> dict:
 # ---------------------------------------------------------------------------
 # hypothesis validation
 
-def validate_hypotheses(T: TowerSpec, r: Optional[float] = None,
-                        star_constants: Optional[tuple] = None,
+def validate_hypotheses(T: TowerSpec,
                         map_attachment: Optional[dict] = None) -> dict:
-    """Report-only checks of the exponential tail, condition (*) and, when a
-    map is attached, the approach-rate bound on sampled base orbits.
+    """Report-only checks of the exponential tail and, when a map is
+    attached, the approach-rate bound on sampled base orbits.
 
-    ``star_constants`` is (C_bar, theta_bar); theta_bar must lie strictly
-    between theta0 / r and 1.  ``map_attachment`` is a dict with keys
-    system (OpenSystem), base_points, horizon, delta, xi1.
+    ``map_attachment`` is a dict with keys system (OpenSystem), base_points,
+    horizon, delta, xi1.
     """
     report = {"checks": {}, "passed": True}
 
@@ -284,23 +278,7 @@ def validate_hypotheses(T: TowerSpec, r: Optional[float] = None,
     report["checks"]["tail"] = {"pass": tail_ok, "witness_n": witness,
                                 "C0": T.C0, "theta0": T.theta0}
 
-    # (ii) condition (*): log J on {R = n} bounded by C_bar * theta_bar^{-n}
-    if star_constants is not None:
-        C_bar, theta_bar = star_constants
-        if r is None:
-            r = tower_eigenvalue(T)
-        admissible = (T.theta0 / r) < theta_bar < 1.0
-        star_ok, star_witness = admissible, None
-        if admissible:
-            for b in T.branches:
-                if math.log(b.J) > C_bar * theta_bar ** (-b.R) + 1e-12:
-                    star_ok, star_witness = False, b.id
-                    break
-        report["checks"]["condition_star"] = {
-            "pass": star_ok, "admissible_theta_bar": admissible,
-            "witness_branch": star_witness,
-            "theta_bar_range": (T.theta0 / r, 1.0)}
-    # (iii) approach-rate bound (H.2) on sampled base orbits
+    # (ii) approach-rate bound (H.2) on sampled base orbits
     if map_attachment is not None:
         sysm = map_attachment["system"]
         pts = np.asarray(map_attachment["base_points"], dtype=float)

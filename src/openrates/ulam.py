@@ -397,18 +397,3 @@ def survivor_measure(U: UlamOperator, S: SpectralData):
     gm = GridMeasure(U.dimension, U.resolution, nu_i)
     return gm, {"route_discrepancy": disc, "n_used": n_used}
 
-
-def doob_transform(U: UlamOperator, S: SpectralData) -> sp.csr_matrix:
-    """Stochastic matrix of the closed survivor dynamics on the grid.
-
-    Q[i, j] = P[i, j] * u_j / (r * u_i) on cells where the survival function
-    u is positive; the survivor measure is Q-stationary."""
-    import scipy.sparse as sp
-
-    u = S.left
-    lam = S.eigenvalue
-    pos = u > 1e-14 * np.max(u)
-    d_inv = np.zeros_like(u)
-    d_inv[pos] = 1.0 / (lam * u[pos])
-    Q = sp.diags(d_inv) @ U.matrix @ sp.diags(u)
-    return Q.tocsr()

@@ -93,13 +93,6 @@ def test_segment_distance_matches_bruteforce(rng):
         assert got[i] == pytest.approx(best, abs=1e-3)
 
 
-def test_empty_hole_never_escapes(small_table):
-    est = B.billiard_escape_multi(small_table, [B.BilliardHole("empty")],
-                                  samples=5_000, n_max=8, seed=2)[0]
-    assert est.rho == pytest.approx(0.0, abs=1e-12)
-    assert est.per_n_mass[-1][1] > 0.99
-
-
 def test_nested_arc_holes_monotone(small_table):
     holes = B.nested_arc_holes(small_table, 0, 1.0, [0.05, 0.1, 0.2])
     ests = B.billiard_escape_multi(small_table, holes, samples=60_000,

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,27 @@ def test_unknown_config_key(tmp_path, capsys):
     # a valid config whose ball envelope cannot hold 30 hits
     ("balls", lambda c: c.update(balls={"samples": 10}),
      "error: only 5 hits in the envelope; increase samples or eps"),
+    # a Monte Carlo fit window needs two horizons: n_max 0 indexed past the
+    # survival curve and n_max 1 divided by zero before its error
+    ("escape", lambda c: c.update(escape={"methods": ["mc"], "n_max": 0,
+                                          "samples": 2000}),
+     "error: window contains fewer than two points"),
+    ("escape", lambda c: c.update(escape={"methods": ["mc"], "n_max": 1,
+                                          "samples": 2000}),
+     "error: window contains fewer than two points"),
+    ("billiard", lambda c: c.update(billiard={
+        "validation_rays": 1000, "samples": 2000, "n_max": 0, "holes": [
+            {"kind": "arc", "scatterer": 0, "arc_center": 1.0,
+             "arc_halfwidth": 0.2}]}),
+     "error: window contains fewer than two points"),
+    # and a sample count must be positive
+    ("escape", lambda c: c.update(escape={"methods": ["mc"],
+                                          "samples": -5}),
+     "error: samples in escape config must be positive"),
+    ("balls", lambda c: c.update(balls={"samples": 0}),
+     "error: samples in balls config must be positive"),
+    ("billiard", lambda c: c.update(billiard={"samples": -1}),
+     "error: samples in billiard config must be positive"),
 ])
 def test_unknown_section_key_exits_1(tmp_path, capsys, command, edit,
                                      message):
@@ -329,10 +351,14 @@ def test_unknown_section_key_exits_1(tmp_path, capsys, command, edit,
     edit(cfg)
     path = _write(tmp_path, cfg)
     out = tmp_path / "r"
-    assert main([command, "--config", str(path), "--out-dir",
-                 str(out)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(path), "--out-dir",
+                     str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+    # the error line is all a bad config prints
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_estimator_error_exits_1(tmp_path, capsys):

@@ -28,37 +28,27 @@ def test_cutoff_definition(closed_doubling):
 
 
 def test_ball_measure_1d_exact(closed_doubling):
-    spec = D.BallSpec(center=0.3137, n=8, eps=0.1)
-    mass, se = D.ball_measure(closed_doubling, spec, samples=20_000)
+    mass, se = D.ball_measure(closed_doubling, 0.3137, 8, 0.1, 20_000,
+                              np.random.default_rng(1))
     exact = 2 * min((0.1 / 3) / 2 ** i for i in range(9))
     assert mass == pytest.approx(exact, rel=1e-12)
 
 
-def test_ball_measure_star_mode(closed_doubling):
-    gamma = 0.1
-    spec = D.BallSpec(center=2 / 3, n=8, mode="star", eps=0.1, gamma=gamma)
-    mass, _ = D.ball_measure(closed_doubling, spec, samples=20_000)
-    exact = 2 * min(0.1 * math.exp(-gamma * i) / 2 ** i for i in range(9))
-    assert mass == pytest.approx(exact, rel=1e-12)
-
-
-def _is_member(sys_obj, spec, y):
-    orbit = orbit_tableau(sys_obj.map, [spec.center], spec.n)[:, 0]
-    return D._count_members(sys_obj, orbit, D._radii(sys_obj, spec, orbit),
-                            np.array([y]), spec) == 1
+def _is_member(sys_obj, center, n, eps, y):
+    orbit = orbit_tableau(sys_obj.map, [center], n)[:, 0]
+    return D._count_members(sys_obj, orbit, D.g_cutoff(sys_obj, orbit, eps),
+                            np.array([y])) == 1
 
 
 def test_ball_member_matches_measure_support(closed_doubling):
-    spec = D.BallSpec(center=0.3137, n=6, eps=0.1)
     r = 0.1 / 3 / 2 ** 6
-    assert _is_member(closed_doubling, spec, 0.3137 + 0.9 * r)
-    assert not _is_member(closed_doubling, spec, 0.3137 + 1.1 * r)
+    assert _is_member(closed_doubling, 0.3137, 6, 0.1, 0.3137 + 0.9 * r)
+    assert not _is_member(closed_doubling, 0.3137, 6, 0.1, 0.3137 + 1.1 * r)
 
 
 def test_ball_member_requires_survival(golden_system):
-    spec = D.BallSpec(center=2 / 3, n=6, eps=0.1)
     # 2/3 survives forever, and so does a point this close to it for n steps
-    assert _is_member(golden_system, spec, 2 / 3 + 1e-9)
+    assert _is_member(golden_system, 2 / 3, 6, 0.1, 2 / 3 + 1e-9)
 
 
 def test_slope_doubling(closed_doubling):
@@ -92,9 +82,9 @@ def test_open_system_ball_decay(golden_system):
 
 def test_zero_count_error(golden_system):
     # center escapes quickly, so the ball intersected with M^n is empty
-    spec = D.BallSpec(center=0.381966, n=8, eps=0.1)
     with pytest.raises(D.ZeroCountError):
-        D.ball_measure(golden_system, spec, samples=5_000)
+        D.ball_measure(golden_system, 0.381966, 8, 0.1, 5_000,
+                       np.random.default_rng(1))
 
 
 def test_triangle_check_zero_violations():

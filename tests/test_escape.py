@@ -95,14 +95,6 @@ def test_default_window():
     assert E.default_window(3) == (1, 3)
 
 
-def test_grid_uses_prebuilt_operator(golden_system):
-    op = U.build_ulam(golden_system, 32)
-    est = E.escape_rate_grid(golden_system, 25, operator=op)
-    assert est.meta["resolution"] == 32
-    exact = math.log((1 + math.sqrt(5)) / 4)
-    assert est.rho == pytest.approx(exact, abs=1e-6)
-
-
 @st.composite
 def nested_cylinder_holes(draw):
     """(m, level, words, more words): two nested cylinder holes of the

@@ -34,13 +34,6 @@ def test_entropy_markov_rejects_substochastic():
         P.entropy_markov(np.array([[0.5, 0.3], [0.5, 0.5]]))
 
 
-def test_entropy_markov_sparse_matches_dense(golden_system):
-    import scipy.sparse as sp
-    states, Pm, pi = parry_chain(golden_system, 2)
-    h_sparse = P.entropy_markov_sparse(sp.csr_matrix(Pm), pi)
-    assert h_sparse == pytest.approx(P.entropy_markov(Pm, pi), abs=1e-12)
-
-
 def test_stationary_vector():
     Pm = np.array([[0.9, 0.1], [0.4, 0.6]])
     pi = P.stationary_vector(Pm)
@@ -149,7 +142,7 @@ def _squeeze_towards_s():
         dimension=2, step_many=step,
         derivative=lambda ps: np.tile(np.diag([1.0, 0.5]), (len(ps), 1, 1)),
         singularity_distance=lambda ps: np.abs(np.asarray(ps)[:, 1] - 0.5),
-        reference_density=lambda ps: np.ones(len(ps)), label="squeeze")
+        reference_density=lambda ps: np.ones(len(ps)))
 
 
 def test_brin_katok_eps_in_any_order(golden_system):

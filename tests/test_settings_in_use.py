@@ -8,6 +8,11 @@ definition of its name, a positional argument or a keyword sets the
 parameter it lands on, and a ``**mapping`` that is not a forwarded
 ``**kwargs`` sets every parameter.  Keywords a caller passes to a function
 that forwards its ``**kwargs`` to another one count for that one too.
+
+Every field of a dataclass or NamedTuple of the package must likewise be
+read, as an attribute load, somewhere in ``src/`` or ``perfbench/``: a
+field that only tests read is carried for nobody.  That scan matches the
+attribute name alone, whatever object it is read from.
 """
 
 import ast
@@ -145,3 +150,51 @@ def test_every_setting_has_a_caller():
     unset = unset_settings()
     assert not unset, ("settings that no call sets; make each one a "
                        "constant:\n  " + "\n  ".join(unset))
+
+
+def _is_namedtuple(node):
+    return any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple"
+               for b in node.bases)
+
+
+def _fields():
+    """``module.Class.field`` for every field of the package's dataclasses
+    and NamedTuples, class-based or built by ``namedtuple(name, fields)``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and (
+                    _is_dataclass(node) or _is_namedtuple(node)):
+                out += [f"{path.stem}.{node.name}.{s.target.id}"
+                        for s in node.body if isinstance(s, ast.AnnAssign)
+                        and isinstance(s.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(s.annotation)]
+            elif isinstance(node, ast.Assign) and isinstance(
+                    node.value, ast.Call) and \
+                    _name(node.value.func) == "namedtuple":
+                names = ast.literal_eval(node.value.args[1])
+                if isinstance(names, str):
+                    names = names.replace(",", " ").split()
+                out += [f"{path.stem}.{node.value.args[0].value}.{f}"
+                        for f in names]
+    return out
+
+
+def _attribute_loads():
+    """Every attribute name read (loaded) under ``src/`` or ``perfbench/``."""
+    loads = set()
+    for top in CALLERS[:2]:
+        for path in sorted(top.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            loads.update(node.attr for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Load))
+    return loads
+
+
+def test_every_field_is_read():
+    loads = _attribute_loads()
+    unread = [f for f in _fields() if f.rsplit(".", 1)[1] not in loads]
+    assert not unread, ("fields that no code in src/ or perfbench/ reads:"
+                        "\n  " + "\n  ".join(unread))

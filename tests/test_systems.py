@@ -293,10 +293,12 @@ def test_ball_hole_2d():
 # ---------------------------------------------------------------------------
 # iteration and survival
 
-def test_iterate_and_survival(golden_system):
-    rec = S.iterate(golden_system, 2 / 3, 10)
-    assert rec.escape_step is None and len(rec.points) == 11
+def test_survival_time_survivor_and_hole(golden_system):
+    # 2/3 = 0.1010... never meets the [11] cylinder
+    assert S.survival_time(golden_system, 2 / 3, 10) == math.inf
     assert S.survival_time(golden_system, 2 / 3, 50) > 50
+    with pytest.raises(ValueError, match="horizon"):
+        S.survival_time(golden_system, 2 / 3, -1)
     # 0.8 lies inside the hole
     assert S.survival_time(golden_system, 0.8, 10) == 0
 

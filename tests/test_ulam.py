@@ -106,18 +106,6 @@ def test_survivor_measure_golden(golden_system):
     assert info["route_discrepancy"] < 1e-4
 
 
-def test_doob_transform_stochastic(golden_system):
-    op = U.build_ulam(golden_system, 16)
-    spec = U.leading_eigenpair(op)
-    Q = U.doob_transform(op, spec)
-    nu, _ = U.survivor_measure(op, spec)
-    rows = np.asarray(Q.sum(axis=1)).ravel()
-    support = spec.left > 1e-12
-    assert np.allclose(rows[support], 1.0)
-    # survivor measure is stationary for the Doob chain
-    assert np.allclose(nu.masses @ Q, nu.masses, atol=1e-12)
-
-
 @pytest.mark.parametrize("resolution", [0, -4, 2.5, 16.0, True, "8"])
 @pytest.mark.parametrize("sys_obj", [
     OpenSystem(cat_map(), ball_hole_2d((0.25, 0.75), 0.1)),
