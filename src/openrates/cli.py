@@ -114,7 +114,8 @@ def _resolve(cfg) -> dict:
                        "resolution in escape config")
     for name, key in (("ulam", "resolution"), ("balls", "eps"),
                       ("escape", "resolution"), ("escape", "samples"),
-                      ("balls", "samples"), ("billiard", "samples")):
+                      ("balls", "samples"), ("billiard", "samples"),
+                      ("tower_options", "n_max")):
         if resolved[name][key] is not None and not resolved[name][key] > 0:
             raise ConfigError(f"{key} in {name} config must be positive")
     return resolved
@@ -238,8 +239,7 @@ def cmd_ulam(cfg, out_dir, seed):
     op, _, nu_hat, ulam = _ulam_run(sys_obj, int(cfg["ulam"]["resolution"]),
                                     out_dir)
     op.export_coo(out_dir / "operator_coo.csv")
-    _write_cell_masses(out_dir / "survivor_measure.csv", "mass",
-                       nu_hat.masses)
+    _write_cell_masses(out_dir / "survivor_measure.csv", "mass", nu_hat)
     return {"ulam": ulam}, 0
 
 

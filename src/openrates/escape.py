@@ -17,7 +17,6 @@ import numpy as np
 from .systems import (OpenSystem, evolve_survivors, perron,
                       survivor_transition_matrix, word_counts)
 from . import ulam as ulam_mod
-from .ulam import GridMeasure
 
 MC_SHARDS = 32  # fixed shard count, so a result depends on the seed only
 
@@ -83,12 +82,13 @@ def escape_rate_grid(sys: OpenSystem, n_max: int,
     if resolution is None:
         resolution = 512 if sys.map.dimension == 1 else 128
     operator = ulam_mod.build_ulam(sys, resolution)
-    m = GridMeasure.lebesgue(operator.dimension, operator.resolution)
+    ncells = operator.matrix.shape[0]
     # ||v P^{k}|| is the mass of M^{k-1}; record per_n_mass[n] = m(M^n)
-    masses, _ = ulam_mod.evolve_mass(operator, m.masses, n_max + 1)
+    masses, _ = ulam_mod.evolve_mass(operator, np.full(ncells, 1.0 / ncells),
+                                     n_max + 1)
     per_n = [(n, masses[n]) for n in range(n_max + 1)]
     return _fit_window(per_n, default_window(n_max), "grid",
-                       meta={"resolution": operator.resolution,
+                       meta={"resolution": resolution,
                              "assembly": operator.assembly})
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .escape import EscapeEstimate
 from .systems import OpenSystem, orbit_tableau, perron, torus_dist
-from .ulam import GridMeasure
+from .ulam import _cell_index
 
 # Brin-Katok fits use the steps whose ball keeps at least this many samples
 MIN_BALL_COUNT = 30
@@ -311,13 +311,20 @@ def class_membership(sys: OpenSystem, rep: InvariantMeasureRep,
         flags["G_H"] = sub
 
     if "G_phi" in targets:
-        gm = GridMeasure.lebesgue(dim, 16)
-        idx = gm.cell_index(pts)
-        occupied = np.bincount(idx, minlength=gm.ncells) / len(pts)
+        ncells = 16 ** dim
+        occupied = np.bincount(_cell_index(pts, 16),
+                               minlength=ncells) / len(pts)
         best = int(np.argmax(occupied))
-        # ess-inf of the reference density over the best-occupied cell
-        probes = gm.sample(rng, 256)
-        pidx = gm.cell_index(probes)
+        # ess-inf of the reference density over the best-occupied cell, from
+        # 256 uniform probes: a cell each, then a uniform point in it
+        cells = rng.choice(ncells, 256, p=np.full(ncells, 1 / ncells))
+        if dim == 1:
+            probes = (cells + rng.random(256)) / 16
+        else:
+            ix, iy = np.divmod(cells, 16)
+            probes = np.column_stack([(ix + rng.random(256)) / 16,
+                                      (iy + rng.random(256)) / 16])
+        pidx = _cell_index(probes, 16)
         cell_probes = probes[pidx == best]
         if len(cell_probes) == 0:
             cell_probes = probes[:16]

@@ -113,6 +113,8 @@ class MapModel:
 
 def adic_map(m: int) -> MapModel:
     """x -> m*x mod 1. Full-branch Markov with constant derivative m."""
+    if not m >= 2:
+        raise ValueError(f"adic map needs m >= 2, got {m!r}")
     mf = float(m)
 
     return MapModel(
@@ -272,8 +274,13 @@ def cylinder_union_hole(base: int, level: int, words) -> HoleSpec:
 
 
 def interval_union_hole(intervals) -> HoleSpec:
-    return _interval_hole([(float(a), float(b)) for a, b in intervals],
-                          "interval_union")
+    """Union of the open intervals (a, b), each with 0 <= a <= b <= 1."""
+    intervals = [(float(a), float(b)) for a, b in intervals]
+    for a, b in intervals:
+        if not 0.0 <= a <= b <= 1.0:
+            raise ValueError(f"hole interval {[a, b]} must satisfy "
+                             "0 <= a <= b <= 1")
+    return _interval_hole(intervals, "interval_union")
 
 
 def ball_hole_2d(center, radius) -> HoleSpec:
@@ -617,6 +624,8 @@ def map_from_config(cfg: dict) -> MapModel:
     if not _is_numbers(list(params.values())):
         raise ValueError(f"map params for {name} must be numbers")
     if name == "adic":
+        if not _is_number(params["m"], integer=True):
+            raise ValueError("map param m for adic must be an integer")
         return adic_map(int(params["m"]))
     if name == "logistic":
         return logistic_like(float(params.get("a", 3.9)))

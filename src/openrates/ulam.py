@@ -1,10 +1,10 @@
 """Ulam discretization of the open-system transfer operator.
 
 Piecewise-constant densities on a uniform grid; the matrix P has
-P[i, j] = m(B_i ∩ f^{-1}B_j ∩ (M \\ H)) / m(B_i), so rows of cells inside the
-hole are zero and row sums are <= 1.  The dominant eigenpair is computed by
-power iteration (1-norm normalized) with deflation for the subdominant
-modulus.
+P[i, j] = m(B_i ∩ f^{-1}B_j ∩ (M \\ H)) / m(B_i), so row sums are <= 1 and
+the hole cells are the empty rows of the sparse matrix.  The dominant
+eigenpair is computed by power iteration (1-norm normalized) with deflation
+for the subdominant modulus.
 """
 
 from __future__ import annotations
@@ -31,76 +31,24 @@ class ResolutionMismatch(UserWarning):
     pass
 
 
-@dataclass
-class GridMeasure:
-    """Piecewise-constant measure on a uniform grid over [0,1)^dim.
-
-    ``masses`` is flat (C order for 2D: index = ix * n + iy) and holds cell
-    masses, not densities.
-    """
-
-    dimension: int
-    resolution: int
-    masses: np.ndarray
-
-    @classmethod
-    def lebesgue(cls, dimension: int, resolution: int):
-        ncells = resolution ** dimension
-        return cls(dimension, resolution,
-                   np.full(ncells, 1.0 / ncells))
-
-    @property
-    def ncells(self):
-        return self.resolution ** self.dimension
-
-    def total(self):
-        return float(np.sum(self.masses))
-
-    def cell_centers(self):
-        n = self.resolution
-        c = (np.arange(n) + 0.5) / n
-        if self.dimension == 1:
-            return c
-        gx, gy = np.meshgrid(c, c, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
-
-    def sample(self, rng: np.random.Generator, size: int):
-        """Draw points: cell by mass, uniform within the cell."""
-        p = self.masses / self.total()
-        idx = rng.choice(self.ncells, size=size, p=p)
-        n = self.resolution
-        if self.dimension == 1:
-            return (idx + rng.random(size)) / n
-        ix, iy = np.divmod(idx, n)
-        return np.column_stack([(ix + rng.random(size)) / n,
-                                (iy + rng.random(size)) / n])
-
-    def cell_index(self, pts):
-        n = self.resolution
-        if self.dimension == 1:
-            return np.minimum((np.asarray(pts) * n).astype(np.int64), n - 1)
-        pts = np.asarray(pts)
-        ix = np.minimum((pts[..., 0] * n).astype(np.int64), n - 1)
-        iy = np.minimum((pts[..., 1] * n).astype(np.int64), n - 1)
-        return ix * n + iy
+def _cell_index(pts, n: int):
+    """Flat index of the cell of the uniform n-grid holding each point:
+    ``pts`` of shape (N,) on [0,1) or (N, 2) on [0,1)^2, 2D cells in C
+    order (index = ix * n + iy)."""
+    pts = np.asarray(pts)
+    if pts.ndim == 1:
+        return np.minimum((pts * n).astype(np.int64), n - 1)
+    ix, iy = (_cell_index(pts[:, k], n) for k in (0, 1))
+    return ix * n + iy
 
 
 @dataclass
 class UlamOperator:
-    dimension: int
-    resolution: int
-    matrix: sp.csr_matrix          # row-substochastic
-    hole_cells: np.ndarray         # indices of cells inside the hole
+    matrix: sp.csr_matrix          # row-substochastic; hole cells: empty rows
     assembly: str                  # "exact" or "quadrature"
 
-    @property
-    def ncells(self):
-        return self.matrix.shape[0]
-
     def nonhole_mask(self):
-        mask = np.ones(self.ncells, dtype=bool)
-        mask[self.hole_cells] = False
-        return mask
+        return np.diff(self.matrix.indptr) > 0
 
     def export_coo(self, path):
         """Sparse export: one 'i j value' line per nonzero, the value as the
@@ -111,7 +59,7 @@ class UlamOperator:
         entries are count / 8^dim and so take few values."""
         coo = self.matrix.tocoo()
         with open(path, "w") as fh:
-            fh.write(f"# {self.ncells} {self.ncells} {coo.nnz}\n")
+            fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
             for k in range(0, coo.nnz, 65536):
                 part = slice(k, k + 65536)
                 bits, inv = np.unique(coo.data[part].view(np.int64),
@@ -172,17 +120,12 @@ def _assemble_exact_1d(sys: OpenSystem, n: int):
         warnings.warn(
             f"hole boundary points {mism} are not grid edges at resolution {n}",
             ResolutionMismatch)
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        if in_hole[i]:
-            continue
-        j0 = (m * i) % n
-        for t in range(m):
-            rows.append(i)
-            cols.append((j0 + t) % n)
-            vals.append(1.0 / m)
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return P, np.nonzero(in_hole)[0]
+    # non-hole cell i spreads 1/m onto each of the m cells from (m * i) mod n
+    keep = np.flatnonzero(~in_hole)
+    rows = np.repeat(keep, m)
+    cols = ((m * keep[:, None] + np.arange(m)) % n).ravel()
+    return sp.csr_matrix((np.full(rows.size, 1.0 / m), (rows, cols)),
+                         shape=(n, n))
 
 
 def _assemble_quadrature(sys: OpenSystem, n: int):
@@ -193,7 +136,8 @@ def _assemble_quadrature(sys: OpenSystem, n: int):
     only its distinct targets with their hit counts, so memory is
     O(nnz + block) rather than O(n^dim * 8^dim).  A row's entry is
     count / 8^dim, which equals the sum of count copies of 1 / 8^dim exactly
-    (a power of two)."""
+    (a power of two).  A row is empty when all its cell's points are in
+    the hole."""
     import scipy.sparse as sp
 
     dim = sys.map.dimension
@@ -204,13 +148,10 @@ def _assemble_quadrature(sys: OpenSystem, n: int):
     if dim == 1:
         offs = o
     else:
-        ox, oy = np.meshgrid(o, o, indexing="ij")
-        offs = np.column_stack([ox.ravel(), oy.ravel()])
-        base = GridMeasure.lebesgue(2, n).cell_centers() - 0.5 / n
-    grid = GridMeasure(dim, n, np.zeros(0))
+        c = (np.arange(n) + 0.5) / n - 0.5 / n      # cell corners
+        offs, base = (np.stack(np.meshgrid(v, v, indexing="ij"),
+                               axis=-1).reshape(-1, 2) for v in (o, c))
     row_nnz, cols, counts = [], [], []
-    # hole cells: every subsample inside the hole
-    hole = np.empty(ncells, dtype=bool)
     for c0 in range(0, ncells, 4096):
         c1 = min(c0 + 4096, ncells)
         if dim == 1:
@@ -218,10 +159,9 @@ def _assemble_quadrature(sys: OpenSystem, n: int):
         else:
             pts = (base[c0:c1, None, :] + offs).reshape(-1, 2)
         inside = sys.hole.in_hole_many(pts)
-        tgt = grid.cell_index(sys.map.step_many(pts))
+        tgt = _cell_index(sys.map.step_many(pts), n)
         tgt[inside] = ncells                      # sentinel, sorts last
         tgt = np.sort(tgt.reshape(c1 - c0, per_cell), axis=1)
-        hole[c0:c1] = inside.reshape(c1 - c0, per_cell).all(axis=1)
         # run starts of each sorted row; every row opens a run
         start = np.ones(tgt.shape, dtype=bool)
         start[:, 1:] = tgt[:, 1:] != tgt[:, :-1]
@@ -236,9 +176,8 @@ def _assemble_quadrature(sys: OpenSystem, n: int):
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_nnz))])
     data = np.concatenate(counts) * (1.0 / per_cell)
     # scipy stores int32 indices whenever they fit
-    P = sp.csr_matrix((data, np.concatenate(cols), indptr),
-                      shape=(ncells, ncells))
-    return P, np.flatnonzero(hole)
+    return sp.csr_matrix((data, np.concatenate(cols), indptr),
+                         shape=(ncells, ncells))
 
 
 def build_ulam(sys: OpenSystem, resolution: int) -> UlamOperator:
@@ -247,15 +186,15 @@ def build_ulam(sys: OpenSystem, resolution: int) -> UlamOperator:
         raise ValueError(f"Ulam resolution must be a positive integer, got "
                          f"{resolution!r}")
     if sys.map.branch_count is not None:
-        P, hole_cells = _assemble_exact_1d(sys, resolution)
+        P = _assemble_exact_1d(sys, resolution)
         method = "exact"
     else:
-        P, hole_cells = _assemble_quadrature(sys, resolution)
+        P = _assemble_quadrature(sys, resolution)
         method = "quadrature"
     rowsums = np.asarray(P.sum(axis=1)).ravel()
     if np.any(rowsums > 1.0 + 1e-12):
         raise AssertionError("Ulam matrix is not row-substochastic")
-    return UlamOperator(sys.map.dimension, resolution, P, hole_cells, method)
+    return UlamOperator(P, method)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +307,7 @@ def survivor_measure(U: UlamOperator, S: SpectralData):
     (i) cellwise product left * right, normalized;
     (ii) the limit r^{-n} mu*(B ∩ M^n) evaluated per cell until successive
     iterates differ by less than 1e-8 in L1, for at most 200 steps.
-    Returns (GridMeasure, info) where info records the route discrepancy.
+    Returns (cell masses, info) where info records the route discrepancy.
     """
     lam = S.eigenvalue
     prod = S.right * S.left
@@ -394,6 +333,5 @@ def survivor_measure(U: UlamOperator, S: SpectralData):
     if disc > 1e-4:
         raise ValueError(
             f"survivor-measure routes disagree in L1 by {disc:.3e}")
-    gm = GridMeasure(U.dimension, U.resolution, nu_i)
-    return gm, {"route_discrepancy": disc, "n_used": n_used}
+    return nu_i, {"route_discrepancy": disc, "n_used": n_used}
 

@@ -344,6 +344,28 @@ def test_unknown_config_key(tmp_path, capsys):
      "error: samples in balls config must be positive"),
     ("billiard", lambda c: c.update(billiard={"samples": -1}),
      "error: samples in billiard config must be positive"),
+    # a Gurevich sum up to n_max 0 or below holds no orbit to check
+    ("tower", lambda c: c.update(tower=TOWER, tower_options={"n_max": 0}),
+     "error: n_max in tower_options config must be positive"),
+    ("tower", lambda c: c.update(tower=TOWER, tower_options={"n_max": -1}),
+     "error: n_max in tower_options config must be positive"),
+    # an interval hole lies in [0, 1] with a <= b
+    ("escape", lambda c: c["system"].update(hole={
+        "kind": "interval_union", "intervals": [[0.6, 0.4]]}),
+     "error: hole interval [0.6, 0.4] must satisfy 0 <= a <= b <= 1"),
+    ("escape", lambda c: c["system"].update(hole={
+        "kind": "interval_union", "intervals": [[0.9, 1.1]]}),
+     "error: hole interval [0.9, 1.1] must satisfy 0 <= a <= b <= 1"),
+    ("escape", lambda c: c["system"].update(hole={
+        "kind": "interval_union", "intervals": [[-0.1, 0.1]]}),
+     "error: hole interval [-0.1, 0.1] must satisfy 0 <= a <= b <= 1"),
+    # the adic map needs an integer m >= 2
+    ("escape", lambda c: c["system"]["map"].update(params={"m": 0}),
+     "error: adic map needs m >= 2, got 0"),
+    ("escape", lambda c: c["system"]["map"].update(params={"m": -2}),
+     "error: adic map needs m >= 2, got -2"),
+    ("escape", lambda c: c["system"]["map"].update(params={"m": 2.5}),
+     "error: map param m for adic must be an integer"),
 ])
 def test_unknown_section_key_exits_1(tmp_path, capsys, command, edit,
                                      message):

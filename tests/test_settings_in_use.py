@@ -12,7 +12,10 @@ that forwards its ``**kwargs`` to another one count for that one too.
 Every field of a dataclass or NamedTuple of the package must likewise be
 read, as an attribute load, somewhere in ``src/`` or ``perfbench/``: a
 field that only tests read is carried for nobody.  That scan matches the
-attribute name alone, whatever object it is read from.
+attribute name alone, whatever object it is read from.  So must every
+top-level function and class and every non-dunder method, by name or by
+attribute, save the few in ``TEST_ONLY`` that the tests hold as reference
+data.
 """
 
 import ast
@@ -181,20 +184,60 @@ def _fields():
     return out
 
 
-def _attribute_loads():
-    """Every attribute name read (loaded) under ``src/`` or ``perfbench/``."""
-    loads = set()
+def _loads():
+    """Every attribute name and every plain name read (loaded) under
+    ``src/`` or ``perfbench/``."""
+    attrs, names = set(), set()
     for top in CALLERS[:2]:
         for path in sorted(top.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
-            loads.update(node.attr for node in ast.walk(tree)
-                         if isinstance(node, ast.Attribute)
-                         and isinstance(node.ctx, ast.Load))
-    return loads
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Load):
+                    attrs.add(node.attr)
+                elif isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+    return attrs, names
 
 
 def test_every_field_is_read():
-    loads = _attribute_loads()
+    loads, _ = _loads()
     unread = [f for f in _fields() if f.rsplit(".", 1)[1] not in loads]
     assert not unread, ("fields that no code in src/ or perfbench/ reads:"
                         "\n  " + "\n  ".join(unread))
+
+
+# reference data the tests build on: the golden-mean tower of ROADMAP
+# item 4 and the stationary mass of a billiard arc hole
+TEST_ONLY = {"tower.golden_mean_tower",
+             "billiard.BilliardHole.arc_measure_fraction"}
+
+
+def _names():
+    """``module.name`` for every top-level function and class of the
+    package, and ``module.Class.method`` for every non-dunder method."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            out.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out += [f"{path.stem}.{node.name}.{fn.name}"
+                        for fn in node.body
+                        if isinstance(fn, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                        and not (fn.name.startswith("__")
+                                 and fn.name.endswith("__"))]
+    return out
+
+
+def test_every_name_is_used():
+    attrs, names = _loads()
+    unused = [q for q in _names() if q not in TEST_ONLY
+              and q.rsplit(".", 1)[1] not in attrs | names]
+    assert not unused, ("functions, classes and methods that no code in "
+                        "src/ or perfbench/ loads:\n  " + "\n  ".join(unused))

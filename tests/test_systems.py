@@ -26,6 +26,17 @@ def test_adic_map_meta_and_derivative():
     assert f.step_many(np.array([0.25]))[0] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("m", [1, 0, -2])
+def test_adic_map_rejects_fewer_than_two_branches(m):
+    with pytest.raises(ValueError, match=f"adic map needs m >= 2, got {m}"):
+        S.adic_map(m)
+
+
+def test_adic_config_rejects_non_integer_m():
+    with pytest.raises(ValueError, match="m for adic must be an integer"):
+        S.map_from_config({"name": "adic", "params": {"m": 2.5}})
+
+
 def test_cat_map_matrix_action():
     f = S.cat_map()
     p = np.array([[0.2, 0.3]])
@@ -190,6 +201,18 @@ def test_cylinder_hole_membership():
     # open set: boundary points excluded
     assert not h.in_hole_many(np.array([0.75]))[0]
     assert h.boundary_distance(np.array([0.75]))[0] == 0.0
+
+
+# an empty, an overhanging and a wrapped-round interval were dropped or
+# clipped without a word; a degenerate a = b stays allowed
+@pytest.mark.parametrize("interval", [(0.6, 0.4), (0.9, 1.1), (-0.1, 0.1),
+                                      (math.nan, 0.5), (0.2, math.nan)])
+def test_interval_hole_rejects_interval_outside_unit(interval):
+    with pytest.raises(ValueError, match=r"hole interval \[.*\] must "
+                       r"satisfy 0 <= a <= b <= 1"):
+        S.interval_union_hole([(0.1, 0.2), interval])
+    assert S.interval_union_hole([(0.3, 0.3)]).meta["intervals"] == \
+        [(0.3, 0.3)]
 
 
 def test_hole_boundary_distance():

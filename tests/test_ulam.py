@@ -24,12 +24,59 @@ def test_exact_assembly_golden(golden_system):
     P = op.matrix.toarray()
     rows = P.sum(axis=1)
     assert np.all(rows <= 1 + 1e-14)
-    # hole rows are zero
-    for i in op.hole_cells:
-        assert not P[i].any()
+    # the empty rows are the cells whose centre is in the hole
+    centres = (np.arange(16) + 0.5) / 16
+    assert np.array_equal(~op.nonhole_mask(),
+                          golden_system.hole.in_hole_many(centres))
     # non-hole rows have entries exactly 1/2
     nz = P[P > 0]
     assert np.all(nz == 0.5)
+
+
+def _exact_1d_cell_loop(sys_obj, n):
+    """Exact assembly as one COO triple per branch of each non-hole cell in
+    a Python loop; the reference the vectorised assembly must reproduce bit
+    for bit."""
+    m = sys_obj.map.branch_count
+    in_hole = sys_obj.hole.in_hole_many((np.arange(n) + 0.5) / n)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        if in_hole[i]:
+            continue
+        j0 = (m * i) % n
+        for t in range(m):
+            rows.append(i)
+            cols.append((j0 + t) % n)
+            vals.append(1.0 / m)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), in_hole
+
+
+_GOLDEN = OpenSystem(doubling_map(), cylinder_union_hole(2, 2, [(1, 1)]))
+
+
+@pytest.mark.parametrize("sys_obj, n, mismatch", [
+    # the hole edge 3/4 is no grid edge at one and two cells
+    *[(_GOLDEN, n, n < 4) for n in (1, 2, 4, 64, 2 ** 16)],
+    (OpenSystem(adic_map(3), cylinder_union_hole(3, 1, [(1,)])), 729, False),
+    (OpenSystem(adic_map(5), cylinder_union_hole(
+        5, 3, [(1, 3, 2), (4, 0, 1)])), 125, False),
+    (OpenSystem(doubling_map(), interval_union_hole([(0.1, 0.3)])), 64,
+     True),
+], ids=["golden1", "golden2", "golden4", "golden64", "golden65536",
+        "triadic729", "5adic125", "interval64"])
+def test_exact_assembly_matches_cell_loop(sys_obj, n, mismatch):
+    if mismatch:
+        with pytest.warns(U.ResolutionMismatch):
+            P = U._assemble_exact_1d(sys_obj, n)
+    else:
+        P = U._assemble_exact_1d(sys_obj, n)
+    ref, in_hole = _exact_1d_cell_loop(sys_obj, n)
+    assert P.shape == ref.shape
+    assert np.array_equal(P.indptr, ref.indptr)
+    assert np.array_equal(P.indices, ref.indices)
+    assert P.data.tobytes() == ref.data.tobytes()
+    # the empty rows are the cells whose centre is in the hole
+    assert np.array_equal(np.diff(P.indptr) == 0, in_hole)
 
 
 def test_leading_eigenpair_golden(golden_system):
@@ -72,7 +119,7 @@ def test_resolution_mismatch_warning(golden_system):
 
 def test_evolve_mass_matches_powers(golden_system):
     op = U.build_ulam(golden_system, 16)
-    v = U.GridMeasure.lebesgue(1, 16).masses
+    v = np.full(16, 1 / 16)
     masses, final = U.evolve_mass(op, v, 5)
     P = op.matrix.toarray()
     w = v.copy()
@@ -99,10 +146,10 @@ def test_survivor_measure_golden(golden_system):
     spec = U.leading_eigenpair(op)
     nu, info = U.survivor_measure(op, spec)
     # exact quarter-cell masses of the survivor measure
-    assert nu.masses[3] == pytest.approx(0.0, abs=1e-12)
-    assert nu.masses[0] == pytest.approx(0.4472135955, abs=1e-9)
-    assert nu.masses[1] == pytest.approx(0.2763932023, abs=1e-9)
-    assert nu.masses[2] == pytest.approx(0.2763932023, abs=1e-9)
+    assert nu[3] == pytest.approx(0.0, abs=1e-12)
+    assert nu[0] == pytest.approx(0.4472135955, abs=1e-9)
+    assert nu[1] == pytest.approx(0.2763932023, abs=1e-9)
+    assert nu[2] == pytest.approx(0.2763932023, abs=1e-9)
     assert info["route_discrepancy"] < 1e-4
 
 
@@ -121,11 +168,20 @@ def test_build_ulam_takes_numpy_integer(golden_system):
     assert op.matrix.shape == (16, 16)
 
 
-def test_grid_measure_sample_and_index(rng):
-    gm = U.GridMeasure.lebesgue(2, 8)
-    pts = gm.sample(rng, 500)
-    idx = gm.cell_index(pts)
+def test_cell_index_range(rng):
+    # the last float below 1 stays in the last cell
+    top = np.nextafter(1.0, 0.0)
+    xs = np.concatenate([rng.random(500), [0.0, top]])
+    idx = U._cell_index(xs, 8)
+    assert idx.min() == 0 and idx.max() == 7
+    assert np.array_equal(idx, np.floor(xs * 8))
+    pts = np.concatenate([rng.random((500, 2)), [[0.0, top], [top, 0.0]]])
+    idx = U._cell_index(pts, 8)
     assert idx.min() >= 0 and idx.max() < 64
+    # C order: index = ix * n + iy
+    assert idx[-2:].tolist() == [7, 56]
+    assert np.array_equal(idx, np.floor(pts[:, 0] * 8) * 8
+                          + np.floor(pts[:, 1] * 8))
 
 
 def test_2d_ulam_cat_map_closed():
@@ -155,7 +211,10 @@ def _one_shot_quadrature(sys_obj, n):
         ncells = n * n
         o = (np.arange(s) + 0.5) / (s * n)
         ox, oy = np.meshgrid(o, o, indexing="ij")
-        base = U.GridMeasure.lebesgue(2, n).cell_centers() - 0.5 / n
+        # cell corners as centre minus half a cell, as the assembly has them
+        c = (np.arange(n) + 0.5) / n - 0.5 / n
+        cx, cy = np.meshgrid(c, c, indexing="ij")
+        base = np.column_stack([cx.ravel(), cy.ravel()])
         pts = (base[:, None, :] +
                np.column_stack([ox.ravel(), oy.ravel()])[None, :, :])
         pts = pts.reshape(-1, 2)
@@ -164,7 +223,7 @@ def _one_shot_quadrature(sys_obj, n):
     outside = ~sys_obj.hole.in_hole_many(pts)
     imgs = sys_obj.map.step_many(pts[outside])
     src_ok = src[outside]
-    tgt = U.GridMeasure(dim, n, np.zeros(ncells)).cell_index(imgs)
+    tgt = U._cell_index(imgs, n)
     w = 1.0 / per_cell
     P = sp.coo_matrix((np.full(len(src_ok), w), (src_ok, tgt)),
                       shape=(ncells, ncells)).tocsr()
@@ -190,7 +249,8 @@ LOGISTIC_HOLED = OpenSystem(logistic_like(3.9),
 ], ids=["cat64", "baker32-seam", "cat32-whole-cells", "cat32-empty",
         "logistic1000", "logistic10000"])
 def test_streamed_quadrature_matches_one_shot(sys_obj, n, has_hole_cells):
-    P, hole_cells = U._assemble_quadrature(sys_obj, n)
+    P = U._assemble_quadrature(sys_obj, n)
+    hole_cells = np.flatnonzero(np.diff(P.indptr) == 0)
     ref, ref_hole = _one_shot_quadrature(sys_obj, n)
     assert P.shape == ref.shape
     assert np.array_equal(P.indptr, ref.indptr)
@@ -208,7 +268,8 @@ def test_export_coo_round_trips(tmp_path):
     path = tmp_path / "operator_coo.csv"
     op.export_coo(path)
     header, *lines = path.read_text().splitlines()
-    assert header == f"# {op.ncells} {op.ncells} {op.matrix.nnz}"
+    assert header == f"# {op.matrix.shape[0]} {op.matrix.shape[1]} " \
+        f"{op.matrix.nnz}"
     rows, cols, vals = [], [], []
     for line in lines:
         i, j, v = line.split(" ")
@@ -226,7 +287,7 @@ def _export_coo_ref(op, path):
     # the per-entry generator writer the one-format-call slices replaced
     coo = op.matrix.tocoo()
     with open(path, "w") as fh:
-        fh.write(f"# {op.ncells} {op.ncells} {coo.nnz}\n")
+        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
         fh.writelines(f"{i} {j} {v!r}\n" for i, j, v in
                       zip(coo.row.tolist(), coo.col.tolist(),
                           coo.data.tolist()))
@@ -241,8 +302,7 @@ _CAT = OpenSystem(cat_map(), ball_hole_2d((0.25, 0.75), 0.1))
     lambda: U.build_ulam(_CAT, 160),
     lambda: U.build_ulam(OpenSystem(adic_map(3), cylinder_union_hole(
         3, 2, [(1, 1), (2, 0)])), 81),
-    lambda: U.UlamOperator(1, 4, sp.csr_matrix((4, 4)), np.arange(4),
-                           "exact"),
+    lambda: U.UlamOperator(sp.csr_matrix((4, 4)), "exact"),
 ], ids=["cat32", "cat160", "triadic81", "zero_nnz"])
 def test_export_coo_bytes_match_generator_writer(tmp_path, make):
     op = make()
