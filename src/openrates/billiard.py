@@ -23,7 +23,7 @@ import numpy as np
 
 from .escape import (MC_SHARDS, InsufficientSurvivorsError,
                      sharded_mc_estimates)
-from .systems import _is_number, _is_numbers, _lookup, _reject_unknown
+from .systems import _REQUIRED, _integer, _number, _point, _read_kind
 
 TANGENT_GUARD = 1e-9        # |cos theta| below this flags a grazing collision
 TAU_BOUND = 1.5             # every free flight of a valid table is shorter
@@ -348,6 +348,8 @@ class BilliardHole:
             if not 0 < self.arc_halfwidth < math.pi:
                 raise ValueError("arc halfwidth out of range")
         elif self.kind == "disk":
+            if not self.radius > 0:
+                raise ValueError("disk hole radius must be positive")
             c = np.array(self.center)
             d = np.linalg.norm(table.copy_centers - c[None, :], axis=1)
             gap = float(np.min(d - table.copy_radii)) - self.radius
@@ -479,29 +481,21 @@ def nested_disk_holes(table: BilliardTable, center, radii: Sequence[float]):
     return holes
 
 
-# each hole kind's config keys, with the conversion of each value
-_HOLE_FIELDS = {
-    "arc": {"scatterer": int, "arc_center": float, "arc_halfwidth": float},
-    "disk": {"center": tuple, "radius": float},
+# each hole kind: its constructor and field table
+_HOLE_KINDS = {
+    "arc": (lambda **fields: BilliardHole("arc", **fields), {
+        "scatterer": (_integer, _REQUIRED),
+        "arc_center": (_number, _REQUIRED),
+        "arc_halfwidth": (_number, _REQUIRED)}),
+    "disk": (lambda center, radius: BilliardHole(
+        "disk", center=tuple(center), radius=radius), {
+        "center": (_point, _REQUIRED), "radius": (_number, _REQUIRED)}),
 }
 
 
 def hole_from_config(cfg: dict) -> BilliardHole:
     """A hole from one entry of the ``holes`` list of a billiard config."""
-    _reject_unknown(cfg, {"kind"}.union(*_HOLE_FIELDS.values()),
-                    "each billiard hole")
-    kind = cfg.get("kind")
-    fields = _lookup(_HOLE_FIELDS, kind, "billiard hole kind")
-    _reject_unknown(cfg, {"kind", *fields}, f"billiard {kind} hole")
-    for key, convert in fields.items():
-        if not (_is_numbers(cfg[key], 2) if convert is tuple
-                else _is_number(cfg[key], integer=convert is int)):
-            what = {tuple: "two numbers", int: "an integer",
-                    float: "a number"}[convert]
-            raise ValueError(f"{key} of a billiard {kind} hole must be "
-                             f"{what}")
-    return BilliardHole(kind, **{key: convert(cfg[key])
-                                 for key, convert in fields.items()})
+    return _read_kind(cfg, _HOLE_KINDS, "billiard hole", "billiard {} hole")
 
 
 # ---------------------------------------------------------------------------

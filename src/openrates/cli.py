@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import sys as _sys
-from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -26,24 +25,24 @@ from . import escape as escape_mod
 from . import pressure as pressure_mod
 from . import tower as tower_mod
 from . import ulam as ulam_mod
-from .systems import (_is_number, _is_numbers, _reject_unknown, parry_chain,
-                      system_from_config)
+from .systems import (_REQUIRED, _any, _checked, _integer, _is_numbers,
+                      _json, _null_or, _number, _object, _positive,
+                      _read_config, parry_chain, system_from_config)
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _load_config(path):
+def _load_config(path) -> dict:
+    """The JSON object the file ``path`` holds."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"malformed config {path}: line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}")
+        raise ValueError(f"malformed JSON in {path}: line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}")
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return data
 
 
 def config_hash(cfg: dict) -> str:
@@ -51,74 +50,44 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# default null of a key whose value, when set, has JSON type ``kind``
-_NullOr = namedtuple("_NullOr", "kind")
+_positive_integer = _positive(_integer)
 
-# every key each config section may hold, with the value it takes when absent
-_DEFAULTS = {
-    "escape": {"methods": ["grid"], "n_max": 40,
-               "resolution": _NullOr("number"), "level": 2,
-               "samples": 100_000},
-    "ulam": {"resolution": 512},
-    "tower_options": {"n_max": 20},
-    "balls": {"eps": 0.1, "n_values": [4, 6, 8], "samples": 40_000,
-              "centers": [0.3137]},
-    "billiard": {"scatterers": _NullOr("array"),
-                 "validation_rays": 1_000_000, "holes": [],
-                 "samples": 1_000_000, "n_max": 40},
+
+def _integers(value, name) -> list:
+    return [int(n) for n in _checked(lambda v: _is_numbers(v, integer=True),
+                                     "an array of integers")(value, name)]
+
+
+_scatterers = _checked(lambda v: isinstance(v, list) and all(
+    isinstance(s, list) and len(s) == 2 and _is_numbers(s[0], 2)
+    and _is_numbers(s[1:]) for s in v), "an array of [[x, y], r]")
+
+# the field table of each config section
+_SECTIONS = {
+    "escape": {"methods": (_json("array"), ["grid"]), "n_max": (_integer, 40),
+               "resolution": (_null_or(_positive_integer), None),
+               "level": (_integer, 2),
+               "samples": (_positive_integer, 100_000)},
+    "ulam": {"resolution": (_positive_integer, 512)},
+    "tower_options": {"n_max": (_positive_integer, 20)},
+    "balls": {"eps": (_positive(_number), 0.1),
+              "n_values": (_integers, [4, 6, 8]),
+              "samples": (_positive_integer, 40_000),
+              "centers": (_json("array"), [0.3137])},
+    "billiard": {"scatterers": (_null_or(_scatterers), None),
+                 "validation_rays": (_integer, 1_000_000),
+                 "holes": (_json("array"), []),
+                 "samples": (_positive_integer, 1_000_000),
+                 "n_max": (_integer, 40)},
 }
-# JSON type of each Python type that json.loads returns
-_KINDS = {type(None): "null", bool: "boolean", int: "number", float: "number",
-          str: "string", list: "array", dict: "object"}
-
-
-def _check_kind(value, kinds, name: str):
-    if _KINDS[type(value)] not in kinds:
-        raise ConfigError(f"{name} must be a JSON {' or '.join(kinds)}, "
-                          f"not {_KINDS[type(value)]}")
-
-
-def _check_integer(value, name: str):
-    if not _is_number(value, integer=True):
-        raise ConfigError(f"{name} must be an integer")
-
-
-def _section(body, defaults: dict, where: str) -> dict:
-    """``body`` checked against ``defaults`` and filled in from them: each
-    value has the JSON type of its default, or is null if that is a
-    ``_NullOr``, and is an integer where the default is one."""
-    _reject_unknown(body, defaults, where)
-    out = {}
-    for key, default in defaults.items():
-        null_or = isinstance(default, _NullOr)
-        out[key] = body.get(key, None if null_or else default)
-        _check_kind(out[key], ("null", default.kind) if null_or
-                    else (_KINDS[type(default)],), f"{key} in {where}")
-        if type(default) is int:
-            _check_integer(out[key], f"{key} in {where}")
-    return out
-
-
-def _resolve(cfg) -> dict:
-    """The config with its seed and every ``_DEFAULTS`` section checked and
-    filled in."""
-    _reject_unknown(cfg, {"seed", "system", "tower", *_DEFAULTS}, "config")
-    resolved = {"seed": 0, **cfg}
-    _check_kind(resolved["seed"], ("number",), "seed")
-    _check_integer(resolved["seed"], "seed")
-    resolved.update({name: _section(cfg.get(name, {}), defaults,
-                                    f"{name} config")
-                     for name, defaults in _DEFAULTS.items()})
-    if resolved["escape"]["resolution"] is not None:
-        _check_integer(resolved["escape"]["resolution"],
-                       "resolution in escape config")
-    for name, key in (("ulam", "resolution"), ("balls", "eps"),
-                      ("escape", "resolution"), ("escape", "samples"),
-                      ("balls", "samples"), ("billiard", "samples"),
-                      ("tower_options", "n_max")):
-        if resolved[name][key] is not None and not resolved[name][key] > 0:
-            raise ConfigError(f"{key} in {name} config must be positive")
-    return resolved
+# the top level of a config; a subcommand requires the objects it reads,
+# which are read after the sections
+_CONFIG = {"seed": (_integer, 0),
+           **{name: (_object(fields, f"{name} config"), {})
+              for name, fields in _SECTIONS.items()},
+           "system": (_any, None), "tower": (_any, None)}
+# the top-level objects a subcommand reads, where they are not ``system``
+_READS = {"tower": ("tower",), "billiard": ()}
 
 
 def _json_ready(x):
@@ -148,24 +117,23 @@ def _write_summary(out_dir: Path, cfg: dict, payload: dict):
 
 def _escape_estimates(sys_obj, ecfg: dict, seed: int, out_dir: Path):
     if not ecfg["methods"]:
-        raise ConfigError("escape methods is empty")
+        raise ValueError("escape methods is empty")
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_max = int(ecfg["n_max"])
+    n_max = ecfg["n_max"]
     results = {}
     for method in ecfg["methods"]:
         if method == "grid":
-            res = ecfg["resolution"]
             est = escape_mod.escape_rate_grid(
-                sys_obj, n_max, resolution=None if res is None else int(res))
+                sys_obj, n_max, resolution=ecfg["resolution"])
         elif method == "words":
             est = escape_mod.escape_rate_words(
-                sys_obj, int(ecfg["level"]), n_max=n_max)
+                sys_obj, ecfg["level"], n_max=n_max)
         elif method == "mc":
             est = escape_mod.escape_rate_mc(
                 sys_obj, escape_mod.lebesgue_sampler(sys_obj.dimension),
-                n_max, int(ecfg["samples"]), seed)
+                n_max, ecfg["samples"], seed)
         else:
-            raise ConfigError(f"unknown escape method {method!r}")
+            raise ValueError(f"unknown escape method {method!r}")
         est.write_csv(out_dir / f"survival_{method}.csv")
         results[method] = est
     return results
@@ -223,6 +191,8 @@ def cmd_escape(cfg, out_dir, seed):
     system = cfg["system"]
     if isinstance(system, dict) and isinstance(system.get("hole"), list):
         # hole sweep: one estimate per hole, same map
+        if not system["hole"]:
+            raise ValueError("escape hole sweep is empty")
         ests = [_best_estimate(_escape_estimates(
             system_from_config({**system, "hole": hc}), cfg["escape"], seed,
             out_dir / f"hole_{i}")) for i, hc in enumerate(system["hole"])]
@@ -236,7 +206,7 @@ def cmd_escape(cfg, out_dir, seed):
 
 def cmd_ulam(cfg, out_dir, seed):
     sys_obj = system_from_config(cfg["system"])
-    op, _, nu_hat, ulam = _ulam_run(sys_obj, int(cfg["ulam"]["resolution"]),
+    op, _, nu_hat, ulam = _ulam_run(sys_obj, cfg["ulam"]["resolution"],
                                     out_dir)
     op.export_coo(out_dir / "operator_coo.csv")
     _write_cell_masses(out_dir / "survivor_measure.csv", "mass", nu_hat)
@@ -276,7 +246,7 @@ def cmd_tower(cfg, out_dir, seed):
     opts = cfg["tower_options"]
     r = tower_mod.tower_eigenvalue(T)
     pi, _ = tower_mod.gibbs_chain(T, r)
-    seq = tower_mod.gurevich_pressure(T, r, n_max=int(opts["n_max"]))
+    seq = tower_mod.gurevich_pressure(T, r, n_max=opts["n_max"])
     abram = tower_mod.abramov_check(T, r)
     hyp = tower_mod.validate_hypotheses(T)
     # P(nu) <= log r at the uniform Bernoulli measure on the unholed
@@ -301,7 +271,7 @@ def cmd_tower(cfg, out_dir, seed):
 def cmd_pressure(cfg, out_dir, seed):
     sys_obj = system_from_config(cfg["system"])
     results = _escape_estimates(sys_obj, cfg["escape"], seed, out_dir)
-    payload, code = _nu_hat_verdict(sys_obj, int(cfg["escape"]["level"]),
+    payload, code = _nu_hat_verdict(sys_obj, cfg["escape"]["level"],
                                     _best_estimate(results))
     payload["escape"] = {m: _estimate_dict(e) for m, e in results.items()}
     return payload, code
@@ -310,40 +280,30 @@ def cmd_pressure(cfg, out_dir, seed):
 def cmd_balls(cfg, out_dir, seed):
     sys_obj = system_from_config(cfg["system"])
     bcfg = cfg["balls"]
-    eps = float(bcfg["eps"])
     rng = np.random.default_rng(seed)
     rows = []
-    if not _is_numbers(bcfg["n_values"], integer=True):
-        raise ConfigError("n_values in balls config must be an array of "
-                          "integers")
     for center in bcfg["centers"]:
-        if not (_is_numbers(center, 2) if sys_obj.dimension == 2
-                else _is_number(center)):
-            raise ConfigError("each centre in balls config must be a point "
-                              "of the map: one number in 1D, two in 2D")
+        if not _is_numbers(center if sys_obj.dimension == 2 else [center],
+                           sys_obj.dimension):
+            raise ValueError("each centre in balls config must be a point "
+                             "of the map: one number in 1D, two in 2D")
         c = np.asarray(center, dtype=float) if sys_obj.dimension == 2 \
             else float(center)
         slope, masses = dynballs_mod.ball_slope(
-            sys_obj, c, eps, bcfg["n_values"], samples=int(bcfg["samples"]),
-            rng=rng)
+            sys_obj, c, bcfg["eps"], bcfg["n_values"],
+            samples=bcfg["samples"], rng=rng)
         rows.append({"center": center, "slope": slope, "masses": masses})
-    return {"balls": {"eps": eps, "results": rows}}, 0
+    return {"balls": {"eps": bcfg["eps"], "results": rows}}, 0
 
 
 def cmd_billiard(cfg, out_dir, seed):
     bcfg = cfg["billiard"]
     holes = [billiard_mod.hole_from_config(hc) for hc in bcfg["holes"]]
-    scatterers = bcfg["scatterers"]
-    for s in scatterers or ():
-        if not (isinstance(s, list) and len(s) == 2 and _is_numbers(s[0], 2)
-                and _is_number(s[1])):
-            raise ConfigError("each billiard scatterer must be [[x, y], r]")
     table = billiard_mod.build_table(
-        scatterers=(tuple((tuple(c), r) for c, r in scatterers)
-                    if scatterers else billiard_mod.DEFAULT_SCATTERERS),
-        validation_rays=int(bcfg["validation_rays"]))
+        scatterers=bcfg["scatterers"] or billiard_mod.DEFAULT_SCATTERERS,
+        validation_rays=bcfg["validation_rays"])
     ests = billiard_mod.billiard_escape_multi(
-        table, holes, int(bcfg["samples"]), int(bcfg["n_max"]), seed)
+        table, holes, bcfg["samples"], bcfg["n_max"], seed)
     for i, est in enumerate(ests):
         est.write_csv(out_dir / f"survival_billiard_{i}.csv")
     return {"billiard": {"tau_max": table.tau_max,
@@ -354,7 +314,7 @@ def cmd_verify(cfg, out_dir, seed):
     """Full pipeline: escape + spectral + pressure + verdict."""
     sys_obj = system_from_config(cfg["system"])
     results = _escape_estimates(sys_obj, cfg["escape"], seed, out_dir)
-    _, spec, _, ulam = _ulam_run(sys_obj, int(cfg["ulam"]["resolution"]),
+    _, spec, _, ulam = _ulam_run(sys_obj, cfg["ulam"]["resolution"],
                                  out_dir)
     payload = {"escape": {m: _estimate_dict(e) for m, e in results.items()},
                "ulam": ulam}
@@ -362,7 +322,7 @@ def cmd_verify(cfg, out_dir, seed):
     best = _best_estimate(results)
     if sys_obj.map.branch_count is not None:
         verdict_payload, code = _nu_hat_verdict(
-            sys_obj, int(cfg["escape"]["level"]), best)
+            sys_obj, cfg["escape"]["level"], best)
         payload.update(verdict_payload)
     # cross-route consistency
     rhos = [e.rho for e in results.values()]
@@ -375,11 +335,10 @@ def cmd_verify(cfg, out_dir, seed):
 def cmd_compare(args):
     paths = args.runs
     if len(paths) < 2:
-        raise ConfigError("compare needs at least two result bundles")
+        raise ValueError("compare needs at least two result bundles")
     rows = []
     for p in paths:
-        with open(Path(p) / "summary.json" if Path(p).is_dir() else p) as fh:
-            s = json.load(fh)
+        s = _load_config(Path(p) / "summary.json" if Path(p).is_dir() else p)
         row = {"path": str(p)}
         esc = s.get("escape", {})
         for m, e in esc.items():
@@ -392,7 +351,7 @@ def cmd_compare(args):
     keys = sorted(set().union(*[set(r) for r in rows]) - {"path"})
     missing = [k for k in keys if any(k not in r for r in rows)]
     if missing:
-        raise ConfigError(
+        raise ValueError(
             f"schema mismatch across runs; columns {missing} absent in some "
             "bundles")
     header = ["path"] + keys
@@ -441,8 +400,10 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(args)
         cfg = _load_config(args.config)
-        run = _resolve(cfg)
-        seed = args.seed if args.seed is not None else int(run["seed"])
+        required = {key: (_any, _REQUIRED)
+                    for key in _READS.get(args.command, ("system",))}
+        run = _read_config(cfg, {**_CONFIG, **required}, "config")
+        seed = args.seed if args.seed is not None else run["seed"]
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         payload, code = _COMMANDS[args.command](run, out_dir, seed)
@@ -450,7 +411,7 @@ def main(argv=None) -> int:
         payload["exit_code"] = code
         _write_summary(out_dir, cfg, payload)
         return code
-    except (ConfigError, ValueError, KeyError, OSError,
+    except (ValueError, KeyError, OSError,
             escape_mod.InsufficientSurvivorsError,
             escape_mod.DegenerateFitError, ulam_mod.ConvergenceError,
             dynballs_mod.ZeroCountError,

@@ -567,106 +567,152 @@ def evolve_survivors(sys: OpenSystem, pts, n_max: int):
 
 
 # ---------------------------------------------------------------------------
-# JSON construction
+# JSON construction: every config object is read against a field table
+# {key: (reader, default)}.  ``reader(value, name)`` returns the value
+# checked and converted, else raises ``<name> must be <what>``; an absent
+# key takes its default, read the same way, unless that is _REQUIRED.
 
-_MAP_SCHEMAS = {
-    "doubling": set(),
-    "adic": {"m"},
-    "triadic": set(),
-    "logistic": {"a"},
-    "cat": set(),
-    "baker": set(),
-}
+_REQUIRED = object()
 
-_HOLE_SCHEMAS = {
-    "cylinder_union": {"base", "level", "words"},
-    "interval_union": {"intervals"},
-    "region_2d": {"shape", "center", "radius"},
-    "empty": {"dimension"},
-}
+# JSON type of each Python type that json.loads returns
+_KINDS = {type(None): "null", bool: "boolean", int: "number", float: "number",
+          str: "string", list: "array", dict: "object"}
 
 
-def _reject_unknown(d: dict, allowed, where: str):
-    """Check that ``d`` is a JSON object holding only ``allowed`` keys."""
-    if not isinstance(d, dict):
+def _read_config(cfg, fields: dict, where: str) -> dict:
+    """The JSON object ``cfg``, named ``where`` in errors, read against the
+    field table ``fields``: one converted value per key of the table."""
+    if not isinstance(cfg, dict):
         raise ValueError(f"{where} must be a JSON object")
-    unknown = set(d) - set(allowed)
+    unknown = set(cfg) - set(fields)
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
+    out = {}
+    for key, (read, default) in fields.items():
+        if key not in cfg and default is _REQUIRED:
+            raise ValueError(f"missing key '{key}' in {where}")
+        out[key] = read(cfg.get(key, default), f"{key} in {where}")
+    return out
 
 
-def _is_number(x, integer: bool = False) -> bool:
-    """True for a JSON number that is not a boolean (integral: ``integer``)."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and (not integer or float(x).is_integer()))
+def _read_kind(cfg, kinds: dict, where: str, kind_where: str):
+    """``make(**fields read)`` for the entry (make, fields) of ``kinds``
+    that the ``kind`` of ``cfg`` names, the object then named
+    ``kind_where.format(kind)``."""
+    any_key = {key: (_any, None) for _, fields in kinds.values()
+               for key in fields}
+    kind = _read_config(cfg, {"kind": (_one_of(kinds), _REQUIRED),
+                              **any_key}, where)["kind"]
+    make, fields = kinds[kind]
+    return make(**_read_config({k: v for k, v in cfg.items() if k != "kind"},
+                               fields, kind_where.format(kind)))
+
+
+def _object(fields: dict, where: str):
+    """Reader of a JSON object against the field table ``fields``."""
+    return lambda value, name: _read_config(value, fields, where)
+
+
+def _any(value, name):
+    return value
+
+
+def _checked(ok, what: str):
+    """Reader of the values for which ``ok`` holds, as they are."""
+    def read(value, name):
+        if not ok(value):
+            raise ValueError(f"{name} must be {what}")
+        return value
+    return read
+
+
+def _json(kind: str):
+    """Reader of a value of the JSON type ``kind``, as is."""
+    def read(value, name):
+        found = _KINDS.get(type(value), type(value).__name__)
+        if found != kind:
+            raise ValueError(f"{name} must be a JSON {kind}, not {found}")
+        return value
+    return read
+
+
+def _number(value, name) -> float:
+    return float(_json("number")(value, name))
+
+
+def _integer(value, name) -> int:
+    return int(_checked(lambda v: float(v).is_integer(), "an integer")(
+        _json("number")(value, name), name))
+
+
+def _positive(read):
+    return lambda value, name: _checked(lambda v: v > 0, "positive")(
+        read(value, name), name)
+
+
+def _null_or(read):
+    return lambda value, name: None if value is None else read(value, name)
+
+
+def _one_of(choices):
+    """Reader of a string or number among ``choices``, as is."""
+    return _checked(lambda v: type(v) in (str, int, float) and v in choices,
+                    f"one of {sorted(choices)}")
 
 
 def _is_numbers(x, length=None, integer: bool = False) -> bool:
-    """True for a JSON array of numbers, of ``length`` of them if given."""
+    """True for a JSON array of numbers, none a boolean, all integral if
+    ``integer``, and ``length`` of them if given."""
     return (isinstance(x, list) and length in (None, len(x))
-            and all(_is_number(v, integer) for v in x))
+            and all(type(v) in (int, float)
+                    and (not integer or float(v).is_integer()) for v in x))
 
 
-def _lookup(table: dict, key, what: str):
-    """``table[key]`` for a string ``key``, else a ValueError naming
-    ``what``."""
-    if not isinstance(key, str) or key not in table:
-        raise ValueError(f"unknown {what} {key!r}")
-    return table[key]
+_point = _checked(lambda v: _is_numbers(v, 2), "two numbers")
+
+# each map: its constructor and the field table of its ``params``
+_MAPS = {"doubling": (doubling_map, {}),
+         "adic": (adic_map, {"m": (_integer, _REQUIRED)}),
+         "triadic": (lambda: adic_map(3), {}),
+         "logistic": (logistic_like, {"a": (_number, 3.9)}),
+         "cat": (cat_map, {}), "baker": (baker_map, {})}
+MAP_ZOO = {name: make for name, (make, _) in _MAPS.items()}
+
+# each hole kind: its constructor and field table
+_HOLES = {
+    "cylinder_union": (cylinder_union_hole, {
+        "base": (_integer, _REQUIRED), "level": (_integer, _REQUIRED),
+        "words": (_checked(lambda v: isinstance(v, list) and all(
+            _is_numbers(w, integer=True) for w in v),
+            "an array of integer arrays"), _REQUIRED)}),
+    "interval_union": (interval_union_hole, {
+        "intervals": (_checked(lambda v: isinstance(v, list) and all(
+            _is_numbers(iv, 2) for iv in v),
+            "an array of [a, b] number pairs"), _REQUIRED)}),
+    "region_2d": (lambda shape, center, radius: ball_hole_2d(center, radius),
+                  {"shape": (_one_of({"ball"}), "ball"),
+                   "center": (_point, _REQUIRED),
+                   "radius": (_positive(_number), _REQUIRED)}),
+    "empty": (empty_hole, {"dimension": (_one_of({1, 2}), 1)}),
+}
+
+_MAP = {"name": (_one_of(_MAPS), _REQUIRED), "params": (_any, {})}
 
 
 def map_from_config(cfg: dict) -> MapModel:
-    _reject_unknown(cfg, {"name", "params"}, "map config")
-    name = cfg["name"]
-    params = cfg.get("params", {})
-    _reject_unknown(params, _lookup(_MAP_SCHEMAS, name, "map"),
-                    f"map params for {name}")
-    if not _is_numbers(list(params.values())):
-        raise ValueError(f"map params for {name} must be numbers")
-    if name == "adic":
-        if not _is_number(params["m"], integer=True):
-            raise ValueError("map param m for adic must be an integer")
-        return adic_map(int(params["m"]))
-    if name == "logistic":
-        return logistic_like(float(params.get("a", 3.9)))
-    return MAP_ZOO[name]()
+    read = _read_config(cfg, _MAP, "map config")
+    make, fields = _MAPS[read["name"]]
+    return make(**_read_config(read["params"], fields,
+                               f"map params for {read['name']}"))
 
 
 def hole_from_config(cfg: dict) -> HoleSpec:
-    _reject_unknown(cfg, {"kind"}.union(*_HOLE_SCHEMAS.values()),
-                    "hole config")
-    kind = cfg.get("kind")
-    _reject_unknown(cfg, {"kind", *_lookup(_HOLE_SCHEMAS, kind, "hole kind")},
-                    f"hole config for {kind}")
-    if kind == "cylinder_union":
-        if not _is_numbers([cfg["base"], cfg["level"]], integer=True):
-            raise ValueError("hole base and level must be integers")
-        if not (isinstance(cfg["words"], list) and all(
-                _is_numbers(w, integer=True) for w in cfg["words"])):
-            raise ValueError("hole words must be an array of integer arrays")
-        return cylinder_union_hole(int(cfg["base"]), int(cfg["level"]),
-                                   cfg["words"])
-    if kind == "interval_union":
-        if not (isinstance(cfg["intervals"], list) and all(
-                _is_numbers(iv, 2) for iv in cfg["intervals"])):
-            raise ValueError(
-                "hole intervals must be an array of [a, b] number pairs")
-        return interval_union_hole(cfg["intervals"])
-    if kind == "region_2d":
-        if cfg.get("shape", "ball") != "ball":
-            raise ValueError("only ball-shaped region_2d holes are supported")
-        if not (_is_numbers(cfg["center"], 2) and _is_number(cfg["radius"])):
-            raise ValueError(
-                "hole center must be two numbers and hole radius a number")
-        if not cfg["radius"] > 0:
-            raise ValueError("hole radius must be positive")
-        return ball_hole_2d(cfg["center"], cfg["radius"])
-    if cfg.get("dimension", 1) not in (1, 2):
-        raise ValueError("hole dimension must be 1 or 2")
-    return empty_hole(int(cfg.get("dimension", 1)))
+    return _read_kind(cfg, _HOLES, "hole config", "hole config for {}")
+
+
+_SYSTEM = {"map": (lambda v, name: map_from_config(v), _REQUIRED),
+           "hole": (lambda v, name: hole_from_config(v), _REQUIRED)}
 
 
 def system_from_config(cfg: dict) -> OpenSystem:
-    _reject_unknown(cfg, {"map", "hole"}, "system config")
-    return OpenSystem(map=map_from_config(cfg["map"]),
-                      hole=hole_from_config(cfg["hole"]))
+    return OpenSystem(**_read_config(cfg, _SYSTEM, "system config"))

@@ -17,8 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .pressure import entropy_markov
-from .systems import (TiedClassesError, _is_number, _is_numbers,
-                      _reject_unknown, doob_chain, spectral_radius)
+from .systems import (_REQUIRED, TiedClassesError, _any, _integer,
+                      _is_numbers, _json, _number, _positive, _read_config,
+                      doob_chain, spectral_radius)
 
 
 class NoRootError(RuntimeError):
@@ -61,31 +62,26 @@ class TowerSpec:
         return [b for b in self.branches if not b.holed]
 
 
+_TOWER = {"branches": (_json("array"), _REQUIRED), "C0": (_number, 1.0),
+          "theta0": (_number, 0.5), "transition": (_any, None)}
+# a branch without an id takes its index
+_BRANCH = {"id": (_any, None), "R": (_positive(_integer), _REQUIRED),
+           "J": (_number, _REQUIRED), "mass": (_number, _REQUIRED),
+           "holed": (_json("boolean"), False)}
+
+
 def tower_from_config(cfg: dict) -> TowerSpec:
     """A tower from a config's ``tower`` object, each value checked."""
-    _reject_unknown(cfg, {"branches", "C0", "theta0", "transition"},
-                    "tower config")
-    if not isinstance(cfg["branches"], list):
-        raise ValueError("tower branches must be a JSON array")
+    tower = _read_config(cfg, _TOWER, "tower config")
     branches = []
-    for i, b in enumerate(cfg["branches"]):
-        _reject_unknown(b, {"id", "R", "J", "mass", "holed"}, f"branch {i}")
-        if not (_is_number(b["R"], integer=True) and b["R"] >= 1):
-            raise ValueError(f"R of branch {i} must be an integer >= 1")
-        if not _is_numbers([b["J"], b["mass"]]):
-            raise ValueError(f"J and mass of branch {i} must be numbers")
-        if not isinstance(b.get("holed", False), bool):
-            raise ValueError(f"holed of branch {i} must be true or false")
-        branches.append(TowerBranch(
-            id=str(b.get("id", i)), R=int(b["R"]), J=float(b["J"]),
-            mass=float(b["mass"]), holed=b.get("holed", False)))
+    for i, b in enumerate(tower["branches"]):
+        b = _read_config(b, _BRANCH, f"branch {i}")
+        branches.append(TowerBranch(**{**b, "id": str(
+            i if b["id"] is None else b["id"])}))
     ids = [b.id for b in branches]
     if len(set(ids)) < len(ids):
         raise ValueError(f"tower branch ids must be unique, got {ids}")
-    for key in ("C0", "theta0"):
-        if key in cfg and not _is_number(cfg[key]):
-            raise ValueError(f"tower {key} must be a number")
-    trans = cfg.get("transition")
+    trans = tower["transition"]
     if trans is not None:
         k = sum(not b.holed for b in branches)
         if not (isinstance(trans, list) and len(trans) == k
@@ -96,8 +92,8 @@ def tower_from_config(cfg: dict) -> TowerSpec:
         trans = np.asarray(trans, dtype=float)
         if not np.all((trans == 0) | (trans == 1)):
             raise ValueError("tower transition entries must be 0 or 1")
-    return TowerSpec(branches=branches, C0=float(cfg.get("C0", 1.0)),
-                     theta0=float(cfg.get("theta0", 0.5)), transition=trans)
+    return TowerSpec(branches=branches, C0=tower["C0"],
+                     theta0=tower["theta0"], transition=trans)
 
 
 # ---------------------------------------------------------------------------

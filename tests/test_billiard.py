@@ -69,6 +69,16 @@ def test_hole_validation_errors(small_table):
         B.BilliardHole("wedge").validate(small_table)
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.1])
+def test_disk_hole_needs_positive_radius(small_table, radius):
+    # a disk of radius 0 or below catches no trajectory: rho would read 0
+    with pytest.raises(ValueError, match="disk hole radius must be positive"):
+        B.BilliardHole("disk", center=(0.5, 0.0), radius=radius).validate(
+            small_table)
+    with pytest.raises(ValueError, match="disk hole radius must be positive"):
+        B.nested_disk_holes(small_table, (0.5, 0.0), [radius, 0.02])
+
+
 def test_arc_measure_fraction(small_table):
     h = B.BilliardHole("arc", scatterer=0, arc_center=1.0,
                        arc_halfwidth=0.06)

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from openrates import billiard as B
+from openrates import systems as S
 from openrates import tower as tower_mod
 from openrates import ulam as U
-from openrates.cli import (_DEFAULTS, _section, _write_cell_masses,
+from openrates.cli import (_CONFIG, _SECTIONS, _write_cell_masses,
                            config_hash, main)
 from openrates.systems import system_from_config
 
@@ -136,7 +138,7 @@ def test_unknown_config_key(tmp_path, capsys):
     ("escape", lambda c: c.update(escape=40),
      "error: escape config must be a JSON object"),
     ("billiard", lambda c: c.update(billiard={"holes": [5]}),
-     "error: each billiard hole must be a JSON object"),
+     "error: billiard hole must be a JSON object"),
     ("escape", lambda c: c.update(system=5),
      "error: system config must be a JSON object"),
     # a hole sweep parses map and holes on its own
@@ -147,7 +149,7 @@ def test_unknown_config_key(tmp_path, capsys):
     ("tower", lambda c: c.update(tower=5),
      "error: tower config must be a JSON object"),
     ("tower", lambda c: c.update(tower={"branches": 5}),
-     "error: tower branches must be a JSON array"),
+     "error: branches in tower config must be a JSON array, not number"),
     ("tower", lambda c: c.update(tower={"branches": [5]}),
      "error: branch 0 must be a JSON object"),
     ("escape", lambda c: c["system"].update(hole=5),
@@ -165,16 +167,18 @@ def test_unknown_config_key(tmp_path, capsys):
     ("escape", lambda c: c["escape"].update(methods="grid"),
      "error: methods in escape config must be a JSON array, not string"),
     ("escape", lambda c: c.update(seed=[1]),
-     "error: seed must be a JSON number, not array"),
+     "error: seed in config must be a JSON number, not array"),
     ("escape", lambda c: c["escape"].update(methods=[]),
      "error: escape methods is empty"),
     # a name or kind that is not a string cannot be looked up
     ("escape", lambda c: c["system"]["map"].update(name=["a"]),
-     "error: unknown map ['a']"),
+     "error: name in map config must be one of ['adic', 'baker', 'cat', "
+     "'doubling', 'logistic', 'triadic']"),
     ("escape", lambda c: c["system"]["hole"].update(kind=["a"]),
-     "error: unknown hole kind ['a']"),
+     "error: kind in hole config must be one of ['cylinder_union', "
+     "'empty', 'interval_union', 'region_2d']"),
     ("billiard", lambda c: c.update(billiard={"holes": [{"kind": ["a"]}]}),
-     "error: unknown billiard hole kind ['a']"),
+     "error: kind in billiard hole must be one of ['arc', 'disk']"),
     # the tower reader checks each value
     ("tower", lambda c: c.update(tower={**TOWER, "transition": [[1]]}),
      "error: tower transition must be a 2x2 array of numbers, one row and "
@@ -200,19 +204,19 @@ def test_unknown_config_key(tmp_path, capsys):
                                         "transition": [[1, 1], [1, "1"]]}),
      "error: tower transition must be a 2x2 array"),
     ("tower", lambda c: c.update(tower=_tower(R=[1])),
-     "error: R of branch 0 must be an integer >= 1"),
+     "error: R in branch 0 must be a JSON number, not array"),
     ("tower", lambda c: c.update(tower=_tower(R=1.5)),
-     "error: R of branch 0 must be an integer >= 1"),
+     "error: R in branch 0 must be an integer"),
     ("tower", lambda c: c.update(tower=_tower(R=0)),
-     "error: R of branch 0 must be an integer >= 1"),
+     "error: R in branch 0 must be positive"),
     ("tower", lambda c: c.update(tower=_tower(J=[2.0])),
-     "error: J and mass of branch 0 must be numbers"),
+     "error: J in branch 0 must be a JSON number, not array"),
     ("tower", lambda c: c.update(tower=_tower(mass="0.5")),
-     "error: J and mass of branch 0 must be numbers"),
+     "error: mass in branch 0 must be a JSON number, not string"),
     ("tower", lambda c: c.update(tower=_tower(holed="no")),
-     "error: holed of branch 0 must be true or false"),
+     "error: holed in branch 0 must be a JSON boolean, not string"),
     ("tower", lambda c: c.update(tower={**TOWER, "theta0": [0.5]}),
-     "error: tower theta0 must be a number"),
+     "error: theta0 in tower config must be a JSON number, not array"),
     # C1 and alpha were read and never used: locally constant J only
     ("tower", lambda c: c.update(tower={**TOWER, "C1": 123.0}),
      "error: unknown keys ['C1'] in tower config"),
@@ -220,39 +224,44 @@ def test_unknown_config_key(tmp_path, capsys):
      "error: unknown keys ['alpha'] in tower config"),
     # and so do the hole readers
     ("escape", lambda c: c["system"]["hole"].update(words=5),
-     "error: hole words must be an array of integer arrays"),
+     "error: words in hole config for cylinder_union must be an array of "
+     "integer arrays"),
     ("escape", lambda c: c["system"]["hole"].update(words=[[1, 0.5]]),
-     "error: hole words must be an array of integer arrays"),
+     "error: words in hole config for cylinder_union must be an array of "
+     "integer arrays"),
     ("escape", lambda c: c["system"]["hole"].update(level="2"),
-     "error: hole base and level must be integers"),
+     "error: level in hole config for cylinder_union must be a JSON number, "
+     "not string"),
     ("escape", lambda c: c["system"].update(hole={
         "kind": "interval_union", "intervals": 5}),
-     "error: hole intervals must be an array of [a, b] number pairs"),
+     "error: intervals in hole config for interval_union must be an array "
+     "of [a, b] number pairs"),
     ("escape", lambda c: c["system"].update(hole={
         "kind": "interval_union", "intervals": [[0.1, 0.2, 0.3]]}),
-     "error: hole intervals must be an array of [a, b] number pairs"),
+     "error: intervals in hole config for interval_union must be an array "
+     "of [a, b] number pairs"),
     ("escape", lambda c: c["system"].update(hole={
         "kind": "region_2d", "center": 5, "radius": 0.1}),
-     "error: hole center must be two numbers and hole radius a number"),
+     "error: center in hole config for region_2d must be two numbers"),
     ("escape", lambda c: c["system"].update(hole={
         "kind": "empty", "dimension": [1]}),
-     "error: hole dimension must be 1 or 2"),
+     "error: dimension in hole config for empty must be one of [1, 2]"),
     ("escape", lambda c: c["system"]["map"].update(params={"m": [2]}),
-     "error: map params for adic must be numbers"),
+     "error: m in map params for adic must be a JSON number, not array"),
     ("billiard", lambda c: c.update(billiard={"holes": [
         {"kind": "disk", "center": 5, "radius": 0.1}]}),
-     "error: center of a billiard disk hole must be two numbers"),
+     "error: center in billiard disk hole must be two numbers"),
     ("billiard", lambda c: c.update(billiard={"holes": [
         {"kind": "arc", "scatterer": 0.5, "arc_center": 1.0,
          "arc_halfwidth": 0.2}]}),
-     "error: scatterer of a billiard arc hole must be an integer"),
+     "error: scatterer in billiard arc hole must be an integer"),
     ("billiard", lambda c: c.update(billiard={"holes": [
         {"kind": "disk", "center": [0.5, 0.0], "radius": "0.1"}]}),
-     "error: radius of a billiard disk hole must be a number"),
+     "error: radius in billiard disk hole must be a JSON number, not string"),
     ("billiard", lambda c: c.update(billiard={"scatterers": [5]}),
-     "error: each billiard scatterer must be [[x, y], r]"),
+     "error: scatterers in billiard config must be an array of [[x, y], r]"),
     ("billiard", lambda c: c.update(billiard={"scatterers": [[0.0, 0.45]]}),
-     "error: each billiard scatterer must be [[x, y], r]"),
+     "error: scatterers in billiard config must be an array of [[x, y], r]"),
     # and the balls section its arrays
     ("balls", lambda c: c.update(balls={"n_values": ["a"]}),
      "error: n_values in balls config must be an array of integers"),
@@ -280,7 +289,7 @@ def test_unknown_config_key(tmp_path, capsys):
     ("balls", lambda c: c.update(balls={"samples": 400.5}),
      "error: samples in balls config must be an integer"),
     ("escape", lambda c: c.update(seed=11.5),
-     "error: seed must be an integer"),
+     "error: seed in config must be an integer"),
     # only the depth-1 and depth-2 weights are read, so depth is not a key
     ("tower", lambda c: c.update(tower=TOWER, tower_options={"depth": 3}),
      "error: unknown keys ['depth'] in tower_options config"),
@@ -293,7 +302,7 @@ def test_unknown_config_key(tmp_path, capsys):
      "error: eps in balls config must be positive"),
     ("ulam", lambda c: c["system"].update(map={"name": "cat"}, hole={
         "kind": "region_2d", "center": [0.5, 0.5], "radius": -0.1}),
-     "error: hole radius must be positive"),
+     "error: radius in hole config for region_2d must be positive"),
     # escape.resolution is null or a positive integer
     ("escape", lambda c: c.update(escape={"methods": ["grid"],
                                           "resolution": 0}),
@@ -365,7 +374,35 @@ def test_unknown_config_key(tmp_path, capsys):
     ("escape", lambda c: c["system"]["map"].update(params={"m": -2}),
      "error: adic map needs m >= 2, got -2"),
     ("escape", lambda c: c["system"]["map"].update(params={"m": 2.5}),
-     "error: map param m for adic must be an integer"),
+     "error: m in map params for adic must be an integer"),
+    # a missing required key is named with the object that lacks it
+    ("escape", lambda c: c["system"]["map"].update(params={}),
+     "error: missing key 'm' in map params for adic"),
+    ("escape", lambda c: c["system"].update(hole={
+        "kind": "cylinder_union", "level": 2, "words": [[1, 1]]}),
+     "error: missing key 'base' in hole config for cylinder_union"),
+    ("escape", lambda c: c["system"]["hole"].pop("kind"),
+     "error: missing key 'kind' in hole config"),
+    ("tower", lambda c: c.update(tower={"branches": [{"J": 2.0,
+                                                      "mass": 0.5}]}),
+     "error: missing key 'R' in branch 0"),
+    ("billiard", lambda c: c.update(billiard={"holes": [
+        {"kind": "arc", "scatterer": 0, "arc_center": 1.0}]}),
+     "error: missing key 'arc_halfwidth' in billiard arc hole"),
+    ("escape", lambda c: c["system"].pop("map"),
+     "error: missing key 'map' in system config"),
+    ("escape", lambda c: c.pop("system"),
+     "error: missing key 'system' in config"),
+    ("tower", lambda c: None,
+     "error: missing key 'tower' in config"),
+    # a disk hole of radius 0 or below holds no trajectory
+    ("billiard", lambda c: c.update(billiard={
+        "validation_rays": 1000, "holes": [
+            {"kind": "disk", "center": [0.5, 0.0], "radius": -0.1}]}),
+     "error: disk hole radius must be positive"),
+    # a hole sweep needs a hole, as the escape section needs a method
+    ("escape", lambda c: c["system"].update(hole=[]),
+     "error: escape hole sweep is empty"),
 ])
 def test_unknown_section_key_exits_1(tmp_path, capsys, command, edit,
                                      message):
@@ -611,6 +648,40 @@ def test_escape_grid_takes_integral_float_resolution(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_balls_takes_integral_float_n_values(tmp_path):
+    # the config reader turns 3.0 into 3: the run is the one for [3, 5]
+    runs = []
+    for n_values in ([3, 5], [3.0, 5.0]):
+        cfg = {"seed": 3, "system": {"map": {"name": "doubling"},
+                                     "hole": {"kind": "empty"}},
+               "balls": {"n_values": n_values, "samples": 10000}}
+        out = tmp_path / f"balls{n_values[0]}"
+        assert main(["balls", "--config",
+                     str(_write(tmp_path, cfg, f"b{n_values[0]}.json")),
+                     "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        # the config is embedded as written, so it and its hash differ
+        del summary["config"], summary["config_hash"]
+        runs.append(summary)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "must hold a JSON object"),
+    ('{"escape":\n  }', "malformed JSON in {path}: line 2, column 3"),
+])
+def test_compare_bad_bundle_names_its_path(tmp_path, capsys, text, message):
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(_write(tmp_path, GOLDEN)),
+                 "--out-dir", str(out)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["compare", str(out), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert message.format(path=bad) in err
+
+
 def test_compare_schema_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, GOLDEN)
     cfg2 = json.loads(json.dumps(GOLDEN))
@@ -631,10 +702,32 @@ def test_readme_example_config_verifies(tmp_path):
                  str(tmp_path / "r")]) == 0
 
 
-@pytest.mark.parametrize("section", _DEFAULTS)
+# the field table of every config object, with its README label
+_OBJECTS = {
+    "config": ("top level", _CONFIG),
+    **{name: (f"`{name}`", fields) for name, fields in _SECTIONS.items()},
+    "system": ("`system`", S._SYSTEM),
+    "map": ("`map`", S._MAP),
+    **{f"map-{name}": (f"`params` of map `{name}`", fields)
+       for name, (_, fields) in S._MAPS.items()},
+    **{f"hole-{kind}": (f"`hole` of kind `{kind}`", fields)
+       for kind, (_, fields) in S._HOLES.items()},
+    **{f"billiard-{kind}": (f"billiard hole of kind `{kind}`", fields)
+       for kind, (_, fields) in B._HOLE_KINDS.items()},
+    "tower": ("`tower`", tower_mod._TOWER),
+    "branch": ("each of `tower.branches`", tower_mod._BRANCH),
+}
+
+
+@pytest.mark.parametrize("section", _OBJECTS)
 def test_readme_lists_section_defaults(section):
-    filled = _section({}, _DEFAULTS[section], section)
-    assert f"| `{section}` | `{json.dumps(filled)}` |" in README
+    label, fields = _OBJECTS[section]
+    required = ", ".join(f"`{key}`" for key, (_, default) in fields.items()
+                         if default is S._REQUIRED)
+    defaults = {key: default for key, (_, default) in fields.items()
+                if default is not S._REQUIRED}
+    assert f"| {label} | {required or 'none'} | `{json.dumps(defaults)}` |" \
+        in README
 
 
 @pytest.mark.parametrize("rows", [1, 10, 11, 131073])

@@ -33,7 +33,7 @@ def test_adic_map_rejects_fewer_than_two_branches(m):
 
 
 def test_adic_config_rejects_non_integer_m():
-    with pytest.raises(ValueError, match="m for adic must be an integer"):
+    with pytest.raises(ValueError, match="m in map params for adic must be an integer"):
         S.map_from_config({"name": "adic", "params": {"m": 2.5}})
 
 
