@@ -332,21 +332,40 @@ def cmd_verify(cfg, out_dir, seed):
     return payload, code
 
 
+def _bundle_value(summary: dict, keys, read, path):
+    """``read`` of summary[keys[0]][keys[1]]... in the bundle ``path``;
+    errors name the path and the dotted key."""
+    value = summary
+    for i, key in enumerate(keys):
+        if not isinstance(value, dict):
+            raise ValueError(f"{'.'.join(keys[:i])} in {path} must be a JSON "
+                             "object")
+        if key not in value:
+            raise ValueError(f"missing key '{'.'.join(keys[:i + 1])}' in "
+                             f"{path}")
+        value = value[key]
+    return read(value, f"{'.'.join(keys)} in {path}")
+
+
 def cmd_compare(args):
     paths = args.runs
     if len(paths) < 2:
         raise ValueError("compare needs at least two result bundles")
     rows = []
     for p in paths:
-        s = _load_config(Path(p) / "summary.json" if Path(p).is_dir() else p)
+        path = Path(p) / "summary.json" if Path(p).is_dir() else p
+        s = _load_config(path)
         row = {"path": str(p)}
-        esc = s.get("escape", {})
-        for m, e in esc.items():
-            row[f"rho_{m}"] = e["rho"]
+        if "escape" in s:
+            for m in _bundle_value(s, ("escape",), _json("object"), path):
+                row[f"rho_{m}"] = _bundle_value(s, ("escape", m, "rho"),
+                                                _number, path)
         if "ulam" in s:
-            row["eigenvalue"] = s["ulam"]["spectral"]["eigenvalue"]
+            row["eigenvalue"] = _bundle_value(
+                s, ("ulam", "spectral", "eigenvalue"), _number, path)
         if "pressure" in s:
-            row["pressure"] = s["pressure"]["value"]
+            row["pressure"] = _bundle_value(s, ("pressure", "value"),
+                                            _number, path)
         rows.append(row)
     keys = sorted(set().union(*[set(r) for r in rows]) - {"path"})
     missing = [k for k in keys if any(k not in r for r in rows)]

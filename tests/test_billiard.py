@@ -55,6 +55,55 @@ def test_theta_distribution_stationary(small_table):
     assert obs.sum() == pytest.approx(exp.sum())
 
 
+def _scaled_theta_steps(monkeypatch, scale):
+    """Make every collision step return its theta times ``scale``: the
+    histogram then drifts from the cos law, and p falls with the scale."""
+    step = B._step_arrays
+
+    def scaled(table, sid, phi, theta):
+        out = list(step(table, sid, phi, theta))
+        out[2] = out[2] * scale
+        return tuple(out)
+    monkeypatch.setattr(B, "_step_arrays", scaled)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.98, 0.96, 0.94, 0.91])
+def test_theta_chi2_p_value(small_table, monkeypatch, scale):
+    # the statistic is scipy's bit for bit; p is Q(23/2, chi2/2), here
+    # against a 60-digit value and scipy's chdtrc (whose own error stays
+    # below 6e-14 relative down to p ~ 1e-100); the scales reach p < 1e-100
+    from mpmath import mp
+    from scipy import stats
+
+    _scaled_theta_steps(monkeypatch, scale)
+    for seed in (1, 2, 3):
+        p, chi2, obs, exp = B.theta_chi2(small_table, 20_000, seed=seed)
+        ref = stats.chisquare(obs, exp)
+        assert chi2 == ref.statistic
+        assert p == pytest.approx(ref.pvalue, rel=6e-14, abs=0)
+        with mp.workdps(60):
+            assert p == float(mp.gammainc(mp.mpf(23) / 2, mp.mpf(chi2) / 2,
+                                          mp.inf, regularized=True))
+        assert 0.0 < p <= 1.0
+        assert p < 1e-100 or scale > 0.91
+
+
+def test_theta_chi2_rejects_unbinned_angle(small_table, monkeypatch):
+    # a NaN theta falls in no bin; the counts would not sum to the kept
+    # angles and the test would compare unlike totals
+    step = B._step_arrays
+
+    def one_nan(table, sid, phi, theta):
+        out = list(step(table, sid, phi, theta))
+        out[2][0] = np.nan
+        out[4][0] = False
+        return tuple(out)
+    monkeypatch.setattr(B, "_step_arrays", one_nan)
+    with pytest.raises(ValueError, match="^1 of 1000 kept post-collision "
+                       "angles fell outside the theta bins$"):
+        B.theta_chi2(small_table, 1000, seed=1)
+
+
 def test_hole_validation_errors(small_table):
     with pytest.raises(ValueError, match="missing scatterer"):
         B.BilliardHole("arc", scatterer=7, arc_halfwidth=0.1).validate(

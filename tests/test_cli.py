@@ -682,6 +682,23 @@ def test_compare_bad_bundle_names_its_path(tmp_path, capsys, text, message):
     assert message.format(path=bad) in err
 
 
+@pytest.mark.parametrize("good, bad, message", [
+    ({"escape": {"mc": {"rho": -0.5}}}, {"escape": 5},
+     "escape in {path} must be a JSON object, not number"),
+    ({"ulam": {"spectral": {"eigenvalue": 0.5}}}, {"ulam": {}},
+     "missing key 'ulam.spectral' in {path}"),
+    ({"escape": {"mc": {"rho": -0.5}}}, {"escape": {"mc": {"rho": "x"}}},
+     "escape.mc.rho in {path} must be a JSON number, not string"),
+], ids=["escape-not-object", "ulam-without-spectral", "rho-not-number"])
+def test_compare_bad_bundle_layout_names_path_and_key(tmp_path, capsys, good,
+                                                      bad, message):
+    paths = [_write(tmp_path, good, "good.json"),
+             _write(tmp_path, bad, "bad.json")]
+    assert main(["compare", *map(str, paths)]) == 1
+    assert capsys.readouterr().err == \
+        "error: " + message.format(path=paths[1]) + "\n"
+
+
 def test_compare_schema_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, GOLDEN)
     cfg2 = json.loads(json.dumps(GOLDEN))

@@ -3,8 +3,11 @@
 Every ``or-verify`` run is a fresh process.  Importing ``scipy.sparse``
 (with numpy 2.4 and scipy 1.17 it also loads numpy.f2py, numpy.testing and
 numpy.ma) took about half of that process's start-up, so a command that
-builds no Ulam operator must not load scipy.  Each case runs in a fresh
-interpreter, since this test process has loaded scipy already.
+builds no Ulam operator must not load scipy.  ``openrates.ulam`` is the
+only module that imports it: the billiard theta chi-square p-value comes
+from mpmath, as ``scipy.stats`` lifted the criterion-6 process from ~35 MB
+to ~114 MB.  Each case runs in a fresh interpreter, since this test process
+has loaded scipy already.
 """
 
 import json
@@ -39,6 +42,12 @@ BALLS = {"seed": 3,
                     "hole": {"kind": "empty", "dimension": 1}},
          "balls": {"eps": 0.1, "n_values": [4, 6, 8], "centers": [0.3137],
                    "samples": 10000}}
+BILLIARD = {"seed": 5,
+            "billiard": {"validation_rays": 2000, "samples": 4000,
+                         "n_max": 10,
+                         "holes": [{"kind": "arc", "scatterer": 0,
+                                    "arc_center": 1.0,
+                                    "arc_halfwidth": 0.2}]}}
 CAT_ULAM = {"system": {"map": {"name": "cat"},
                        "hole": {"kind": "region_2d", "shape": "ball",
                                 "center": [0.25, 0.75], "radius": 0.1}},
@@ -67,9 +76,22 @@ def test_import_loads_no_scipy(tmp_path):
                 "if m.split('.')[0] == 'scipy']))", [], tmp_path) == []
 
 
-def test_tower_and_balls_load_no_scipy(tmp_path):
-    for command, cfg in (("tower", TOWER), ("balls", BALLS)):
+def test_tower_balls_and_billiard_load_no_scipy(tmp_path):
+    for command, cfg in (("tower", TOWER), ("balls", BALLS),
+                         ("billiard", BILLIARD)):
         assert _or_verify(tmp_path, command, cfg) == [[], [], 0], command
+
+
+def test_theta_chi2_loads_no_scipy(tmp_path):
+    # criterion 6's stationarity test: the p-value comes from mpmath
+    code = """\
+import json, sys
+from openrates import billiard as B
+p = B.theta_chi2(B.build_table(validation_rays=2000), 4000, seed=1)[0]
+print(json.dumps([sorted(m for m in sys.modules
+                         if m.split(".")[0] == "scipy"), 0.0 < p <= 1.0]))
+"""
+    assert _run(code, [], tmp_path) == [[], True]
 
 
 def test_ulam_loads_scipy_on_first_build(tmp_path):
