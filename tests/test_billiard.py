@@ -135,6 +135,28 @@ def test_arc_measure_fraction(small_table):
     assert frac == pytest.approx(0.12 * 0.45 / (2 * math.pi * 0.6), abs=1e-15)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_wrap_matches_remainder(rng, dtype):
+    # the arc distance's wrapped angle phi - centre + pi, for collision
+    # angles in [-pi, 2pi) and centres inside and outside [0, 2pi), plus
+    # the edges of the exact range, signed zeros and non-finite values
+    two_pi = dtype(2 * math.pi)
+    phi = rng.uniform(-math.pi, 2 * math.pi, 20_000).astype(dtype)
+    edges = np.array([0.0, -0.0, math.pi, two_pi, -two_pi, 2 * two_pi,
+                      -2 * two_pi, 3 * two_pi, -1e-9, -1e-30, 1e-30, 1e30,
+                      -1e30, np.inf, -np.inf, np.nan], dtype=dtype)
+    edges = np.concatenate([edges, np.nextafter(edges, dtype(np.inf)),
+                            np.nextafter(edges, dtype(-np.inf))])
+    for centre in (-20.0, -7.0, -1.0, 0.0, 1.3, 6.2, 7.0, 13.0, 100.0):
+        x = np.concatenate([phi - centre + math.pi, edges])
+        with np.errstate(invalid="ignore"):
+            want = np.remainder(x, two_pi)
+            got = B._wrap_2pi(x)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert B._wrap_2pi(np.array([], dtype=dtype)).size == 0
+
+
 def test_segment_distance_matches_bruteforce(rng):
     start = rng.uniform(-0.4, 1.4, (50, 2))
     ang = rng.uniform(0, 2 * math.pi, 50)

@@ -207,8 +207,8 @@ def test_billiard_escape_pinned():
 
 def test_cat_ulam_operator_pinned():
     # matrix recorded with the one-shot COO quadrature build the streamed
-    # assembly replaced; the gap estimate is the same for any BLAS thread
-    # count
+    # assembly replaced; the gap estimate (the decay rate of the power
+    # iteration's residuals) is the same for any BLAS thread count
     op = U.build_ulam(CAT, 256)
     mat = op.matrix
     assert mat.nnz == 254126
@@ -220,4 +220,4 @@ def test_cat_ulam_operator_pinned():
         "a31dd708206729a9ace3cc8f14580fa2332f2b9dee16089d6f56fac14788fa80"
     spec = U.leading_eigenpair(op)
     assert repr(spec.eigenvalue) == "0.9679285996222043"
-    assert repr(spec.gap_estimate) == "0.5093742427626429"
+    assert repr(spec.gap_estimate) == "0.5076519063860581"

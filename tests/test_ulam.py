@@ -99,6 +99,9 @@ def test_triadic_eigenvalue(triadic_system):
     op = U.build_ulam(triadic_system, 27)
     spec = U.leading_eigenpair(op)
     assert spec.eigenvalue == pytest.approx(2 / 3, abs=1e-12)
+    # lambda_2 = 0: the iterate converges at once, leaving no residuals
+    # to fit
+    assert spec.gap_estimate == 0.0
 
 
 def test_quadrature_assembly_substochastic():
@@ -129,16 +132,41 @@ def test_evolve_mass_matches_powers(golden_system):
     assert np.allclose(final, w)
 
 
-def test_subdominant_ratio_rejects_non_finite_iterate():
-    # rows of 1e308 overflow the 1-norm of the deflated iterate
-    right = left = np.array([1.0, 0.0, 0.0])
-    PT = sp.csr_matrix([[0.0, 0.0, 0.0], [0.0, 1e308, 1e308],
-                        [0.0, 1e308, 1e308]])
-    with np.errstate(over="ignore"), pytest.raises(U.ConvergenceError):
-        U._subdominant_ratio(PT, 1.0, right, left)
-    # an iterate that vanishes exactly leaves no subdominant spectrum
-    assert U._subdominant_ratio(sp.csr_matrix((3, 3)), 1.0, right,
-                                left) == 0.0
+@pytest.mark.parametrize("matrix", [
+    # rows of 1e308 overflow the 1-norm of the first iterate
+    [[0.0, 0.0, 0.0], [0.0, 1e308, 1e308], [0.0, 1e308, 1e308]],
+    [[0.5, np.nan, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],
+], ids=["overflow", "nan"])
+def test_leading_eigenpair_rejects_non_finite_iterate(matrix):
+    # raised at the first iteration, not after max_iters of NaN iterates
+    op = U.UlamOperator(sp.csr_matrix(matrix), "exact")
+    with np.errstate(over="ignore"), \
+            pytest.raises(U.ConvergenceError, match="non-finite"):
+        U.leading_eigenpair(op)
+
+
+# |lambda_2| / lambda_1 of the dense matrix against the residual-decay
+# estimate.  Each tolerance sits above the largest error measured in its
+# class over twelve operators (up to 512^2 and 2^18 cells, against ARPACK
+# there): under 1.4% on the 1D doubling and interval holes, 6.5% on the
+# 5-adic map (lambda_2 and lambda_4 are near-equal complex pairs) and 3.6%
+# in 2D.  Errors on these cases: golden +0.0006%, doubling +0.20%, 5-adic
+# +6.5%, cat -3.6%, baker +0.25%.
+@pytest.mark.parametrize("sys_obj, n, rel", [
+    (_GOLDEN, 64, 0.02),
+    (OpenSystem(doubling_map(), cylinder_union_hole(2, 6, [(0,) * 6])),
+     1024, 0.02),
+    (OpenSystem(adic_map(5), cylinder_union_hole(
+        5, 3, [(1, 3, 2), (4, 0, 1)])), 125, 0.08),
+    (OpenSystem(cat_map(), ball_hole_2d((0.25, 0.75), 0.1)), 32, 0.05),
+    (OpenSystem(baker_map(), ball_hole_2d((0.25, 0.75), 0.1)), 32, 0.05),
+], ids=["golden64", "doubling1024", "5adic125", "cat32", "baker32"])
+def test_gap_estimate_matches_dense_spectrum(sys_obj, n, rel):
+    op = U.build_ulam(sys_obj, n)
+    moduli = np.sort(np.abs(np.linalg.eigvals(op.matrix.toarray())))
+    spec = U.leading_eigenpair(op)
+    assert spec.gap_estimate == pytest.approx(moduli[-2] / moduli[-1],
+                                              rel=rel)
 
 
 def test_survivor_measure_golden(golden_system):
@@ -244,7 +272,7 @@ LOGISTIC_HOLED = OpenSystem(logistic_like(3.9),
     (OpenSystem(cat_map(), ball_hole_2d((0.5, 0.5), 0.3)), 32, True),
     (OpenSystem(cat_map(), empty_hole(2)), 32, False),
     (LOGISTIC_HOLED, 1000, True),
-    # three blocks of 4096 cells, the last one short
+    # ten blocks of 1024 cells, the last one short
     (LOGISTIC_HOLED, 10_000, True),
 ], ids=["cat64", "baker32-seam", "cat32-whole-cells", "cat32-empty",
         "logistic1000", "logistic10000"])
