@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import (OpenSystem, evolve_survivors, perron,
-                      survivor_transition_matrix, word_counts)
+from .systems import (OpenSystem, evolve_survivors, graph_radius,
+                      survivor_graph, word_counts)
 from . import ulam as ulam_mod
 
 MC_SHARDS = 32  # fixed shard count, so a result depends on the seed only
@@ -165,12 +165,14 @@ def escape_rate_words(sys: OpenSystem, k: int,
                       n_max: int = 40) -> EscapeEstimate:
     """Exact rate log(lambda_A / m) for Markov cylinder holes.
 
-    lambda_A is the Perron root of the survivor transition structure; the
-    per_n_mass diagnostics come from word counts N_n / m^n.
+    lambda_A is the spectral radius of the survivor graph on (k-1)-grams:
+    the largest root over its cyclic classes, so classes that tie, where
+    the Parry chain is not unique, and periodic classes both give the rate.
+    The per_n_mass diagnostics come from word counts N_n / m^n.
     """
     m = sys.map.branch_count
     n_lo, n_hi = default_window(n_max)
-    lam, _, _ = perron(survivor_transition_matrix(sys, k)[0])
+    lam = graph_radius(*survivor_graph(sys, k))
     rho = float(np.log(lam) - np.log(m))
 
     per_n = [(n, cnt / float(m) ** n)

@@ -7,7 +7,7 @@ fundamental domain.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -26,6 +26,10 @@ class DomainError(ValueError):
 
 class HoleKindError(ValueError):
     """Hole structure incompatible with the requested operation."""
+
+
+class ConvergenceError(RuntimeError):
+    pass
 
 
 class TiedClassesError(HoleKindError):
@@ -350,44 +354,22 @@ def survival_time(sys: OpenSystem, x, horizon: int):
     return steps if steps <= horizon else INF
 
 
-def _hole_words_at_level(hole: HoleSpec, k: int):
-    """Forbidden level-k words: all extensions of the hole's cylinder words."""
-    base = hole.meta["base"]
-    level = hole.meta["level"]
-    if level > k:
-        raise HoleKindError(f"hole level {level} exceeds requested level {k}")
-    forbidden = set()
-    for w in hole.meta["words"]:
-        for ext in itertools.product(range(base), repeat=k - level):
-            forbidden.add(tuple(w) + ext)
-    return forbidden
+def nonhole_cells(sys: OpenSystem, n: int):
+    """Indices of the cells of the uniform n-grid on [0,1) whose centre lies
+    outside the hole."""
+    centers = (np.arange(n) + 0.5) / n
+    return np.flatnonzero(~sys.hole.in_hole_many(centers))
 
 
-def word_counts(sys: OpenSystem, k: int, n_max: int):
-    """Numbers of surviving n-words for n = k..n_max, in one dynamic program
-    over the (k-1)-gram graph.
+def survivor_graph(sys: OpenSystem, k: int):
+    """The survivor subshift as a graph on the (k-1)-grams, each numbered
+    by its base-m digits.
 
-    Counts are Python ints, so they stay exact beyond 2**53."""
-    A, states = survivor_transition_matrix(sys, k)
-    if k == 1:
-        return [len(states) ** n for n in range(k, n_max + 1)]
-    predecessors = [np.flatnonzero(A[:, j]).tolist()
-                    for j in range(len(states))]
-    v = [1] * len(states)       # one (k-1)-word per gram
-    counts = []
-    for _ in range(k, n_max + 1):
-        v = [sum(map(v.__getitem__, pred)) for pred in predecessors]
-        counts.append(sum(v))
-    return counts
-
-
-def survivor_transition_matrix(sys: OpenSystem, k: int):
-    """Transition matrix of the survivor subshift on (k-1)-grams.
-
-    Every gram is a state, also one that no bi-infinite survivor word
-    passes through; ``perron`` restricts to the dominant class.  For k = 1
-    the states are the allowed symbols with full transitions.
-    Returns (matrix, state list).
+    The non-hole cells of the m^k grid are the surviving k-words, those that
+    extend no hole word, and the word w is the edge from gram w // m to gram
+    w % m^(k-1).  Every gram is a node, also one that no bi-infinite
+    survivor word passes through.  At k = 1 the one (empty) gram carries a
+    loop per allowed symbol.  Returns (node count, sources, targets).
     """
     m = sys.map.branch_count
     if m is None:
@@ -396,20 +378,135 @@ def survivor_transition_matrix(sys: OpenSystem, k: int):
         raise HoleKindError("hole is not a cylinder union")
     if sys.hole.meta["base"] != m:
         raise HoleKindError("hole cylinder base does not match map branch count")
-    forbidden = _hole_words_at_level(sys.hole, k)
-    if k == 1:
-        states = [(c,) for c in range(m) if (c,) not in forbidden]
-        A = np.ones((len(states), len(states)))
-        return A, states
-    states = list(itertools.product(range(m), repeat=k - 1))
-    index = {g: i for i, g in enumerate(states)}
-    A = np.zeros((len(states), len(states)))
-    for g in states:
-        for c in range(m):
-            w = g + (c,)
-            if w not in forbidden:
-                A[index[g], index[w[1:]]] = 1.0
-    return A, states
+    level = sys.hole.meta["level"]
+    if level > k:
+        raise HoleKindError(f"hole level {level} exceeds requested level {k}")
+    words = nonhole_cells(sys, m ** k)
+    return m ** (k - 1), words // m, words % m ** (k - 1)
+
+
+def word_counts(sys: OpenSystem, k: int, n_max: int):
+    """Numbers of surviving n-words for n = k..n_max, in one dynamic program
+    over the (k-1)-gram graph.
+
+    Counts are Python ints, so they stay exact beyond 2**53."""
+    n, src, dst = survivor_graph(sys, k)
+    predecessors = [[] for _ in range(n)]
+    for s, d in zip(src.tolist(), dst.tolist()):
+        predecessors[d].append(s)
+    v = [1] * n                 # one (k-1)-word per gram
+    counts = []
+    for _ in range(k, n_max + 1):
+        v = [sum(map(v.__getitem__, pred)) for pred in predecessors]
+        counts.append(sum(v))
+    return counts
+
+
+# Classes come from an iterative Tarjan in Python, not scipy.sparse.csgraph:
+# on a 2-core x86 VM, importing scipy.sparse lifts a process that has
+# imported openrates.cli from 34.1 MB to 49.4 MB of peak RSS, and csgraph to
+# 60.8 MB, while the words route, the Parry chain and the tower load no scipy.
+def _find_classes(n: int, src, dst):
+    """(sorted node indices, period) of each strongly connected class (set
+    of mutually reachable nodes) of the graph on nodes 0..n-1 with edges
+    src -> dst that carries a cycle.  Raises HoleKindError when there is
+    none (an empty subshift).
+
+    The period is the gcd of depth(u) + 1 - depth(v) over the class's edges
+    u -> v, for depths along any spanning tree of the class: here the
+    depth-first tree, of which each class is a subtree."""
+    order = np.argsort(src, kind="stable")
+    succ = dst[order].tolist()
+    ptr = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    index, low, depth, comp = [-1] * n, [0] * n, [0] * n, [-1] * n
+    stack, seen = [], 0
+    for root in range(n):
+        path = [[root, ptr[root]]] if index[root] < 0 else []
+        while path:                     # depth-first path: node, next edge
+            v, e = path[-1]
+            if index[v] < 0:
+                index[v] = low[v] = seen
+                seen += 1
+                depth[v] = len(path) - 1
+                stack.append(v)
+            if e < ptr[v + 1]:
+                path[-1][1] = e + 1
+                w = succ[e]
+                if index[w] < 0:
+                    path.append([w, ptr[w]])
+                elif comp[w] < 0:       # w is still on the stack
+                    low[v] = min(low[v], index[w])
+                continue
+            path.pop()
+            if path:
+                u = path[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:      # v roots a class: label it by v
+                while comp[v] < 0:
+                    comp[stack.pop()] = v
+    comp, depth = np.array(comp), np.array(depth)
+    inner = comp[src] == comp[dst]
+    cls = comp[src][inner]
+    gaps = np.abs(depth[src] + 1 - depth[dst])[inner]
+    classes = [(np.flatnonzero(comp == c), math.gcd(*gaps[cls == c].tolist()))
+               for c in np.unique(cls)]
+    if not classes:
+        raise HoleKindError(
+            "survivor subshift is empty: no strongly connected class "
+            "carries a cycle")
+    return classes
+
+
+def _power_iterate(apply_op, v0, max_iters, tol):
+    """Power iteration from ``v0`` with 1-norm normalization; returns the
+    eigenvalue, the iterate, the iteration count and each iteration's L1
+    residual |w - v|_1.  Stops once residual * eigenvalue < tol, or, below
+    1e-13, once the eigenvalue repeats: the roundoff floor."""
+    v = v0 / np.sum(np.abs(v0))
+    residuals = []
+    last = None
+    for it in range(1, max_iters + 1):
+        w = apply_op(v)
+        lam = float(np.sum(np.abs(w)))
+        if not math.isfinite(lam):
+            raise ConvergenceError(
+                f"power iterate became non-finite at iteration {it} "
+                f"(1-norm {lam})")
+        if lam == 0.0:
+            raise ConvergenceError("operator annihilated the iterate")
+        w = w / lam
+        res = float(np.sum(np.abs(w - v)))
+        residuals.append(res)
+        v = w
+        if res * lam < tol or res * lam < 1e-13 and lam == last:
+            return lam, v, it, residuals
+        last = lam
+    raise ConvergenceError(
+        f"no convergence after {max_iters} iterations (gap failure or "
+        "eigenvalue near-degeneracy)")
+
+
+def graph_radius(n: int, src, dst) -> float:
+    """Spectral radius of the adjacency matrix of the graph on nodes
+    0..n-1 with edges src -> dst (repeated edges add up): the largest root
+    over its cyclic classes, whether or not another class ties with it.
+
+    Each root is a power iteration restricted to its class, run to the
+    roundoff floor; a class of period p iterates the p-th power, whose
+    root is the p-th power of the class's."""
+    roots = []
+    for idx, p in _find_classes(n, src, dst):
+        inner = np.isin(src, idx) & np.isin(dst, idx)
+        s, d = (np.searchsorted(idx, x[inner]) for x in (src, dst))
+
+        def step(v):
+            for _ in range(p):
+                v = np.bincount(d, weights=v[s], minlength=len(idx))
+            return v
+
+        lam = _power_iterate(step, np.ones(len(idx)), 200_000, 1e-15)[0]
+        roots.append(lam ** (1.0 / p))
+    return max(roots)
 
 
 def _leading(M):
@@ -423,30 +520,14 @@ def _leading(M):
 
 def _cyclic_classes(A):
     """(Perron root, right Perron vector, indices, submatrix) of each
-    strongly connected class (set of mutually reachable states) of the
-    nonnegative matrix ``A`` that carries a cycle, largest root first.
-    Raises HoleKindError when there is none (an empty subshift)."""
+    strongly connected class of the nonnegative matrix ``A`` that carries
+    a cycle, largest root first.  Raises HoleKindError when there is none
+    (an empty subshift)."""
     A = np.asarray(A, dtype=float)
-    # classes from the transitive closure; importing scipy.sparse.csgraph
-    # would pull scipy.linalg into every process (measured 11 MB of peak
-    # RSS and 0.1 s of import on a 2-core x86 VM)
-    reach = A > 0
-    while True:
-        closure = reach | (reach.astype(float) @ reach.astype(float) > 0)
-        if np.array_equal(closure, reach):
-            break
-        reach = closure
     classes = []
-    for cls in np.unique(reach & reach.T | np.eye(len(A), dtype=bool),
-                         axis=0):
-        idx = np.flatnonzero(cls)
+    for idx, _ in _find_classes(len(A), *np.nonzero(A)):
         sub = A[np.ix_(idx, idx)]
-        if sub.any():
-            classes.append((*_leading(sub), idx, sub))
-    if not classes:
-        raise HoleKindError(
-            "survivor subshift is empty: no strongly connected class "
-            "carries a cycle")
+        classes.append((*_leading(sub), idx, sub))
     classes.sort(key=lambda c: -c[0])
     return classes
 
@@ -505,9 +586,16 @@ def parry_chain(sys: OpenSystem, k: int):
     eigenvector product).  It lives on the dominant strongly connected
     class.  Returns (states, transition matrix, stationary).
     """
-    A, states = survivor_transition_matrix(sys, k)
+    n, src, dst = survivor_graph(sys, k)
+    if k == 1:
+        # the states are the symbols: in the k = 2 graph the allowed ones
+        # form the dominant class, every one followed by every one
+        n, src, dst = survivor_graph(sys, 2)
+    A = np.zeros((n, n))
+    A[src, dst] = 1.0
     idx, P, pi = doob_chain(A)
-    return [states[i] for i in idx], P, pi
+    grams = np.unravel_index(idx, (sys.map.branch_count,) * max(k - 1, 1))
+    return list(zip(*(g.tolist() for g in grams))), P, pi
 
 
 def sample_survivor_points(sys: OpenSystem, k: int, size: int,

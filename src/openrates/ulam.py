@@ -9,23 +9,19 @@ its residuals gives the subdominant modulus.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .systems import OpenSystem, _mod1
+from .systems import (ConvergenceError, OpenSystem, _mod1, _power_iterate,
+                      nonhole_cells)
 
 if TYPE_CHECKING:
     # scipy.sparse is imported where a matrix is built, so a process that
     # builds none never loads it (on numpy 2.4 / scipy 1.17 it pulls in
     # numpy.f2py, numpy.testing and numpy.ma: ~0.2 s and ~11 MB)
     import scipy.sparse as sp
-
-
-class ConvergenceError(RuntimeError):
-    pass
 
 
 class ResolutionMismatch(UserWarning):
@@ -107,8 +103,6 @@ def _assemble_exact_1d(sys: OpenSystem, n: int):
         raise ValueError(
             f"resolution {n} incompatible with branch count {m} for exact "
             "assembly; use a multiple of the branch count")
-    centers = (np.arange(n) + 0.5) / n
-    in_hole = sys.hole.in_hole_many(centers)
     # warn if cells straddle the hole boundary
     edges = np.arange(1, n) / n
     mism = []
@@ -122,7 +116,7 @@ def _assemble_exact_1d(sys: OpenSystem, n: int):
             f"hole boundary points {mism} are not grid edges at resolution {n}",
             ResolutionMismatch)
     # non-hole cell i spreads 1/m onto each of the m cells from (m * i) mod n
-    keep = np.flatnonzero(~in_hole)
+    keep = nonhole_cells(sys, n)
     rows = np.repeat(keep, m)
     cols = ((m * keep[:, None] + np.arange(m)) % n).ravel()
     return sp.csr_matrix((np.full(rows.size, 1.0 / m), (rows, cols)),
@@ -203,32 +197,6 @@ def build_ulam(sys: OpenSystem, resolution: int) -> UlamOperator:
 # ---------------------------------------------------------------------------
 # dominant eigenpair
 
-def _power_iterate(apply_op, v0, max_iters):
-    """Power iteration from ``v0`` with 1-norm normalization; returns the
-    eigenvalue, the iterate, the iteration count and each iteration's L1
-    residual |w - v|_1."""
-    v = v0 / np.sum(np.abs(v0))
-    residuals = []
-    for it in range(1, max_iters + 1):
-        w = apply_op(v)
-        lam = float(np.sum(np.abs(w)))
-        if not math.isfinite(lam):
-            raise ConvergenceError(
-                f"power iterate became non-finite at iteration {it} "
-                f"(1-norm {lam})")
-        if lam == 0.0:
-            raise ConvergenceError("operator annihilated the iterate")
-        w = w / lam
-        res = float(np.sum(np.abs(w - v)))
-        residuals.append(res)
-        v = w
-        if res * lam < 1e-13:
-            return lam, v, it, residuals
-    raise ConvergenceError(
-        f"no convergence after {max_iters} iterations (gap failure or "
-        "eigenvalue near-degeneracy)")
-
-
 def _decay_ratio(residuals):
     """|lambda_2| / lambda_1 as exp of the least-squares slope of
     log(residual) against iteration count, over the residuals in
@@ -256,9 +224,10 @@ def leading_eigenpair(U: UlamOperator,
 
     v0 = mask.astype(float)
     PT = P.T.tocsr()
-    lam, v, it1, residuals = _power_iterate(lambda x: PT @ x, v0, max_iters)
+    lam, v, it1, residuals = _power_iterate(lambda x: PT @ x, v0, max_iters,
+                                           1e-13)
     u0 = mask.astype(float)
-    lam2, u, it2, _ = _power_iterate(lambda x: P @ x, u0, max_iters)
+    lam2, u, it2, _ = _power_iterate(lambda x: P @ x, u0, max_iters, 1e-13)
 
     right = v / np.sum(v)
     left = u / np.max(u)

@@ -582,6 +582,33 @@ def test_pressure_subcommand_verdict(tmp_path):
     assert summary["verdict"]["equality"]["status"] == "PASS"
 
 
+def _tied_hole_config():
+    """GOLDEN with the hole [01], words only: the fixed points 0 and 1 are
+    two classes tied at root 1."""
+    cfg = json.loads(json.dumps(GOLDEN))
+    cfg["system"]["hole"]["words"] = [[0, 1]]
+    cfg["escape"]["methods"] = ["words"]
+    return cfg
+
+
+def test_escape_words_on_tied_classes(tmp_path):
+    path = _write(tmp_path, _tied_hole_config())
+    out = tmp_path / "esc"
+    assert main(["escape", "--config", str(path), "--out-dir",
+                 str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["escape"]["words"]["rho"] == pytest.approx(
+        -math.log(2), abs=1e-15)
+
+
+def test_pressure_on_tied_classes_exits_1(tmp_path, capsys):
+    # the rate exists, but the Parry chain nu_hat is not unique
+    path = _write(tmp_path, _tied_hole_config())
+    assert main(["pressure", "--config", str(path), "--out-dir",
+                 str(tmp_path / "press")]) == 1
+    assert "tie at spectral radius" in capsys.readouterr().err
+
+
 def test_balls_subcommand(tmp_path):
     cfg = {
         "seed": 3,

@@ -10,7 +10,7 @@ from openrates import escape as E
 from openrates import ulam as U
 from openrates.systems import (HoleKindError, OpenSystem, adic_map,
                                cylinder_union_hole, doubling_map,
-                               interval_union_hole)
+                               interval_union_hole, word_counts)
 
 
 def test_triadic_grid_exact(triadic_system):
@@ -25,6 +25,37 @@ def test_golden_grid_vs_words(golden_system):
     exact = math.log((1 + math.sqrt(5)) / 4)
     assert words.rho == pytest.approx(exact, abs=1e-14)
     assert grid.rho == pytest.approx(exact, abs=1e-6)
+
+
+def _doubling(*words):
+    return OpenSystem(doubling_map(),
+                      cylinder_union_hole(2, len(words[0]), words))
+
+
+def test_words_rate_on_tied_classes():
+    # hole [01]: the survivors are 1^a 0^b, so N_n = n + 1; the fixed
+    # points 0 and 1 are two classes that tie at root 1
+    sys_obj = _doubling((0, 1))
+    assert E.escape_rate_words(sys_obj, 2).rho == pytest.approx(
+        -math.log(2), abs=1e-15)
+    assert word_counts(sys_obj, 2, 30) == [n + 1 for n in range(2, 31)]
+
+
+def test_words_rate_on_periodic_class():
+    # hole {00, 11}: the survivors alternate, one class of period 2
+    assert E.escape_rate_words(_doubling((0, 0), (1, 1)), 2).rho == \
+        pytest.approx(-math.log(2), abs=1e-15)
+
+
+@pytest.mark.parametrize("k", [12, 14])
+def test_small_hole_words_rate_matches_exact_ulam(k):
+    # holes around the fixed point 0, the period-2 orbit and an aperiodic
+    # point; as they shrink, rho / mu(H) -> -1/2, -3/4 and -1
+    for word in ((0,) * k, (0, 1) * (k // 2), (0,) * (k - 1) + (1,)):
+        sys_obj = _doubling(word)
+        rho = E.escape_rate_words(sys_obj, k).rho
+        spec = U.leading_eigenpair(U.build_ulam(sys_obj, 2 ** k))
+        assert abs(rho - math.log(spec.eigenvalue)) < 1e-12
 
 
 def test_words_per_n_mass_fibonacci(golden_system):
@@ -118,7 +149,8 @@ def test_nested_cylinder_holes_monotone_rho(case):
     try:
         rhos = [E.escape_rate_words(_adic_system(m, level, w), level).rho
                 for w in (small, big)]
-    except HoleKindError:     # empty or tied survivor subshift
+    except HoleKindError as err:    # empty survivor subshift: no rate
+        assert "empty" in str(err)
         return
     assert rhos[1] <= rhos[0] + 1e-12
 

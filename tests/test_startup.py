@@ -48,6 +48,16 @@ BILLIARD = {"seed": 5,
                          "holes": [{"kind": "arc", "scatterer": 0,
                                     "arc_center": 1.0,
                                     "arc_halfwidth": 0.2}]}}
+# the golden-mean hole [11]: words and Monte Carlo build no Ulam operator,
+# and neither does the Parry chain behind the pressure verdict
+GOLDEN_HOLE = {"map": {"name": "doubling"},
+               "hole": {"kind": "cylinder_union", "base": 2, "level": 2,
+                        "words": [[1, 1]]}}
+ESCAPE = {"seed": 7, "system": GOLDEN_HOLE,
+          "escape": {"methods": ["words", "mc"], "level": 2, "n_max": 20,
+                     "samples": 20000}}
+PRESSURE = {"system": GOLDEN_HOLE,
+            "escape": {"methods": ["words"], "level": 2}}
 CAT_ULAM = {"system": {"map": {"name": "cat"},
                        "hole": {"kind": "region_2d", "shape": "ball",
                                 "center": [0.25, 0.75], "radius": 0.1}},
@@ -79,6 +89,11 @@ def test_import_loads_no_scipy(tmp_path):
 def test_tower_balls_and_billiard_load_no_scipy(tmp_path):
     for command, cfg in (("tower", TOWER), ("balls", BALLS),
                          ("billiard", BILLIARD)):
+        assert _or_verify(tmp_path, command, cfg) == [[], [], 0], command
+
+
+def test_words_escape_and_pressure_load_no_scipy(tmp_path):
+    for command, cfg in (("escape", ESCAPE), ("pressure", PRESSURE)):
         assert _or_verify(tmp_path, command, cfg) == [[], [], 0], command
 
 

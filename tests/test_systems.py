@@ -412,10 +412,76 @@ def test_empty_survivor_subshift_raises():
         E.escape_rate_words(sys_obj, 2)
 
 
-def test_survivor_transition_matrix(golden_system):
-    A, states = S.survivor_transition_matrix(golden_system, 2)
-    lam = max(abs(np.linalg.eigvals(A)))
-    assert lam == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
+def _gram_matrix(m, level, words, k):
+    """Reference (k-1)-gram adjacency of the survivor subshift, built word
+    by word: gram g steps to (g + c)[1:] unless g + c extends a hole
+    word."""
+    forbidden = {tuple(w) + ext for w in words
+                 for ext in itertools.product(range(m), repeat=k - level)}
+    states = list(itertools.product(range(m), repeat=k - 1))
+    index = {g: i for i, g in enumerate(states)}
+    A = np.zeros((len(states), len(states)))
+    for g in states:
+        for c in range(m):
+            if g + (c,) not in forbidden:
+                A[index[g], index[(g + (c,))[1:]]] = 1.0
+    return A
+
+
+def _survivor_graph_cases():
+    rng = np.random.default_rng(22)
+    for m, level in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1),
+                     (5, 2)):
+        allowed = list(itertools.product(range(m), repeat=level))
+        for size in sorted({1, len(allowed) // 2}):
+            pick = rng.choice(len(allowed), size, replace=False)
+            for k in range(level, level + 3):
+                yield m, level, [allowed[i] for i in sorted(pick)], k
+
+
+@pytest.mark.parametrize("m, level, words, k", list(_survivor_graph_cases()))
+def test_survivor_graph_matches_word_loop(m, level, words, k):
+    sys_obj = S.OpenSystem(S.adic_map(m),
+                           S.cylinder_union_hole(m, level, words))
+    n, src, dst = S.survivor_graph(sys_obj, k)
+    if k == 1:
+        # one empty gram, with a loop per allowed symbol
+        assert (n, src.tolist(), dst.tolist()) == (1, [0] * (m - len(words)),
+                                                   [0] * (m - len(words)))
+        return
+    A = np.zeros((n, n))
+    A[src, dst] = 1.0
+    assert len(src) == np.count_nonzero(A)
+    assert np.array_equal(A, _gram_matrix(m, level, words, k))
+
+
+def test_survivor_graph_golden_root(golden_system):
+    n, src, dst = S.survivor_graph(golden_system, 2)
+    A = np.zeros((n, n))
+    A[src, dst] = 1.0
+    phi = (1 + math.sqrt(5)) / 2
+    assert max(abs(np.linalg.eigvals(A))) == pytest.approx(phi, abs=1e-12)
+    assert S.graph_radius(n, src, dst) == pytest.approx(phi, abs=1e-15)
+
+
+def _classes(n, src, dst):
+    return sorted((idx.tolist(), p) for idx, p in
+                  S._find_classes(n, src, dst))
+
+
+def test_find_classes_and_periods():
+    # 0 <-> 1 (period 2), 1 -> 2, 2 -> 2 (period 1), 3 -> 0 with 3 on no
+    # cycle, and the 3-cycle 4 -> 5 -> 6 -> 4 with the chord 4 -> 6
+    # (cycle lengths 3 and 2: period 1)
+    src = np.array([0, 1, 1, 2, 3, 4, 5, 6, 4])
+    dst = np.array([1, 0, 2, 2, 0, 5, 6, 4, 6])
+    assert _classes(7, src, dst) == [([0, 1], 2), ([2], 1), ([4, 5, 6], 1)]
+    # i -> i + 2 mod 6: two 3-cycles
+    ring = np.arange(6)
+    assert _classes(6, ring, (ring + 2) % 6) == [([0, 2, 4], 3),
+                                                 ([1, 3, 5], 3)]
+    with pytest.raises(S.HoleKindError, match="empty"):
+        S._find_classes(3, np.array([0, 1]), np.array([1, 2]))
 
 
 def test_parry_chain_stationary(golden_system):
