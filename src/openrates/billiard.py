@@ -21,8 +21,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .escape import (MC_SHARDS, InsufficientSurvivorsError,
-                     sharded_mc_estimates)
+from .escape import InsufficientSurvivorsError, sharded_mc_estimates
 from .systems import _REQUIRED, _integer, _number, _point, _read_kind
 
 TANGENT_GUARD = 1e-9        # |cos theta| below this flags a grazing collision
@@ -93,8 +92,9 @@ def build_table(scatterers=DEFAULT_SCATTERERS, validation_rays: int = 1_000_000,
     """Construct and validate a table.
 
     Disjointness is checked exactly; the finite-horizon bound is validated
-    by free flights of `validation_rays` stationary samples (construction
-    aborts if any flight reaches TAU_BOUND).
+    by free flights of `validation_rays` stationary samples, run on
+    ``_fork_map``'s workers (construction aborts if any flight reaches
+    TAU_BOUND).
     """
     centers = np.array([c for c, _ in scatterers], dtype=float)
     radii = np.array([r for _, r in scatterers], dtype=float)
@@ -126,14 +126,50 @@ def build_table(scatterers=DEFAULT_SCATTERERS, validation_rays: int = 1_000_000,
                           copy_radii=copy_radii,
                           sector_copies=tuple(sector_copies))
 
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for done in range(0, validation_rays, _CHUNK):
-        sid, phi, theta = sample_srb(
-            table, min(validation_rays - done, _CHUNK), rng)
-        t = _step_arrays(table, sid, phi, theta)[3]
-        worst = max(worst, float(np.max(t)))
+    pieces = range(-(-validation_rays // _CHUNK))
+    worst = max(_fork_map(_longest_flight, pieces, table, seed,
+                          validation_rays))
     return dataclasses.replace(table, tau_max=worst)
+
+
+def _fork_map(fn, items, *args):
+    """``[fn(*args, run) for run in runs]``, where the runs split the
+    sequence ``items`` into one contiguous slice per CPU the process may
+    run on (at most one per item).  Each run goes to a forked worker
+    process, so the caller does none of the work, or runs inline when there
+    is one CPU.  ``fn`` is a module-level function; the workers inherit the
+    module state of the caller.  An exception raised in a worker is raised
+    here, after every worker has exited."""
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(items)))
+    cuts = [len(items) * w // workers for w in range(workers + 1)]
+    runs = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    if workers == 1:
+        return [fn(*args, runs[0])]
+    import concurrent.futures
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=fork) as pool:
+        return list(pool.map(fn, *([a] * workers for a in args), runs))
+
+
+def _flights(table, seed, rays, pieces):
+    """One collision step (``_step_arrays``' output) of each piece in the
+    range ``pieces`` of ``rays`` stationary states drawn from ``seed`` in
+    pieces of _CHUNK.  The pieces before the range are drawn and dropped,
+    so a piece's states do not depend on the range it is stepped in."""
+    rng = np.random.default_rng(seed)
+    for piece in range(pieces.stop):
+        states = sample_srb(table, min(rays - piece * _CHUNK, _CHUNK), rng)
+        if piece >= pieces.start:
+            yield _step_arrays(table, *states)
+
+
+def _longest_flight(table, seed, rays, pieces):
+    """The longest free flight of ``_flights``."""
+    return max(float(np.max(step[3]))
+               for step in _flights(table, seed, rays, pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -530,21 +566,8 @@ def billiard_escape_multi(table: BilliardTable, holes: Sequence[BilliardHole],
         h.validate(table)
 
     def run_shards(seeds, sizes):
-        workers = min(len(os.sched_getaffinity(0)), MC_SHARDS)
-        # one contiguous run of shards per worker
-        cuts = [len(sizes) * w // workers for w in range(workers + 1)]
-        runs = [(seeds[a:b], sizes[a:b]) for a, b in zip(cuts, cuts[1:])]
-        if workers == 1:
-            return [_simulate_shards(table, holes, n_max, *runs[0])]
-        import concurrent.futures
-        import multiprocessing
-
-        fork = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(
-                workers, mp_context=fork) as pool:
-            return list(pool.map(_simulate_shards, [table] * workers,
-                                 [holes] * workers, [n_max] * workers,
-                                 *zip(*runs)))
+        return _fork_map(_simulate_shards, list(zip(seeds, sizes)), table,
+                         holes, n_max)
 
     estimates = sharded_mc_estimates(run_shards, samples, seed, n_max,
                                      "billiard_mc")
@@ -555,9 +578,9 @@ def billiard_escape_multi(table: BilliardTable, holes: Sequence[BilliardHole],
     return estimates
 
 
-def _simulate_shards(table, holes, n_max, seed_seqs, sizes):
+def _simulate_shards(table, holes, n_max, shards):
     """Survival counts (holes, n_max+1) and flagged count, summed over the
-    shards of ``sizes[i]`` trajectories drawn from ``seed_seqs[i]``.
+    ``shards``, each (seed sequence, trajectory count).
 
     Each shard draws its states in pieces of at most _CHUNK; the pieces are
     simulated in batches of _CHUNK trajectories that run across shard
@@ -566,17 +589,17 @@ def _simulate_shards(table, holes, n_max, seed_seqs, sizes):
     families = _hole_families(table, holes)
     counts = np.zeros((len(holes), n_max + 1), dtype=np.int64)
     flagged = 0
-    for states in _batches(_pieces(table, seed_seqs, sizes)):
+    for states in _batches(_pieces(table, shards)):
         c, fl = _simulate_chunk(table, families, len(holes), n_max, *states)
         counts += c
         flagged += fl
     return counts, flagged
 
 
-def _pieces(table, seed_seqs, sizes):
+def _pieces(table, shards):
     """Each shard's stationary states, drawn from its own seed in pieces
     of at most _CHUNK."""
-    for seed_seq, size in zip(seed_seqs, sizes):
+    for seed_seq, size in shards:
         rng = np.random.default_rng(seed_seq)
         for done in range(0, size, _CHUNK):
             yield sample_srb(table, min(size - done, _CHUNK), rng)
@@ -656,23 +679,16 @@ def theta_chi2(table: BilliardTable, samples: int, seed: int):
     """Pearson chi-square test of the 24-bin post-collision theta histogram
     against the stationary cos(theta) law: (p, chi2, observed, expected).
 
-    p is the regularized upper incomplete gamma Q((bins - 1) / 2, chi2 / 2),
+    The collision steps run on ``_fork_map``'s workers.  p is the
+    regularized upper incomplete gamma Q((bins - 1) / 2, chi2 / 2),
     evaluated in mpmath at 30 digits, so this test loads no scipy."""
     from mpmath import mp
 
-    rng = np.random.default_rng(seed)
     edges = np.linspace(-math.pi / 2, math.pi / 2, 25)
-    observed = np.zeros(len(edges) - 1, dtype=np.int64)
-    total = 0
-    remaining = samples
-    while remaining > 0:
-        size = min(remaining, _CHUNK)
-        remaining -= size
-        sid, phi, theta = sample_srb(table, size, rng)
-        _, _, theta2, _, grazing, _ = _step_arrays(table, sid, phi, theta)
-        keep = theta2[~grazing]
-        observed += np.histogram(keep, bins=edges)[0]
-        total += len(keep)
+    runs = _fork_map(_theta_counts, range(-(-samples // _CHUNK)), table, seed,
+                     samples, edges)
+    observed = sum(counts for counts, _ in runs)
+    total = sum(kept for _, kept in runs)
     if observed.sum() != total:
         raise ValueError(f"{total - observed.sum()} of {total} kept "
                          "post-collision angles fell outside the theta bins")
@@ -683,6 +699,19 @@ def theta_chi2(table: BilliardTable, samples: int, seed: int):
         p = float(mp.gammainc((len(observed) - 1) / 2, chi2 / 2, mp.inf,
                               regularized=True))
     return p, chi2, observed, expected
+
+
+def _theta_counts(table, seed, samples, edges, pieces):
+    """The histogram over ``edges`` of the post-collision angles of
+    ``_flights``, grazing collisions left out, and the number left in."""
+    observed = np.zeros(len(edges) - 1, dtype=np.int64)
+    total = 0
+    for _, _, theta2, _, grazing, _ in _flights(table, seed, samples,
+                                                pieces):
+        keep = theta2[~grazing]
+        observed += np.histogram(keep, bins=edges)[0]
+        total += len(keep)
+    return observed, total
 
 
 def _collision_step_mp(table: BilliardTable, sid: int, phi, theta):

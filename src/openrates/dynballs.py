@@ -157,13 +157,14 @@ def triangle_check(singularity_distance, n_triples: int, eps: float,
         ds_x = dist_s(x)
         gx = np.minimum(eps, ds_x) / 3.0
         z = x + rng.uniform(-1.0, 1.0, batch) * gx
-        # propose y near z, accept if within g(y) of z
+        # propose y near z, accept if within g(y) of z; g(y) <= eps / 3, so
+        # a proposal farther from z fails whatever d(y, S) is
         prop = z + rng.uniform(-1.0, 1.0, batch) * 2.0 * gx
-        ds_y = dist_s(prop)
-        gy = np.minimum(eps, ds_y) / 3.0
-        ok = np.abs(prop - z) <= gy
-        x, z, y, gx = x[ok], z[ok], prop[ok], gx[ok]
-        ds_x, ds_y = ds_x[ok], ds_y[ok]
+        near = np.abs(prop - z) <= eps / 3.0
+        x, z, y, gx, ds_x = x[near], z[near], prop[near], gx[near], ds_x[near]
+        ds_y = dist_s(y)
+        ok = np.abs(y - z) <= np.minimum(eps, ds_y) / 3.0
+        x, y, gx, ds_x, ds_y = x[ok], y[ok], gx[ok], ds_x[ok], ds_y[ok]
         produced += len(x)
         violations += int(np.count_nonzero(np.abs(x - y) > 3.0 * gx + 1e-15))
         proof_violations += int(np.count_nonzero(ds_y > 2.0 * ds_x + 1e-15))

@@ -62,16 +62,19 @@ def torus_dist_1d(a, b):
 
 
 def torus_dist_2d(a, b):
-    """Euclidean torus distance over the last axis (length 2), computed in
-    place and summed as the two component columns, which is bit for bit
-    ``sqrt(sum(d * d, axis=-1))`` without a reduction over that short
-    axis."""
-    d = np.subtract(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    np.abs(d, out=d)
-    _mod1(d)
-    np.minimum(d, 1.0 - d, out=d)
-    d *= d
-    return np.sqrt(d[..., 0] + d[..., 1])
+    """Euclidean torus distance over the last axis (length 2), one pass per
+    coordinate, which is bit for bit ``sqrt(sum(d * d, axis=-1))`` without
+    numpy's length-2 inner loops over that short axis."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    sq = []
+    for i in (0, 1):
+        # a 0-d difference (one point) comes back as a scalar
+        d = np.asarray(np.subtract(a[..., i], b[..., i]))
+        np.abs(d, out=d)
+        _mod1(d)
+        np.minimum(d, 1.0 - d, out=d)
+        sq.append(np.square(d, out=d))
+    return np.sqrt(sq[0] + sq[1])
 
 
 def torus_dist(a, b, dimension):
@@ -157,13 +160,23 @@ def logistic_like(a: float = 3.9) -> MapModel:
 CAT_MATRIX = np.array([[2.0, 1.0], [1.0, 1.0]])
 
 
-def cat_map() -> MapModel:
-    A = CAT_MATRIX
+def _cat_step(ps):
+    """``ps @ CAT_MATRIX.T`` mod 1 as the columns 2x + y and x + y: 2x is
+    exact, so each sum is the one rounding the product makes."""
+    ps = np.asarray(ps, dtype=float)
+    x, y = ps[..., 0], ps[..., 1]
+    out = np.empty_like(ps)
+    np.multiply(x, 2.0, out=out[..., 0])
+    out[..., 0] += y
+    np.add(x, y, out=out[..., 1])
+    return _mod1(out)
 
+
+def cat_map() -> MapModel:
     return MapModel(
         dimension=2,
-        step_many=lambda ps: _mod1(np.asarray(ps, dtype=float) @ A.T),
-        derivative=_constant_derivative(A),
+        step_many=_cat_step,
+        derivative=_constant_derivative(CAT_MATRIX),
         singularity_distance=_no_singularities,
         reference_density=_lebesgue,
     )
@@ -389,8 +402,19 @@ def word_counts(sys: OpenSystem, k: int, n_max: int):
     """Numbers of surviving n-words for n = k..n_max, in one dynamic program
     over the (k-1)-gram graph.
 
-    Counts are Python ints, so they stay exact beyond 2**53."""
+    Each edge checks the hole words at its first position only, so an
+    n-word is counted through its final gram when that gram holds no hole
+    word either (at every gram when k is the hole level).  Counts are
+    Python ints, so they stay exact beyond 2**53."""
     n, src, dst = survivor_graph(sys, k)
+    m, level = sys.map.branch_count, sys.hole.meta["level"]
+    allowed = np.zeros(m ** level, dtype=bool)
+    allowed[nonhole_cells(sys, m ** level)] = True
+    grams = np.arange(n)
+    final = np.ones(n, dtype=bool)
+    for j in range(k - level):          # the level-windows of a gram
+        final &= allowed[grams // m ** (k - 1 - level - j) % m ** level]
+    final = np.flatnonzero(final).tolist()
     predecessors = [[] for _ in range(n)]
     for s, d in zip(src.tolist(), dst.tolist()):
         predecessors[d].append(s)
@@ -398,7 +422,7 @@ def word_counts(sys: OpenSystem, k: int, n_max: int):
     counts = []
     for _ in range(k, n_max + 1):
         v = [sum(map(v.__getitem__, pred)) for pred in predecessors]
-        counts.append(sum(v))
+        counts.append(sum(map(v.__getitem__, final)))
     return counts
 
 

@@ -142,19 +142,21 @@ def _assemble_quadrature(sys: OpenSystem, n: int):
     ncells = n ** dim
     per_cell = s ** dim
     o = (np.arange(s) + 0.5) / (s * n)
-    if dim == 1:
-        offs = o
-    else:
+    if dim == 2:
         c = (np.arange(n) + 0.5) / n - 0.5 / n      # cell corners
-        offs, base = (np.stack(np.meshgrid(v, v, indexing="ij"),
-                               axis=-1).reshape(-1, 2) for v in (o, c))
+        # the x and y offsets of a cell's points, in C order; the grid is
+        # built one coordinate at a time
+        ox, oy = np.repeat(o, s), np.tile(o, s)
     row_nnz, cols, counts = [], [], []
     for c0 in range(0, ncells, 1024):
         c1 = min(c0 + 1024, ncells)
         if dim == 1:
-            pts = (np.arange(c0, c1)[:, None] / n + offs).ravel()
+            pts = (np.arange(c0, c1)[:, None] / n + o).ravel()
         else:
-            pts = (base[c0:c1, None, :] + offs).reshape(-1, 2)
+            cells = np.arange(c0, c1)
+            pts = np.empty(((c1 - c0) * per_cell, 2))
+            pts[:, 0] = (c[cells // n, None] + ox).ravel()
+            pts[:, 1] = (c[cells % n, None] + oy).ravel()
         inside = sys.hole.in_hole_many(pts)
         tgt = _cell_index(sys.map.step_many(pts), n)
         tgt[inside] = ncells                      # sentinel, sorts last

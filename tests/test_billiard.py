@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -543,10 +545,86 @@ def test_batched_sweep_matches_per_shard_loop(small_table, monkeypatch,
                             lambda pid: set(range(cpus)))
         got = B.billiard_escape_multi(small_table, holes, samples, 10,
                                       seed=8)
+        assert not multiprocessing.active_children()
         for a, b in zip(got, expected):
             assert a.rho == b.rho and a.stderr == b.stderr
             assert a.per_n_mass == b.per_n_mass
             assert a.meta == b.meta
+
+
+def _serial_flight_pass(table, rays, seed):
+    """``build_table``'s longest validation flight and ``theta_chi2``'s
+    histogram as one loop in this process over pieces of at most _CHUNK
+    states from one generator."""
+    rng = np.random.default_rng(seed)
+    edges = np.linspace(-math.pi / 2, math.pi / 2, 25)
+    worst, observed = 0.0, np.zeros(len(edges) - 1, dtype=np.int64)
+    for done in range(0, rays, B._CHUNK):
+        states = B.sample_srb(table, min(rays - done, B._CHUNK), rng)
+        _, _, theta2, t, grazing, _ = B._step_arrays(table, *states)
+        worst = max(worst, float(np.max(t)))
+        observed += np.histogram(theta2[~grazing], bins=edges)[0]
+    return worst, observed
+
+
+@pytest.mark.parametrize("rays, chunk", [
+    (50_000, None), (1, None),
+    # more pieces than workers, a last piece of one state; fewer pieces
+    # than workers
+    (7_001, 1000), (2_500, 1000)])
+def test_flight_passes_independent_of_worker_count(small_table, monkeypatch,
+                                                   rays, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(B, "_CHUNK", chunk)
+    worst, observed = _serial_flight_pass(small_table, rays, seed=4)
+    chi2_runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(B.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        table = B.build_table(validation_rays=rays, seed=4)
+        assert table.tau_max == worst
+        assert not multiprocessing.active_children()
+        p, chi2, obs, exp = B.theta_chi2(table, rays, seed=4)
+        assert np.array_equal(obs, observed)
+        assert not multiprocessing.active_children()
+        chi2_runs.append((p, chi2, obs.tolist(), exp.tolist()))
+    assert chi2_runs[1:] == chi2_runs[:1] * 2
+
+
+def test_parent_steps_no_ray(small_table, monkeypatch):
+    # with two CPUs every flight pass steps its rays on forked workers
+    parent, step = os.getpid(), B._step_arrays
+
+    def worker_only(*args):
+        assert os.getpid() != parent, "the calling process stepped a ray"
+        return step(*args)
+    monkeypatch.setattr(B, "_step_arrays", worker_only)
+    monkeypatch.setattr(B.os, "sched_getaffinity", lambda pid: {0, 1})
+    B.build_table(validation_rays=50_000, seed=1)
+    B.theta_chi2(small_table, 50_000, seed=1)
+    B.billiard_escape_multi(small_table,
+                            B.nested_arc_holes(small_table, 0, 1.0, [0.1]),
+                            5_000, 10, seed=1)
+
+
+def _horizon_lost(table, sid, phi, theta):
+    raise B.InfiniteHorizonError("free flight of length >= 1.5 found")
+
+
+@pytest.mark.parametrize("run", [
+    lambda t: B.build_table(validation_rays=5_000, seed=1),
+    lambda t: B.theta_chi2(t, 5_000, seed=1),
+    lambda t: B.billiard_escape_multi(
+        t, B.nested_arc_holes(t, 0, 1.0, [0.1]), 5_000, 10, seed=1)])
+def test_worker_error_reaches_caller(small_table, monkeypatch, run):
+    # two CPUs: every run of pieces or shards steps on a worker, which
+    # inherits the patched step
+    monkeypatch.setattr(B, "_CHUNK", 1000)
+    monkeypatch.setattr(B.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(B, "_step_arrays", _horizon_lost)
+    with pytest.raises(B.InfiniteHorizonError, match="free flight"):
+        run(small_table)
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import re
 import warnings
 from pathlib import Path
@@ -642,6 +643,25 @@ def test_billiard_subcommand(tmp_path):
     assert summary["billiard"]["tau_max"] < 1.5
     assert summary["billiard"]["holes"][0]["rho"] < 0
     assert (out / "survival_billiard_0.csv").exists()
+
+
+def test_billiard_infinite_horizon_exits_1(tmp_path, capsys, monkeypatch):
+    # the validation flights run on two forked workers, whose
+    # InfiniteHorizonError becomes the error line
+    monkeypatch.setattr(B, "_CHUNK", 1000)
+    monkeypatch.setattr(B.os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = {"seed": 5, "billiard": {
+        "scatterers": [[[0.5, 0.5], 0.1]], "validation_rays": 20000,
+        "holes": [{"kind": "arc", "scatterer": 0, "arc_center": 1.0,
+                   "arc_halfwidth": 0.2}]}}
+    out = tmp_path / "bil"
+    assert main(["billiard", "--config", str(_write(tmp_path, cfg)),
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: free flight of length >= 1.5 found; the table does not "
+        "have a verified finite horizon\n")
+    assert not (out / "summary.json").exists()
+    assert not multiprocessing.active_children()
 
 
 def test_compare_runs(tmp_path, capsys):

@@ -99,6 +99,64 @@ def test_triangle_check_zero_violations():
     assert out_adv["proof_violations"] == 0
 
 
+def _triangle_check_ref(singularity_distance, n_triples, eps, rng,
+                        adversarial):
+    """``triangle_check`` as it was before it skipped hopeless proposals:
+    d(y, S) at every proposal."""
+    def dist_s(pts):
+        return np.array([singularity_distance(v) for v in pts])
+
+    violations = proof_violations = produced = 0
+    while produced < n_triples:
+        batch = min(n_triples - produced, 100_000)
+        if adversarial:
+            x = np.clip((rng.random(batch) ** 3) * eps * 3.0, 1e-9, 1 - 1e-9)
+        else:
+            x = rng.random(batch)
+        ds_x = dist_s(x)
+        gx = np.minimum(eps, ds_x) / 3.0
+        z = x + rng.uniform(-1.0, 1.0, batch) * gx
+        prop = z + rng.uniform(-1.0, 1.0, batch) * 2.0 * gx
+        ds_y = dist_s(prop)
+        gy = np.minimum(eps, ds_y) / 3.0
+        ok = np.abs(prop - z) <= gy
+        x, y, gx = x[ok], prop[ok], gx[ok]
+        ds_x, ds_y = ds_x[ok], ds_y[ok]
+        produced += len(x)
+        violations += int(np.count_nonzero(np.abs(x - y) > 3.0 * gx + 1e-15))
+        proof_violations += int(np.count_nonzero(ds_y > 2.0 * ds_x + 1e-15))
+    return {"triples": produced, "violations": violations,
+            "proof_violations": proof_violations}
+
+
+@pytest.mark.parametrize("adversarial", [False, True])
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+@pytest.mark.parametrize("steep", [False, True])
+def test_triangle_check_matches_reference_loop(adversarial, eps, steep):
+    # a proposal farther than eps / 3 from z skips d(y, S): the same draws
+    # (the generators end in one state) and counts, with fewer calls.  A
+    # distance 10 times steeper than a true one breaks both bounds, so the
+    # counts depend on which triples are accepted
+    calls = [0]
+
+    def sd(x):
+        calls[0] += 1
+        if steep:
+            return abs(math.sin(40.0 * x)) / 4.0
+        return min(x, 1 - x, abs(x - 0.5))
+
+    for seed in range(4):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = D.triangle_check(sd, 20_000, eps, rng, adversarial)
+        fast, calls[0] = calls[0], 0
+        ref = _triangle_check_ref(sd, 20_000, eps, rng_ref, adversarial)
+        assert got == ref
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert fast < calls[0]
+        assert (ref["proof_violations"] > 0) == steep
+        calls[0] = 0
+
+
 def test_separated_set(golden_system, rng):
     cand = list(sample_survivor_points(golden_system, 2, 30, rng))
     size = D.separated_set_size(golden_system, cand, 6, 0.1)
