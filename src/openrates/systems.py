@@ -160,23 +160,13 @@ def logistic_like(a: float = 3.9) -> MapModel:
 CAT_MATRIX = np.array([[2.0, 1.0], [1.0, 1.0]])
 
 
-def _cat_step(ps):
-    """``ps @ CAT_MATRIX.T`` mod 1 as the columns 2x + y and x + y: 2x is
-    exact, so each sum is the one rounding the product makes."""
-    ps = np.asarray(ps, dtype=float)
-    x, y = ps[..., 0], ps[..., 1]
-    out = np.empty_like(ps)
-    np.multiply(x, 2.0, out=out[..., 0])
-    out[..., 0] += y
-    np.add(x, y, out=out[..., 1])
-    return _mod1(out)
-
-
 def cat_map() -> MapModel:
+    A = CAT_MATRIX
+
     return MapModel(
         dimension=2,
-        step_many=_cat_step,
-        derivative=_constant_derivative(CAT_MATRIX),
+        step_many=lambda ps: _mod1(np.asarray(ps, dtype=float) @ A.T),
+        derivative=_constant_derivative(A),
         singularity_distance=_no_singularities,
         reference_density=_lebesgue,
     )
@@ -400,30 +390,22 @@ def survivor_graph(sys: OpenSystem, k: int):
 
 def word_counts(sys: OpenSystem, k: int, n_max: int):
     """Numbers of surviving n-words for n = k..n_max, in one dynamic program
-    over the (k-1)-gram graph.
+    over the (level-1)-gram graph of the hole level.
 
-    Each edge checks the hole words at its first position only, so an
-    n-word is counted through its final gram when that gram holds no hole
-    word either (at every gram when k is the hole level).  Counts are
-    Python ints, so they stay exact beyond 2**53."""
-    n, src, dst = survivor_graph(sys, k)
-    m, level = sys.map.branch_count, sys.hole.meta["level"]
-    allowed = np.zeros(m ** level, dtype=bool)
-    allowed[nonhole_cells(sys, m ** level)] = True
-    grams = np.arange(n)
-    final = np.ones(n, dtype=bool)
-    for j in range(k - level):          # the level-windows of a gram
-        final &= allowed[grams // m ** (k - 1 - level - j) % m ** level]
-    final = np.flatnonzero(final).tolist()
+    An n-word survives when none of its level-windows is a hole word, which
+    does not depend on k, so a k above the level only drops the shortest
+    counts.  Counts are Python ints, so they stay exact beyond 2**53."""
+    g = min(k, sys.hole.meta.get("level", k))   # survivor_graph checks k
+    n, src, dst = survivor_graph(sys, g)
     predecessors = [[] for _ in range(n)]
     for s, d in zip(src.tolist(), dst.tolist()):
         predecessors[d].append(s)
-    v = [1] * n                 # one (k-1)-word per gram
+    v = [1] * n                 # one (g-1)-word per gram
     counts = []
-    for _ in range(k, n_max + 1):
+    for _ in range(g, n_max + 1):
         v = [sum(map(v.__getitem__, pred)) for pred in predecessors]
-        counts.append(sum(map(v.__getitem__, final)))
-    return counts
+        counts.append(sum(v))
+    return counts[k - g:]
 
 
 # Classes come from an iterative Tarjan in Python, not scipy.sparse.csgraph:
