@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .escape import InsufficientSurvivorsError, sharded_mc_estimates
-from .systems import _REQUIRED, _integer, _number, _point, _read_kind
+from .systems import (_REQUIRED, _fork_map, _integer, _number, _point,
+                      _read_kind)
 
 TANGENT_GUARD = 1e-9        # |cos theta| below this flags a grazing collision
 TAU_BOUND = 1.5             # every free flight of a valid table is shorter
@@ -130,28 +130,6 @@ def build_table(scatterers=DEFAULT_SCATTERERS, validation_rays: int = 1_000_000,
     worst = max(_fork_map(_longest_flight, pieces, table, seed,
                           validation_rays))
     return dataclasses.replace(table, tau_max=worst)
-
-
-def _fork_map(fn, items, *args):
-    """``[fn(*args, run) for run in runs]``, where the runs split the
-    sequence ``items`` into one contiguous slice per CPU the process may
-    run on (at most one per item).  Each run goes to a forked worker
-    process, so the caller does none of the work, or runs inline when there
-    is one CPU.  ``fn`` is a module-level function; the workers inherit the
-    module state of the caller.  An exception raised in a worker is raised
-    here, after every worker has exited."""
-    workers = max(1, min(len(os.sched_getaffinity(0)), len(items)))
-    cuts = [len(items) * w // workers for w in range(workers + 1)]
-    runs = [items[a:b] for a, b in zip(cuts, cuts[1:])]
-    if workers == 1:
-        return [fn(*args, runs[0])]
-    import concurrent.futures
-    import multiprocessing
-
-    fork = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=fork) as pool:
-        return list(pool.map(fn, *([a] * workers for a in args), runs))
 
 
 def _flights(table, seed, rays, pieces):

@@ -25,9 +25,10 @@ from . import escape as escape_mod
 from . import pressure as pressure_mod
 from . import tower as tower_mod
 from . import ulam as ulam_mod
-from .systems import (_REQUIRED, _any, _checked, _integer, _is_numbers,
-                      _json, _null_or, _number, _object, _positive,
-                      _read_config, parry_chain, system_from_config)
+from .systems import (_REQUIRED, _any, _checked, _fork_map, _integer,
+                      _is_numbers, _json, _null_or, _number, _object,
+                      _positive, _read_config, parry_chain,
+                      system_from_config)
 
 
 def _load_config(path) -> dict:
@@ -151,17 +152,26 @@ def _best_estimate(results):
 
 
 def _ulam_run(sys_obj, res: int, out_dir: Path):
-    """Ulam operator, its leading eigenpair and survivor measure, plus the
-    ``"ulam"`` summary payload; writes the eigenvectors to ``qsd.csv``
-    (right) and ``survival_function.csv`` (left)."""
+    """Ulam operator, its leading eigenpair and survivor measure, the
+    ``"ulam"`` summary payload, and the writer jobs of the eigenvectors:
+    ``qsd.csv`` (right) and ``survival_function.csv`` (left)."""
     op = ulam_mod.build_ulam(sys_obj, res)
     spec = ulam_mod.leading_eigenpair(op)
     nu_hat, info = ulam_mod.survivor_measure(op, spec)
-    _write_cell_masses(out_dir / "qsd.csv", "mass", spec.right)
-    _write_cell_masses(out_dir / "survival_function.csv", "survival",
-                       spec.left)
+    jobs = [(_write_cell_masses, out_dir / "qsd.csv", "mass", spec.right),
+            (_write_cell_masses, out_dir / "survival_function.csv",
+             "survival", spec.left)]
     return op, spec, nu_hat, {"spectral": spec.to_json_dict(),
-                              "survivor_routes": info, "resolution": res}
+                              "survivor_routes": info, "resolution": res}, jobs
+
+
+def _write_files(jobs):
+    """Run the writer jobs, each (writer, *args).  The commands map it over
+    the jobs with ``_fork_map``, so each worker writes one contiguous run
+    of the files, and a writer's error is raised in the command once every
+    worker has exited."""
+    for write, *args in jobs:
+        write(*args)
 
 
 def _nu_hat_verdict(sys_obj, level: int, best):
@@ -206,10 +216,14 @@ def cmd_escape(cfg, out_dir, seed):
 
 def cmd_ulam(cfg, out_dir, seed):
     sys_obj = system_from_config(cfg["system"])
-    op, _, nu_hat, ulam = _ulam_run(sys_obj, cfg["ulam"]["resolution"],
-                                    out_dir)
-    op.export_coo(out_dir / "operator_coo.csv")
-    _write_cell_masses(out_dir / "survivor_measure.csv", "mass", nu_hat)
+    op, _, nu_hat, ulam, jobs = _ulam_run(
+        sys_obj, cfg["ulam"]["resolution"], out_dir)
+    # two workers write (export, qsd) and the other two cell files: the
+    # sparse export is the largest job, a cell file two thirds of it
+    _fork_map(_write_files, [
+        (op.export_coo, out_dir / "operator_coo.csv"), *jobs,
+        (_write_cell_masses, out_dir / "survivor_measure.csv", "mass",
+         nu_hat)])
     return {"ulam": ulam}, 0
 
 
@@ -314,8 +328,9 @@ def cmd_verify(cfg, out_dir, seed):
     """Full pipeline: escape + spectral + pressure + verdict."""
     sys_obj = system_from_config(cfg["system"])
     results = _escape_estimates(sys_obj, cfg["escape"], seed, out_dir)
-    _, spec, _, ulam = _ulam_run(sys_obj, cfg["ulam"]["resolution"],
-                                 out_dir)
+    _, spec, _, ulam, jobs = _ulam_run(sys_obj, cfg["ulam"]["resolution"],
+                                       out_dir)
+    _fork_map(_write_files, jobs)
     payload = {"escape": {m: _estimate_dict(e) for m, e in results.items()},
                "ulam": ulam}
     code = 0

@@ -8,6 +8,8 @@ fundamental domain.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -658,6 +660,86 @@ def evolve_survivors(sys: OpenSystem, pts, n_max: int):
         cur = cur[~inh]
         counts[n] = len(cur)
     return counts, flagged, cur
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+
+def _fork_map(fn, items, *args):
+    """``[fn(*args, run) for run in runs]``, where the runs split the
+    sequence ``items`` into one contiguous slice per CPU the process may
+    run on (at most one per item).  Each run goes to a worker process
+    forked for it, so the caller does none of the work, or runs inline when
+    there is one CPU.  A worker inherits ``fn`` and ``args`` with the rest
+    of the caller's memory, so closures and objects that do not pickle
+    pass; only its result comes back pickled, through a pipe.  Every worker
+    is reaped before this returns or raises: then the first failed run's
+    exception is raised, or ChildProcessError for a worker that ended
+    without a result."""
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(items)))
+    cuts = [len(items) * w // workers for w in range(workers + 1)]
+    runs = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    if workers == 1:
+        return [fn(*args, runs[0])]
+    children = []                       # (pid, read end of its pipe)
+    replies = None
+    try:
+        for run in runs:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _fork_worker(write, fn, args, run)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        # a worker blocks on a full pipe until its turn here
+        replies = [fh.read() for _, fh in children]
+    finally:
+        for pid, fh in children:
+            fh.close()
+            if replies is None:
+                os.kill(pid, 9)         # SIGKILL: the caller is unwinding
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, _ in children]
+    results = []
+    for (pid, _), code, reply in zip(children, codes, replies):
+        if code:
+            raise ChildProcessError(
+                f"worker process {pid} ended without a result ("
+                + (f"signal {-code})" if code < 0 else f"exit status {code})"))
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _fork_worker(write, fn, args, run):
+    """A forked worker of ``_fork_map``: pickles (True, fn(*args, run)), or
+    (False, the exception it raised), into the file descriptor ``write``,
+    then leaves through ``os._exit``, with exit status 0 only once the
+    reply is written.  So the worker never returns into the caller's stack
+    and runs none of its exit handlers or buffer flushes."""
+    status = 1
+    try:
+        try:
+            reply = (True, fn(*args, run))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps((False, TypeError(
+                f"a worker's result does not pickle: {exc}")))
+        with open(write, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

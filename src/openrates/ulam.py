@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .systems import (ConvergenceError, OpenSystem, _mod1, _power_iterate,
-                      nonhole_cells)
+from .systems import (ConvergenceError, OpenSystem, _fork_map, _mod1,
+                      _power_iterate, nonhole_cells)
 
 if TYPE_CHECKING:
     # scipy.sparse is imported where a matrix is built, so a process that
@@ -126,17 +126,32 @@ def _assemble_exact_1d(sys: OpenSystem, n: int):
 def _assemble_quadrature(sys: OpenSystem, n: int):
     """Per-cell midpoint quadrature with 8^dim points per cell.
 
-    Streams over blocks of 1024 source cells: each block's points are
-    tested against the hole, stepped and binned at once, and each row keeps
-    only its distinct targets with their hit counts, so memory is
-    O(nnz + block) rather than O(n^dim * 8^dim).  In 2D a block is 65,536
-    points, whose temporaries add ~13 MB to the process; larger blocks
-    only add memory (4096 cells: ~25 MB, same build time).  A row's entry is
-    count / 8^dim, which equals the sum of count copies of 1 / 8^dim exactly
-    (a power of two).  A row is empty when all its cell's points are in
-    the hole."""
+    Streams over blocks of 1024 source cells (``_quadrature_rows``), one
+    contiguous run of blocks per ``_fork_map`` worker, so the block
+    temporaries live in the workers, and memory is O(nnz + block) per
+    process rather than O(n^dim * 8^dim).  In 2D a block is 65,536 points,
+    whose temporaries add ~13 MB to a worker; larger blocks only add memory
+    (4096 cells: ~25 MB, same build time).  The runs are concatenated in
+    order, so the arrays do not depend on the worker count.  A row's entry
+    is count / 8^dim, which equals the sum of count copies of 1 / 8^dim
+    exactly (a power of two).  A row is empty when all its cell's points
+    are in the hole."""
     import scipy.sparse as sp
 
+    ncells = n ** sys.map.dimension
+    runs = _fork_map(_quadrature_rows, range(0, ncells, 1024), sys, n)
+    row_nnz, cols, counts = (np.concatenate(a) for a in zip(*runs))
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
+    data = counts * (1.0 / 8 ** sys.map.dimension)
+    # scipy stores int32 indices whenever they fit
+    return sp.csr_matrix((data, cols, indptr), shape=(ncells, ncells))
+
+
+def _quadrature_rows(sys: OpenSystem, n: int, starts):
+    """(entries per row, target cells, hit counts) of the source cells in
+    the blocks of 1024 cells that begin at ``starts``, in row order: each
+    block's points are tested against the hole, stepped and binned at once,
+    and each row keeps only its distinct targets with their hit counts."""
     dim = sys.map.dimension
     s = 8
     ncells = n ** dim
@@ -148,7 +163,7 @@ def _assemble_quadrature(sys: OpenSystem, n: int):
         # built one coordinate at a time
         ox, oy = np.repeat(o, s), np.tile(o, s)
     row_nnz, cols, counts = [], [], []
-    for c0 in range(0, ncells, 1024):
+    for c0 in starts:
         c1 = min(c0 + 1024, ncells)
         if dim == 1:
             pts = (np.arange(c0, c1)[:, None] / n + o).ravel()
@@ -172,11 +187,7 @@ def _assemble_quadrature(sys: OpenSystem, n: int):
                                    minlength=c1 - c0))
         cols.append(first[keep])
         counts.append(run[keep])
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_nnz))])
-    data = np.concatenate(counts) * (1.0 / per_cell)
-    # scipy stores int32 indices whenever they fit
-    return sp.csr_matrix((data, np.concatenate(cols), indptr),
-                         shape=(ncells, ncells))
+    return tuple(np.concatenate(a) for a in (row_nnz, cols, counts))
 
 
 def build_ulam(sys: OpenSystem, resolution: int) -> UlamOperator:

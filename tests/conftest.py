@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,13 @@ ACCEPTANCE_RESULTS = {}
 def record_criterion(number, label, passed, detail=""):
     ACCEPTANCE_RESULTS[number] = (label, passed, detail)
     assert passed, f"criterion {number} ({label}) failed: {detail}"
+
+
+def assert_no_children():
+    """Every child process of this one has been reaped: waitpid has none
+    left to wait for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_terminal_summary(terminalreporter):

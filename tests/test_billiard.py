@@ -1,11 +1,11 @@
 import dataclasses
 import math
-import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+from conftest import assert_no_children
 from openrates import billiard as B
 from openrates.escape import sharded_mc_estimates
 
@@ -497,7 +497,7 @@ def test_escape_independent_of_worker_count(small_table, monkeypatch):
         B.nested_disk_holes(small_table, (0.5, 0.0), [0.02, 0.04])
     pooled = B.billiard_escape_multi(small_table, holes, 20_000, 10, seed=8)
     # one CPU in the affinity mask runs the shards in this process
-    monkeypatch.setattr(B.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     serial = B.billiard_escape_multi(small_table, holes, 20_000, 10, seed=8)
     for a, b in zip(pooled, serial):
         assert a.rho == b.rho and a.stderr == b.stderr
@@ -541,11 +541,11 @@ def test_batched_sweep_matches_per_shard_loop(small_table, monkeypatch,
     expected = _per_shard_sweep(small_table, holes, samples, 10, seed=8)
     # 1, 2 and 3 workers: 3 splits the 32 shards into runs of 10, 11, 11
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(B.os, "sched_getaffinity",
+        monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         got = B.billiard_escape_multi(small_table, holes, samples, 10,
                                       seed=8)
-        assert not multiprocessing.active_children()
+        assert_no_children()
         for a, b in zip(got, expected):
             assert a.rho == b.rho and a.stderr == b.stderr
             assert a.per_n_mass == b.per_n_mass
@@ -579,14 +579,14 @@ def test_flight_passes_independent_of_worker_count(small_table, monkeypatch,
     worst, observed = _serial_flight_pass(small_table, rays, seed=4)
     chi2_runs = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(B.os, "sched_getaffinity",
+        monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         table = B.build_table(validation_rays=rays, seed=4)
         assert table.tau_max == worst
-        assert not multiprocessing.active_children()
+        assert_no_children()
         p, chi2, obs, exp = B.theta_chi2(table, rays, seed=4)
         assert np.array_equal(obs, observed)
-        assert not multiprocessing.active_children()
+        assert_no_children()
         chi2_runs.append((p, chi2, obs.tolist(), exp.tolist()))
     assert chi2_runs[1:] == chi2_runs[:1] * 2
 
@@ -599,7 +599,7 @@ def test_parent_steps_no_ray(small_table, monkeypatch):
         assert os.getpid() != parent, "the calling process stepped a ray"
         return step(*args)
     monkeypatch.setattr(B, "_step_arrays", worker_only)
-    monkeypatch.setattr(B.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     B.build_table(validation_rays=50_000, seed=1)
     B.theta_chi2(small_table, 50_000, seed=1)
     B.billiard_escape_multi(small_table,
@@ -620,11 +620,11 @@ def test_worker_error_reaches_caller(small_table, monkeypatch, run):
     # two CPUs: every run of pieces or shards steps on a worker, which
     # inherits the patched step
     monkeypatch.setattr(B, "_CHUNK", 1000)
-    monkeypatch.setattr(B.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(B, "_step_arrays", _horizon_lost)
     with pytest.raises(B.InfiniteHorizonError, match="free flight"):
         run(small_table)
-    assert not multiprocessing.active_children()
+    assert_no_children()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

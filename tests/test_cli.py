@@ -1,6 +1,6 @@
 import json
 import math
-import multiprocessing
+import os
 import re
 import warnings
 from pathlib import Path
@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_no_children
 from openrates import billiard as B
 from openrates import systems as S
 from openrates import tower as tower_mod
@@ -649,7 +650,7 @@ def test_billiard_infinite_horizon_exits_1(tmp_path, capsys, monkeypatch):
     # the validation flights run on two forked workers, whose
     # InfiniteHorizonError becomes the error line
     monkeypatch.setattr(B, "_CHUNK", 1000)
-    monkeypatch.setattr(B.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = {"seed": 5, "billiard": {
         "scatterers": [[[0.5, 0.5], 0.1]], "validation_rays": 20000,
         "holes": [{"kind": "arc", "scatterer": 0, "arc_center": 1.0,
@@ -661,7 +662,7 @@ def test_billiard_infinite_horizon_exits_1(tmp_path, capsys, monkeypatch):
         "error: free flight of length >= 1.5 found; the table does not "
         "have a verified finite horizon\n")
     assert not (out / "summary.json").exists()
-    assert not multiprocessing.active_children()
+    assert_no_children()
 
 
 def test_compare_runs(tmp_path, capsys):
@@ -830,3 +831,45 @@ def test_ulam_writes_each_vector_once(tmp_path):
         table = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 0], np.arange(64 * 64))
         assert table[:, 1].tobytes() == vec.tobytes()
+
+
+CAT64 = {"seed": 1, "system": {"map": {"name": "cat"},
+                               "hole": {"kind": "region_2d", "shape": "ball",
+                                        "center": [0.25, 0.75],
+                                        "radius": 0.1}},
+         "ulam": {"resolution": 64}}
+
+
+@pytest.mark.parametrize("command, cfg", [("ulam", CAT64),
+                                          ("verify", GOLDEN)])
+def test_ulam_outputs_independent_of_worker_count(tmp_path, monkeypatch,
+                                                  command, cfg):
+    # the quadrature blocks and the writer jobs run on 1 or 2 workers
+    path = _write(tmp_path, cfg)
+    trees = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        out = tmp_path / f"cpus{cpus}"
+        assert main([command, "--config", str(path), "--out-dir",
+                     str(out)]) == 0
+        assert_no_children()
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert "qsd.csv" in trees[0]
+    assert ("operator_coo.csv" in trees[0]) == (command == "ulam")
+    assert trees[1] == trees[0]
+
+
+def test_ulam_writer_error_exits_1(tmp_path, capsys, monkeypatch):
+    # the worker writing qsd.csv fails on a directory of that name; its
+    # OSError becomes the error line once both workers have exited
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "run"
+    (out / "qsd.csv").mkdir(parents=True)
+    assert main(["ulam", "--config", str(_write(tmp_path, CAT64)),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] Is a directory: ")
+    assert err.endswith("qsd.csv'\n") and len(err.splitlines()) == 1
+    assert not (out / "summary.json").exists()
+    assert_no_children()

@@ -32,6 +32,16 @@ code = main(sys.argv[1:])
 print(json.dumps([at_import, scipy_modules(), code]))
 """
 
+# prints the multiprocessing and concurrent modules loaded by `main(argv)`
+# and its exit code
+POOL_PROBE = """\
+import json, sys
+from openrates.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] in
+                         ("multiprocessing", "concurrent")), code]))
+"""
+
 TOWER = {"tower": {"branches": [
     {"id": "A", "R": 1, "J": 2.0, "mass": 0.5},
     {"id": "B", "R": 2, "J": 4.0, "mass": 0.25},
@@ -73,10 +83,10 @@ def _run(code, args, cwd):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _or_verify(tmp_path, command, cfg):
+def _or_verify(tmp_path, command, cfg, probe=PROBE):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    return _run(PROBE, [command, "--config", str(path), "--out-dir",
+    return _run(probe, [command, "--config", str(path), "--out-dir",
                         str(tmp_path / "out")], tmp_path)
 
 
@@ -133,3 +143,16 @@ print(json.dumps([before, mat.nnz, digest.hexdigest()]))
     assert _run(code, [], tmp_path) == [
         False, 254126,
         "a31dd708206729a9ace3cc8f14580fa2332f2b9dee16089d6f56fac14788fa80"]
+
+
+def test_ulam_and_billiard_load_no_process_pool(tmp_path):
+    # the workers of the quadrature blocks, the Ulam output files and the
+    # billiard shards are forked by systems._fork_map itself.  scipy.sparse
+    # imports concurrent.futures' base module, never a pool module
+    cat64 = {**CAT_ULAM, "ulam": {"resolution": 64}}
+    loaded, code = _or_verify(tmp_path, "ulam", cat64, POOL_PROBE)
+    assert code == 0
+    assert not [m for m in loaded if m.split(".")[0] == "multiprocessing"
+                or m in ("concurrent.futures.process",
+                         "concurrent.futures.thread")], loaded
+    assert _or_verify(tmp_path, "billiard", BILLIARD, POOL_PROBE) == [[], 0]

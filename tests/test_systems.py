@@ -1,11 +1,14 @@
 import itertools
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_children
 from openrates import escape as E
 from openrates import systems as S
 
@@ -508,6 +511,86 @@ def test_evolve_survivors_counts(golden_system, rng):
     # survivor fraction decays roughly like (phi/2)^n
     ratio = counts[8] / counts[7]
     assert ratio == pytest.approx((1 + math.sqrt(5)) / 4, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_fork_map_returns_runs_in_order(monkeypatch):
+    _cpus(monkeypatch, 3)
+    parent = os.getpid()
+    # 10 items on 3 CPUs: runs of 3, 3 and 4; each result (8 MB) is larger
+    # than a pipe holds, so a worker waits for its turn to be read
+    got = S._fork_map(lambda run: (os.getpid(), list(run),
+                                   np.arange(10**6) + run[0]), range(10))
+    assert [items for _, items, _ in got] == [[0, 1, 2], [3, 4, 5],
+                                              [6, 7, 8, 9]]
+    assert all(np.array_equal(a, np.arange(10**6) + i)
+               for (_, _, a), i in zip(got, (0, 3, 6)))
+    pids = {pid for pid, _, _ in got}
+    assert len(pids) == 3 and parent not in pids
+    assert_no_children()
+    # never more workers than items
+    assert S._fork_map(lambda run: list(run), [5, 6]) == [[5], [6]]
+    assert_no_children()
+
+
+def test_fork_map_workers_inherit_unpicklable_arguments(monkeypatch,
+                                                        golden_system):
+    # a lambda and an OpenSystem (whose maps are closures) do not pickle;
+    # the workers inherit them through the fork
+    _cpus(monkeypatch, 2)
+    pts = np.array([0.1, 0.3, 0.6, 0.9])
+    got = S._fork_map(lambda f, sys_obj, run: f(sys_obj, pts[run]),
+                      range(4), lambda sys_obj, x: sys_obj.map.step_many(x),
+                      golden_system)
+    assert np.array_equal(np.concatenate(got),
+                          golden_system.map.step_many(pts))
+    assert_no_children()
+
+
+def test_fork_map_one_cpu_runs_inline(monkeypatch):
+    _cpus(monkeypatch, 1)
+    assert S._fork_map(lambda run: (os.getpid(), list(run)), range(5)) == \
+        [(os.getpid(), [0, 1, 2, 3, 4])]
+    assert_no_children()
+
+
+def test_fork_map_worker_error_reaches_caller(monkeypatch):
+    _cpus(monkeypatch, 3)
+
+    def fail_from_second_run(run):
+        if run[0] > 0:
+            raise ValueError(f"run starting at {run[0]} failed")
+        return list(run)
+    # the first failed run's error, raised after every worker has exited
+    with pytest.raises(ValueError, match="^run starting at 2 failed$"):
+        S._fork_map(fail_from_second_run, range(6))
+    assert_no_children()
+
+
+def test_fork_map_killed_worker_raises(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def die(run):
+        if run[0] == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return list(run)
+    with pytest.raises(ChildProcessError,
+                       match=r"ended without a result \(signal 9\)"):
+        S._fork_map(die, range(2))
+    assert_no_children()
+
+
+def test_fork_map_unpicklable_result_raises(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with pytest.raises(TypeError, match="result does not pickle"):
+        S._fork_map(lambda run: lambda: run, range(2))
+    assert_no_children()
 
 
 # ---------------------------------------------------------------------------

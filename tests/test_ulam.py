@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import assert_no_children
 from openrates import ulam as U
 from openrates.systems import (OpenSystem, adic_map, baker_map, ball_hole_2d,
                                cylinder_union_hole, doubling_map,
@@ -276,18 +277,25 @@ LOGISTIC_HOLED = OpenSystem(logistic_like(3.9),
     (LOGISTIC_HOLED, 10_000, True),
 ], ids=["cat64", "baker32-seam", "cat32-whole-cells", "cat32-empty",
         "logistic1000", "logistic10000"])
-def test_streamed_quadrature_matches_one_shot(sys_obj, n, has_hole_cells):
-    P = U._assemble_quadrature(sys_obj, n)
-    hole_cells = np.flatnonzero(np.diff(P.indptr) == 0)
+def test_streamed_quadrature_matches_one_shot(sys_obj, n, has_hole_cells,
+                                              monkeypatch):
     ref, ref_hole = _one_shot_quadrature(sys_obj, n)
-    assert P.shape == ref.shape
-    assert np.array_equal(P.indptr, ref.indptr)
-    assert np.array_equal(P.indices, ref.indices)
-    assert P.data.tobytes() == ref.data.tobytes()
-    assert np.array_equal(hole_cells, ref_hole)
-    assert (len(hole_cells) > 0) == has_hole_cells
-    assert P.indptr.dtype == P.indices.dtype == np.int32
-    assert P.has_canonical_format
+    # 1, 2 and 3 workers: 3 split the ten blocks of 10,000 cells into runs
+    # of 3, 3 and 4, the last block short
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        P = U._assemble_quadrature(sys_obj, n)
+        assert_no_children()
+        hole_cells = np.flatnonzero(np.diff(P.indptr) == 0)
+        assert P.shape == ref.shape
+        assert np.array_equal(P.indptr, ref.indptr)
+        assert np.array_equal(P.indices, ref.indices)
+        assert P.data.tobytes() == ref.data.tobytes()
+        assert np.array_equal(hole_cells, ref_hole)
+        assert (len(hole_cells) > 0) == has_hole_cells
+        assert P.indptr.dtype == P.indices.dtype == np.int32
+        assert P.has_canonical_format
 
 
 def test_export_coo_round_trips(tmp_path):
@@ -345,18 +353,37 @@ def test_quadrature_assembly_peak_memory():
     # their images and a COO triple each.  The peak is VmHWM, not
     # ru_maxrss: Linux carries a process's high-water mark across fork and
     # exec into ru_maxrss, so a child of a pytest run that has grown past
-    # the bound would report the run's peak, not its own.
+    # the bound would report the run's peak, not its own.  The block runs
+    # go to forked workers, so each worker reports its own peak after its
+    # run, and the building process its peak at the end
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(U.__file__).resolve().parents[1]) + \
         os.pathsep + env.get("PYTHONPATH", "")
-    code = ("from openrates.systems import OpenSystem, ball_hole_2d, cat_map\n"
-            "from openrates.ulam import build_ulam\n"
-            "build_ulam(OpenSystem(cat_map(), ball_hole_2d((0.25, 0.75), "
+    code = ("import os\n"
+            "from openrates import ulam as U\n"
+            "from openrates.systems import OpenSystem, ball_hole_2d, cat_map\n"
+            "def peak():\n"
+            "    return next(line.split()[1] for line in "
+            "open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+            "rows = U._quadrature_rows\n"
+            "def reporting(*args):\n"
+            "    out = rows(*args)\n"
+            "    print('run', os.getpid(), peak(), flush=True)\n"
+            "    return out\n"
+            "U._quadrature_rows = reporting\n"
+            "U.build_ulam(OpenSystem(cat_map(), ball_hole_2d((0.25, 0.75), "
             "0.1)), 256)\n"
-            "print(next(line.split()[1] for line in open('/proc/self/status')"
-            " if line.startswith('VmHWM:')))\n")
+            "print('build', os.getpid(), peak(), "
+            "len(os.sched_getaffinity(0)))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    peak_mb = int(out.stdout) / 1024      # VmHWM is in kB
-    assert peak_mb < 160, f"peak RSS {peak_mb:.0f} MB"
+    *runs, build = [line.split() for line in out.stdout.splitlines()]
+    _, parent, parent_kb, cpus = build
+    # 64 blocks of 1024 cells: one run per CPU, in the building process
+    # when there is one
+    assert len(runs) == min(int(cpus), 64)
+    assert all((pid == parent) == (int(cpus) == 1) for _, pid, _ in runs)
+    for _, pid, kb, *_ in runs + [build]:
+        peak_mb = int(kb) / 1024      # VmHWM is in kB
+        assert peak_mb < 160, f"peak RSS {peak_mb:.0f} MB in process {pid}"
