@@ -21,8 +21,8 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .escape import InsufficientSurvivorsError, sharded_mc_estimates
-from .systems import (_REQUIRED, _fork_map, _integer, _number, _point,
-                      _read_kind)
+from .systems import (_CHUNK, _REQUIRED, _batches, _fork_map, _integer,
+                      _number, _point, _read_kind)
 
 TANGENT_GUARD = 1e-9        # |cos theta| below this flags a grazing collision
 TAU_BOUND = 1.5             # every free flight of a valid table is shorter
@@ -30,7 +30,6 @@ TAU_BOUND = 1.5             # every free flight of a valid table is shorter
 # also the shortest free flight
 CLEARANCE = 1e-3
 _COPY_RANGE = 2             # search copies at offsets -2..2 (< TAU_BOUND)
-_CHUNK = 1 << 15
 # rays per collision or segment search, so that its (copies, rays)
 # temporaries stay in cache; each ray's result does not depend on it
 _BLOCK = 1 << 12
@@ -567,7 +566,7 @@ def _simulate_shards(table, holes, n_max, shards):
     families = _hole_families(table, holes)
     counts = np.zeros((len(holes), n_max + 1), dtype=np.int64)
     flagged = 0
-    for states in _batches(_pieces(table, shards)):
+    for states in _batches(_pieces(table, shards), _CHUNK):
         c, fl = _simulate_chunk(table, families, len(holes), n_max, *states)
         counts += c
         flagged += fl
@@ -581,21 +580,6 @@ def _pieces(table, shards):
         rng = np.random.default_rng(seed_seq)
         for done in range(0, size, _CHUNK):
             yield sample_srb(table, min(size - done, _CHUNK), rng)
-
-
-def _batches(pieces):
-    """The states of ``pieces`` regrouped into batches of _CHUNK (the last
-    one shorter); at most two pieces are held at once."""
-    held, n = [], 0
-    for piece in pieces:
-        held.append(piece)
-        n += len(piece[0])
-        if n >= _CHUNK:
-            joined = [np.concatenate(a) for a in zip(*held)]
-            yield [a[:_CHUNK] for a in joined]
-            held, n = [[a[_CHUNK:] for a in joined]], n - _CHUNK
-    if n:
-        yield [np.concatenate(a) for a in zip(*held)]
 
 
 def _simulate_chunk(table, families, n_holes, n_max, sid, phi, theta):

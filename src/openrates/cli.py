@@ -166,10 +166,10 @@ def _ulam_run(sys_obj, res: int, out_dir: Path):
 
 
 def _write_files(jobs):
-    """Run the writer jobs, each (writer, *args).  The commands map it over
-    the jobs with ``_fork_map``, so each worker writes one contiguous run
+    """Run the writer jobs, each (writer, *args).  ``cmd_ulam`` maps it over
+    its jobs with ``_fork_map``, so each worker writes one contiguous run
     of the files, and a writer's error is raised in the command once every
-    worker has exited."""
+    worker has exited; ``cmd_verify`` runs its two small files here."""
     for write, *args in jobs:
         write(*args)
 
@@ -330,7 +330,7 @@ def cmd_verify(cfg, out_dir, seed):
     results = _escape_estimates(sys_obj, cfg["escape"], seed, out_dir)
     _, spec, _, ulam, jobs = _ulam_run(sys_obj, cfg["ulam"]["resolution"],
                                        out_dir)
-    _fork_map(_write_files, jobs)
+    _write_files(jobs)
     payload = {"escape": {m: _estimate_dict(e) for m, e in results.items()},
                "ulam": ulam}
     code = 0

@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import (OpenSystem, evolve_survivors, graph_radius,
-                      survivor_graph, word_counts)
+from .systems import (_CHUNK, OpenSystem, _batches, evolve_survivors,
+                      graph_radius, survivor_graph, word_counts)
 from . import ulam as ulam_mod
 
 MC_SHARDS = 32  # fixed shard count, so a result depends on the seed only
@@ -100,12 +100,19 @@ def lebesgue_sampler(dimension: int) -> Callable:
 
 def escape_rate_mc(sys: OpenSystem, sampler: Callable, n_max: int,
                    samples: int, seed: int) -> EscapeEstimate:
-    """Monte Carlo survival curve under i.i.d. draws from the sampler."""
-    def run_shards(seeds, sizes):
+    """Monte Carlo survival curve under i.i.d. draws from the sampler.
+
+    Each shard draws its points from its own seed; the draws are evolved
+    in batches of _CHUNK points that run across shard boundaries.  A
+    point's orbit does not depend on its batch, and the counts are
+    integers, so the result does not depend on the batching."""
+    def draws(seeds, sizes):
         for seed_seq, size in zip(seeds, sizes):
-            rng = np.random.default_rng(seed_seq)
-            counts, flagged, _ = evolve_survivors(sys, sampler(rng, size),
-                                                  n_max)
+            yield (sampler(np.random.default_rng(seed_seq), size),)
+
+    def run_shards(seeds, sizes):
+        for (pts,) in _batches(draws(seeds, sizes), _CHUNK):
+            counts, flagged, _ = evolve_survivors(sys, pts, n_max)
             yield counts, flagged
 
     return sharded_mc_estimates(run_shards, samples, seed, n_max,
@@ -119,11 +126,12 @@ def sharded_mc_estimates(run_shards: Callable, samples: int, seed: int,
 
     ``run_shards(seed_seqs, sizes)`` runs shard i on ``sizes[i]``
     trajectories drawn from ``seed_seqs[i]`` and yields (survival counts,
-    flagged count) summed over consecutive runs of shards that together
-    cover them all, e.g. one per shard or one per worker; the integer
-    counts have shape (n_max+1,) or, for several holes on shared
-    trajectories, (holes, n_max+1), and their total does not depend on how
-    the shards are grouped.  Returns one estimate per hole, with the
+    flagged count) summed over consecutive runs of trajectories that
+    together cover them all, e.g. one per shard, one per worker, or one
+    per batch that runs across shard boundaries; the integer counts have
+    shape (n_max+1,) or, for several holes on shared trajectories,
+    (holes, n_max+1), and their total does not depend on how the
+    trajectories are grouped.  Returns one estimate per hole, with the
     binomial error propagated through the least-squares slope, fitted over
     ``default_window(n_max)``.
     """
@@ -132,7 +140,8 @@ def sharded_mc_estimates(run_shards: Callable, samples: int, seed: int,
         raise DegenerateFitError("window contains fewer than two points")
     shard_sizes = [samples // MC_SHARDS] * MC_SHARDS
     shard_sizes[-1] += samples - sum(shard_sizes)
-    counts = 0
+    # broadcasts against one row per hole; stays zero if no batch runs
+    counts = np.zeros(n_max + 1, dtype=np.int64)
     flagged = 0
     for c, fl in run_shards(np.random.SeedSequence(seed).spawn(MC_SHARDS),
                             shard_sizes):

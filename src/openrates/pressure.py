@@ -141,14 +141,17 @@ def entropy_brin_katok(sys: OpenSystem, samples: np.ndarray,
         inside = {e: np.ones(len(close), dtype=bool)
                   for e in range(len(eps_list)) if e != big}
         for i in range(n_max + 1):
-            d = torus_dist(orbits[i, close], orbits[i, ci], dim)
-            keep = d < cutoff[big, i, k]
-            close, d = close[keep], d[keep]
+            d = torus_dist(np.take(orbits[i], close, axis=0), orbits[i, ci],
+                           dim)
+            # positions of the points still inside: taking them beats
+            # boolean indexing at the sparse masks of the first steps
+            keep = np.flatnonzero(d < cutoff[big, i, k])
+            close, d = close.take(keep), d.take(keep)
             counts[big][k].append(len(close))
             # each eps stops at its first count below MIN_BALL_COUNT; the
             # largest stops last
             for e in list(inside):
-                inside[e] = inside[e][keep] & (d < cutoff[e, i, k])
+                inside[e] = inside[e].take(keep) & (d < cutoff[e, i, k])
                 counts[e][k].append(np.count_nonzero(inside[e]))
                 if counts[e][k][-1] < MIN_BALL_COUNT:
                     del inside[e]

@@ -190,16 +190,6 @@ def baker_map() -> MapModel:
     )
 
 
-MAP_ZOO = {
-    "doubling": doubling_map,
-    "adic": adic_map,
-    "triadic": lambda: adic_map(3),
-    "logistic": logistic_like,
-    "cat": cat_map,
-    "baker": baker_map,
-}
-
-
 # ---------------------------------------------------------------------------
 # holes
 
@@ -627,13 +617,48 @@ def sample_survivor_points(sys: OpenSystem, k: int, size: int,
         scale /= m
         xs += first_symbol[state] * scale
         u = rng.random(size)
-        state = (cum_P[state] < u[:, None]).sum(axis=1)
-        state = np.minimum(state, nstate - 1)
+        # the next state counts the cumulative probabilities below u
+        nxt = np.zeros(size, dtype=np.intp)
+        for col in cum_P.T:
+            nxt += col[state] < u
+        state = np.minimum(nxt, nstate - 1)
     return xs
 
 
 # ---------------------------------------------------------------------------
 # vectorized survival evolution (shared by Monte Carlo estimators)
+
+# points or trajectories per Monte Carlo batch, so that a batch's arrays
+# stay in cache; each one's path does not depend on its batch
+_CHUNK = 1 << 15
+
+
+def _batches(pieces, size):
+    """The pieces, each a sequence of arrays of equal length, regrouped
+    along their first axis into batches of ``size`` (the last one shorter).
+    A piece longer than a batch is split; what a batch leaves of the pieces
+    it joined is held over to the next."""
+    held, n = [], 0
+    for piece in pieces:
+        held.append(piece)
+        n += len(piece[0])
+        if n >= size:
+            joined = [np.concatenate(a) for a in zip(*held)]
+            start = 0
+            while n - start >= size:
+                yield [a[start:start + size] for a in joined]
+                start += size
+            held, n = [[a[start:] for a in joined]], n - start
+    if n:
+        yield [np.concatenate(a) for a in zip(*held)]
+
+
+def _rows(pts, mask):
+    """The points of ``pts`` where ``mask`` holds.  A 2D cloud goes through
+    np.compress, several times faster than boolean indexing on (N, 2)
+    arrays; in 1D boolean indexing is the faster one."""
+    return pts[mask] if pts.ndim == 1 else np.compress(mask, pts, axis=0)
+
 
 def evolve_survivors(sys: OpenSystem, pts, n_max: int):
     """Vectorized open-dynamics evolution of a point cloud.
@@ -646,7 +671,7 @@ def evolve_survivors(sys: OpenSystem, pts, n_max: int):
     flagged = 0
     counts = np.empty(n_max + 1, dtype=np.int64)
     counts[0] = int(np.count_nonzero(alive))
-    cur = pts[alive]
+    cur = _rows(pts, alive)
     for n in range(1, n_max + 1):
         if len(cur) == 0:
             counts[n:] = 0
@@ -654,10 +679,9 @@ def evolve_survivors(sys: OpenSystem, pts, n_max: int):
         ok = sys.map.singularity_distance(cur) > SINGULARITY_GUARD
         if not ok.all():
             flagged += int(np.count_nonzero(~ok))
-            cur = cur[ok]
+            cur = _rows(cur, ok)
         cur = sys.map.step_many(cur)
-        inh = sys.hole.in_hole_many(cur)
-        cur = cur[~inh]
+        cur = _rows(cur, ~sys.hole.in_hole_many(cur))
         counts[n] = len(cur)
     return counts, flagged, cur
 

@@ -844,7 +844,8 @@ CAT64 = {"seed": 1, "system": {"map": {"name": "cat"},
                                           ("verify", GOLDEN)])
 def test_ulam_outputs_independent_of_worker_count(tmp_path, monkeypatch,
                                                   command, cfg):
-    # the quadrature blocks and the writer jobs run on 1 or 2 workers
+    # the quadrature blocks and ulam's writer jobs run on 1 or 2 workers;
+    # verify writes in the calling process either way
     path = _write(tmp_path, cfg)
     trees = []
     for cpus in (1, 2):
@@ -873,3 +874,27 @@ def test_ulam_writer_error_exits_1(tmp_path, capsys, monkeypatch):
     assert err.endswith("qsd.csv'\n") and len(err.splitlines()) == 1
     assert not (out / "summary.json").exists()
     assert_no_children()
+
+
+def _no_fork():
+    raise AssertionError("forked a process")
+
+
+def test_verify_writes_in_process(tmp_path, capsys, monkeypatch):
+    # two CPUs, yet verify writes qsd.csv and survival_function.csv itself;
+    # qsd.csv pre-created as a directory becomes the error line
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", _no_fork)
+    cfg = _write(tmp_path, GOLDEN)
+    ok = tmp_path / "ok"
+    assert main(["verify", "--config", str(cfg), "--out-dir", str(ok)]) == 0
+    assert (ok / "qsd.csv").is_file()
+    assert (ok / "survival_function.csv").is_file()
+    capsys.readouterr()
+    out = tmp_path / "run"
+    (out / "qsd.csv").mkdir(parents=True)
+    assert main(["verify", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] Is a directory: ")
+    assert err.endswith("qsd.csv'\n") and len(err.splitlines()) == 1
+    assert not (out / "summary.json").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openrates import escape as E
+from openrates import systems as S
 from openrates import ulam as U
 from openrates.systems import (HoleKindError, OpenSystem, adic_map,
+                               ball_hole_2d, baker_map, cat_map,
                                cylinder_union_hole, doubling_map,
                                interval_union_hole, word_counts)
+from test_singular import CLOSED as SINGULAR
 
 
 def test_triadic_grid_exact(triadic_system):
@@ -82,6 +86,69 @@ def test_mc_deterministic(golden_system):
     b = E.escape_rate_mc(golden_system, E.lebesgue_sampler(1), **kw)
     assert a.rho == b.rho
     assert a.per_n_mass == b.per_n_mass
+
+
+def _per_shard_mc(sys_obj, sampler, n_max, samples, seed):
+    """``escape_rate_mc`` as one evolve per shard, on the shard's whole
+    draw."""
+    def run_shards(seeds, sizes):
+        for seed_seq, size in zip(seeds, sizes):
+            rng = np.random.default_rng(seed_seq)
+            counts, flagged, _ = S.evolve_survivors(
+                sys_obj, sampler(rng, size), n_max)
+            yield counts, flagged
+
+    return E.sharded_mc_estimates(run_shards, samples, seed, n_max,
+                                  "monte_carlo")[0]
+
+
+def _outcome(run, *args):
+    """Every field of the estimate, or the message of too few survivors."""
+    try:
+        return dataclasses.asdict(run(*args))
+    except E.InsufficientSurvivorsError as exc:
+        return str(exc)
+
+
+_BALL = ball_hole_2d((0.25, 0.75), 0.1)
+_MC_SYSTEMS = {
+    "golden": (OpenSystem(doubling_map(),
+                          cylinder_union_hole(2, 2, [(1, 1)])), 1, 40),
+    "5-adic": (OpenSystem(adic_map(5), cylinder_union_hole(5, 1, [(2,)])),
+               1, 40),
+    "cat": (OpenSystem(cat_map(), _BALL), 2, 25),
+    "baker": (OpenSystem(baker_map(), _BALL), 2, 25),
+    # the doubling map with S = {1/2} behind a small hole: orbits through S
+    # are flagged in several batches, and the hole keeps the survivor
+    # fraction below 1 while the flagged ones still count
+    "singular": (OpenSystem(SINGULAR.map,
+                            cylinder_union_hole(2, 6, [(1,) * 6])), 1, 40)}
+
+
+@pytest.mark.parametrize("name, samples", [
+    # fewer points than a batch; shards that straddle batches; in 1D,
+    # shards larger than a batch
+    *[(name, samples) for name in _MC_SYSTEMS for samples in (40, 70_001)],
+    ("golden", 1_100_000), ("5-adic", 1_100_000), ("singular", 1_100_000),
+    # no batch at all
+    ("golden", 0)])
+def test_mc_batches_match_per_shard_loop(monkeypatch, name, samples):
+    sys_obj, dim, n_max = _MC_SYSTEMS[name]
+    args = (sys_obj, E.lebesgue_sampler(dim), n_max, samples, 17)
+    expected = _outcome(_per_shard_mc, *args)
+    evolve = S.evolve_survivors
+
+    def bounded(sys_obj, pts, n_max):
+        assert len(pts) <= S._CHUNK
+        return evolve(sys_obj, pts, n_max)
+
+    monkeypatch.setattr(E, "evolve_survivors", bounded)
+    got = _outcome(E.escape_rate_mc, *args)
+    assert got == expected
+    if samples < 100:
+        assert got.startswith("only ")
+    elif name == "singular":
+        assert got["meta"]["flagged"] > 0
 
 
 def test_monotone_rho_nested_holes():

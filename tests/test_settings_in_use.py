@@ -15,7 +15,8 @@ field that only tests read is carried for nobody.  That scan matches the
 attribute name alone, whatever object it is read from.  So must every
 top-level function and class and every non-dunder method, by name or by
 attribute, save the few in ``TEST_ONLY`` that the tests hold as reference
-data.
+data.  And no module binds a top-level name twice, which leaves the first
+binding dead.
 """
 
 import ast
@@ -241,3 +242,32 @@ def test_every_name_is_used():
               and q.rsplit(".", 1)[1] not in attrs | names]
     assert not unused, ("functions, classes and methods that no code in "
                         "src/ or perfbench/ loads:\n  " + "\n  ".join(unused))
+
+
+def _bound_names(stmt):
+    """The names a top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return [a.asname or a.name.split(".")[0] for a in stmt.names]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, (ast.AnnAssign, ast.AugAssign)) \
+        else []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+def test_no_module_name_is_bound_twice():
+    # a second top-level binding of a name leaves the first one dead
+    twice = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        seen = set()
+        for stmt in tree.body:
+            for name in _bound_names(stmt):
+                if name in seen:
+                    twice.append(f"{path.stem}.{name} (line {stmt.lineno})")
+                seen.add(name)
+    assert not twice, ("module-level names bound more than once:\n  "
+                       + "\n  ".join(twice))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import assert_no_children
 from openrates import escape as E
 from openrates import systems as S
+from test_singular import CLOSED as SINGULAR
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +512,80 @@ def test_evolve_survivors_counts(golden_system, rng):
     # survivor fraction decays roughly like (phi/2)^n
     ratio = counts[8] / counts[7]
     assert ratio == pytest.approx((1 + math.sqrt(5)) / 4, abs=0.02)
+
+
+def _evolve_by_boolean_rows(sys_obj, pts, n_max):
+    """``evolve_survivors`` with every row selection by boolean indexing."""
+    pts = np.asarray(pts, dtype=float)
+    alive = ~sys_obj.hole.in_hole_many(pts)
+    flagged = 0
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    counts[0] = np.count_nonzero(alive)
+    cur = pts[alive]
+    for n in range(1, n_max + 1):
+        if len(cur) == 0:
+            break
+        ok = sys_obj.map.singularity_distance(cur) > S.SINGULARITY_GUARD
+        flagged += int(np.count_nonzero(~ok))
+        cur = sys_obj.map.step_many(cur[ok])
+        cur = cur[~sys_obj.hole.in_hole_many(cur)]
+        counts[n] = len(cur)
+    return counts, flagged, cur
+
+
+@pytest.mark.parametrize("sys_obj, shape, n_max", [
+    (S.OpenSystem(S.doubling_map(), S.cylinder_union_hole(2, 2, [(1, 1)])),
+     (50_000,), 20),
+    (S.OpenSystem(S.cat_map(), S.ball_hole_2d((0.25, 0.75), 0.1)),
+     (50_000, 2), 20),
+    (S.OpenSystem(S.baker_map(), S.ball_hole_2d((0.25, 0.75), 0.1)),
+     (50_000, 2), 20),
+    # orbits through S = {1/2} are flagged and dropped
+    (SINGULAR, (200_000,), 45)])
+def test_evolve_survivors_matches_boolean_rows(sys_obj, shape, n_max):
+    pts = np.random.default_rng(3).random(shape)
+    counts, flagged, alive = S.evolve_survivors(sys_obj, pts, n_max)
+    ref_counts, ref_flagged, ref_alive = _evolve_by_boolean_rows(
+        sys_obj, pts, n_max)
+    assert np.array_equal(counts, ref_counts)
+    assert flagged == ref_flagged
+    assert alive.shape == ref_alive.shape
+    assert np.array_equal(alive, ref_alive)
+    if sys_obj is SINGULAR:
+        assert flagged > 0
+
+
+def _sample_by_gathered_rows(sys_obj, k, size, rng):
+    """``sample_survivor_points`` stepping its chain by gathering each
+    point's cumulative transition row and counting the entries below u."""
+    m = sys_obj.map.branch_count
+    states, P, pi = S.parry_chain(sys_obj, k)
+    cum_P = np.cumsum(P, axis=1)
+    state = np.searchsorted(np.cumsum(pi), rng.random(size))
+    xs = np.zeros(size)
+    scale = 1.0
+    first_symbol = np.array([s[0] for s in states])
+    for _ in range(60):
+        scale /= m
+        xs += first_symbol[state] * scale
+        u = rng.random(size)
+        state = (cum_P[state] < u[:, None]).sum(axis=1)
+        state = np.minimum(state, len(states) - 1)
+    return xs
+
+
+@pytest.mark.parametrize("sys_obj, k", [
+    (S.OpenSystem(S.doubling_map(), S.cylinder_union_hole(2, 2, [(1, 1)])),
+     2),
+    # a chain on the 2-grams of a 5-adic level-3 hole
+    (S.OpenSystem(S.adic_map(5), S.cylinder_union_hole(
+        5, 3, [(1, 3, 2), (4, 0, 1)])), 3)])
+def test_sample_survivor_points_matches_gathered_rows(sys_obj, k):
+    got = S.sample_survivor_points(sys_obj, k, 20_000,
+                                   np.random.default_rng(8))
+    ref = _sample_by_gathered_rows(sys_obj, k, 20_000,
+                                   np.random.default_rng(8))
+    assert np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------
