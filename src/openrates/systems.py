@@ -653,13 +653,6 @@ def _batches(pieces, size):
         yield [np.concatenate(a) for a in zip(*held)]
 
 
-def _rows(pts, mask):
-    """The points of ``pts`` where ``mask`` holds.  A 2D cloud goes through
-    np.compress, several times faster than boolean indexing on (N, 2)
-    arrays; in 1D boolean indexing is the faster one."""
-    return pts[mask] if pts.ndim == 1 else np.compress(mask, pts, axis=0)
-
-
 def evolve_survivors(sys: OpenSystem, pts, n_max: int):
     """Vectorized open-dynamics evolution of a point cloud.
 
@@ -671,7 +664,7 @@ def evolve_survivors(sys: OpenSystem, pts, n_max: int):
     flagged = 0
     counts = np.empty(n_max + 1, dtype=np.int64)
     counts[0] = int(np.count_nonzero(alive))
-    cur = _rows(pts, alive)
+    cur = np.compress(alive, pts, axis=0)
     for n in range(1, n_max + 1):
         if len(cur) == 0:
             counts[n:] = 0
@@ -679,9 +672,9 @@ def evolve_survivors(sys: OpenSystem, pts, n_max: int):
         ok = sys.map.singularity_distance(cur) > SINGULARITY_GUARD
         if not ok.all():
             flagged += int(np.count_nonzero(~ok))
-            cur = _rows(cur, ok)
+            cur = np.compress(ok, cur, axis=0)
         cur = sys.map.step_many(cur)
-        cur = _rows(cur, ~sys.hole.in_hole_many(cur))
+        cur = np.compress(~sys.hole.in_hole_many(cur), cur, axis=0)
         counts[n] = len(cur)
     return counts, flagged, cur
 
