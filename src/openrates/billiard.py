@@ -14,6 +14,7 @@ the free space ("disk"), triggered when a flight segment crosses it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Tuple
@@ -22,7 +23,7 @@ import numpy as np
 
 from .escape import InsufficientSurvivorsError, sharded_mc_estimates
 from .systems import (_CHUNK, _REQUIRED, _batches, _fork_map, _integer,
-                      _number, _point, _read_kind)
+                      _mod1, _number, _point, _read_kind)
 
 TANGENT_GUARD = 1e-9        # |cos theta| below this flags a grazing collision
 TAU_BOUND = 1.5             # every free flight of a valid table is shorter
@@ -30,6 +31,11 @@ TAU_BOUND = 1.5             # every free flight of a valid table is shorter
 # also the shortest free flight
 CLEARANCE = 1e-3
 _COPY_RANGE = 2             # search copies at offsets -2..2 (< TAU_BOUND)
+# the offsets of the periodic copies of scatterers and disk holes alike;
+# every centre is reduced into the unit cell, so this one window holds every
+# copy a flight can reach and the nearest copy of every scatterer
+_OFFSETS = np.array(list(itertools.product(
+    range(-_COPY_RANGE, _COPY_RANGE + 1), repeat=2)), dtype=float)
 # rays per collision or segment search, so that its (copies, rays)
 # temporaries stay in cache; each ray's result does not depend on it
 _BLOCK = 1 << 12
@@ -70,60 +76,41 @@ class BilliardTable:
         return len(self.radii)
 
 
-def _check_disjoint(centers, radii):
-    k = len(radii)
-    offs = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    for a in range(k):
-        for b in range(k):
-            for off in offs:
-                if a == b and off == (0, 0):
-                    continue
-                d = np.linalg.norm(centers[a] - (centers[b] + np.array(off)))
-                gap = d - radii[a] - radii[b]
-                if gap < CLEARANCE:
-                    raise TableGeometryError(
-                        f"scatterers {a} and {b} (offset {off}) have "
-                        f"clearance {gap:.4g} < {CLEARANCE}")
-
-
 def build_table(scatterers=DEFAULT_SCATTERERS, validation_rays: int = 1_000_000,
                 seed: int = 20240901) -> BilliardTable:
     """Construct and validate a table.
 
-    Disjointness is checked exactly; the finite-horizon bound is validated
-    by free flights of `validation_rays` stationary samples, run on
-    ``_fork_map``'s workers (construction aborts if any flight reaches
-    TAU_BOUND).
+    The centres are reduced into the unit cell.  Disjointness is checked
+    exactly; the finite-horizon bound is validated by free flights of
+    `validation_rays` stationary samples, run on ``_fork_map``'s workers
+    (construction aborts if any flight reaches TAU_BOUND).
     """
-    centers = np.array([c for c, _ in scatterers], dtype=float)
+    centers = _mod1(np.array([c for c, _ in scatterers], dtype=float))
     radii = np.array([r for _, r in scatterers], dtype=float)
     if np.any(radii <= 0):
         raise TableGeometryError("radii must be positive")
-    _check_disjoint(centers, radii)
+    k = len(radii)
+    copy_centers = (centers[None, :, :] + _OFFSETS[:, None, :]).reshape(-1, 2)
+    copy_radii = np.tile(radii, len(_OFFSETS))
+    table = BilliardTable(
+        centers=centers, radii=radii, tau_max=float("nan"),
+        copy_centers=copy_centers, copy_radii=copy_radii,
+        copy_sid=np.tile(np.arange(k), len(_OFFSETS)),
+        sector_copies=tuple(_reach(centers, radii, copy_centers, copy_radii)))
+    # each scatterer against every copy but its own, the one at offset 0
+    gap = _gaps(table, centers[:, None], radii[:, None])
+    gap[np.arange(k), len(_OFFSETS) // 2 * k + np.arange(k)] = np.inf
+    a, b = np.unravel_index(np.argmin(gap), gap.shape)
+    if gap[a, b] < CLEARANCE:
+        off = tuple(_OFFSETS[b // k].astype(int).tolist())
+        raise TableGeometryError(
+            f"scatterers {a} and {b % k} (offset {off}) have clearance "
+            f"{gap[a, b]:.4g} < {CLEARANCE}")
     # tau_max is the longest validation flight: with no ray it would read
     # 0.0, shorter than any flight
     if validation_rays < 1:
         raise ValueError(f"validation_rays must be at least 1, got "
                          f"{validation_rays}")
-
-    span = range(-_COPY_RANGE, _COPY_RANGE + 1)
-    offs = np.array([(i, j) for i in span for j in span], dtype=float)
-    copy_centers = (centers[None, :, :] + offs[:, None, :]).reshape(-1, 2)
-    copy_sid = np.tile(np.arange(len(radii)), len(offs))
-    copy_radii = np.tile(radii, len(offs))
-    sector_copies = []
-    for c, r in zip(centers, radii):
-        dist = np.linalg.norm(copy_centers - c, axis=1)
-        # a flight is at least as long as the gap between the two
-        # boundaries; it leaves its own copy (distance 0) outward
-        reach = np.flatnonzero((dist - r - copy_radii < TAU_BOUND)
-                               & (dist > 0))
-        cones = _cone_sectors(c, copy_centers[reach], r + copy_radii[reach])
-        sector_copies += [reach[m] for m in cones]
-    table = BilliardTable(centers=centers, radii=radii, tau_max=float("nan"),
-                          copy_centers=copy_centers, copy_sid=copy_sid,
-                          copy_radii=copy_radii,
-                          sector_copies=tuple(sector_copies))
 
     pieces = range(-(-validation_rays // _CHUNK))
     worst = max(_fork_map(_longest_flight, pieces, table, seed,
@@ -131,16 +118,36 @@ def build_table(scatterers=DEFAULT_SCATTERERS, validation_rays: int = 1_000_000,
     return dataclasses.replace(table, tau_max=worst)
 
 
+def _gaps(table, center, radius):
+    """The gap from the disk of ``radius`` around ``center``, a point of the
+    unit cell, to each scatterer copy of ``table`` (along the last axis)."""
+    return (np.linalg.norm(table.copy_centers - center, axis=-1) - radius
+            - table.copy_radii)
+
+
+def _reach(centers, radii, points, point_radii):
+    """For each key s * _SECTORS + j, the indices, in order, of the disks
+    (``points``, ``point_radii``) that a flight leaving scatterer s
+    (``centers``, ``radii``) in direction sector j can reach: a flight is
+    shorter than TAU_BOUND and at least as long as the gap between the two
+    boundaries, and it leaves its own copy (distance 0) outward."""
+    lists = []
+    for c, r in zip(centers, radii):
+        dist = np.linalg.norm(points - c, axis=1)
+        reach = np.flatnonzero((dist - r - point_radii < TAU_BOUND)
+                               & (dist > 0))
+        cones = _cone_sectors(c, points[reach], r + point_radii[reach])
+        lists += [reach[m] for m in cones]
+    return lists
+
+
 def _flights(table, seed, rays, pieces):
     """One collision step (``_step_arrays``' output) of each piece in the
-    range ``pieces`` of ``rays`` stationary states drawn from ``seed`` in
-    pieces of _CHUNK.  The pieces before the range are drawn and dropped,
-    so a piece's states do not depend on the range it is stepped in."""
-    rng = np.random.default_rng(seed)
-    for piece in range(pieces.stop):
-        states = sample_srb(table, min(rays - piece * _CHUNK, _CHUNK), rng)
-        if piece >= pieces.start:
-            yield _step_arrays(table, *states)
+    range ``pieces`` of ``_pieces``' draw of ``rays`` stationary states from
+    ``seed``.  The pieces before the range are drawn and dropped, so a
+    piece's states do not depend on the range it is stepped in."""
+    return (_step_arrays(table, *states) for states in itertools.islice(
+        _pieces(table, [(seed, rays)]), pieces.start, pieces.stop))
 
 
 def _longest_flight(table, seed, rays, pieces):
@@ -351,8 +358,12 @@ class BilliardHole:
     scatterer: int = 0            # arc only
     arc_center: float = 0.0       # arc only: midpoint angle
     arc_halfwidth: float = 0.0    # arc only
-    center: Tuple[float, float] = (0.0, 0.0)   # disk only
+    center: Tuple[float, float] = (0.0, 0.0)   # disk only, in the unit cell
     radius: float = 0.0                         # disk only
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", tuple(
+            _mod1(np.array(self.center, dtype=float)).tolist()))
 
     def validate(self, table: BilliardTable):
         if self.kind == "arc":
@@ -363,9 +374,8 @@ class BilliardHole:
         elif self.kind == "disk":
             if not self.radius > 0:
                 raise ValueError("disk hole radius must be positive")
-            c = np.array(self.center)
-            d = np.linalg.norm(table.copy_centers - c[None, :], axis=1)
-            gap = float(np.min(d - table.copy_radii)) - self.radius
+            gap = float(np.min(_gaps(table, np.array(self.center),
+                                     self.radius)))
             if gap < CLEARANCE:
                 raise ValueError(
                     f"disk hole closure within {gap:.4g} of a scatterer")
@@ -378,18 +388,6 @@ class BilliardHole:
             raise ValueError("only meaningful for arc holes")
         arc_len = 2 * self.arc_halfwidth * table.radii[self.scatterer]
         return float(arc_len / (2 * math.pi * table.radii.sum()))
-
-
-def _disk_copy_centers(center: np.ndarray) -> np.ndarray:
-    """Periodic copies of a disk center reachable by a flight segment.
-
-    Flights start on scatterer boundaries (within [-0.5, 1.5]^2 for any
-    admissible table) and are shorter than TAU_BOUND."""
-    span = range(-_COPY_RANGE, _COPY_RANGE + 1)
-    copies = np.array([center + (i, j) for i in span for j in span])
-    lo = np.clip(copies, -0.5, 1.5)
-    reach = np.linalg.norm(copies - lo, axis=1) < TAU_BOUND + 0.1
-    return copies[reach]
 
 
 def _segment_center_distance(start, direction, length, pv, pp, copies):
@@ -440,15 +438,10 @@ def _hole_families(table: BilliardTable, holes: Sequence[BilliardHole]):
     for key, members in groups.items():
         where = key[1:]
         if key[0] == "disk":
-            copies = _disk_copy_centers(np.array(key[1]))
-            radius = max(r for _, r in members)
-            where = []
-            for c, r in zip(table.centers, table.radii):
-                # a flight stays within TAU_BOUND of the boundary it leaves
-                near = copies[np.abs(np.linalg.norm(copies - c, axis=1) - r)
-                              < TAU_BOUND + radius]
-                where += [near[m] for m in _cone_sectors(c, near,
-                                                         r + radius)]
+            copies = np.array(key[1]) + _OFFSETS
+            radius = np.full(len(copies), max(r for _, r in members))
+            where = [copies[m] for m in _reach(table.centers, table.radii,
+                                                copies, radius)]
         families.append((key[0], where, members))
     return families
 

@@ -340,12 +340,14 @@ def survival_time(sys: OpenSystem, x, horizon: int):
     if sys.map.singularity_distance(pt)[0] <= 0.0:
         raise DomainError(f"{x!r} lies on the singularity set")
     counts, flagged, _ = evolve_survivors(sys, pt, horizon)
-    # counts is 1 up to the step the point leaves, 0 from there on
-    steps = int(np.count_nonzero(counts))
-    if flagged:
+    if flagged:     # it counts at no step: find its first guard-band point
+        orbit = orbit_tableau(sys.map, pt, horizon - 1)[:, 0]
+        band = sys.map.singularity_distance(orbit) <= SINGULARITY_GUARD
         raise DomainError(
             f"orbit of {x!r} hit the singularity guard band at step "
-            f"{steps - 1}")
+            f"{int(np.argmax(band))}")
+    # counts is 1 up to the step the point leaves, 0 from there on
+    steps = int(np.count_nonzero(counts))
     return steps if steps <= horizon else INF
 
 
@@ -657,7 +659,8 @@ def evolve_survivors(sys: OpenSystem, pts, n_max: int):
     """Vectorized open-dynamics evolution of a point cloud.
 
     Returns (survival_counts[0..n_max], flagged_count, final_alive_points).
-    survival_counts[n] = number of points in M^n among the unflagged ones.
+    survival_counts[n] = number of points in M^n among the unflagged ones:
+    an orbit flagged at the guard band of S counts at no step.
     """
     pts = np.asarray(pts, dtype=float)
     alive = ~sys.hole.in_hole_many(pts)
@@ -671,7 +674,9 @@ def evolve_survivors(sys: OpenSystem, pts, n_max: int):
             break
         ok = sys.map.singularity_distance(cur) > SINGULARITY_GUARD
         if not ok.all():
-            flagged += int(np.count_nonzero(~ok))
+            dropped = int(np.count_nonzero(~ok))
+            flagged += dropped
+            counts[:n] -= dropped
             cur = np.compress(ok, cur, axis=0)
         cur = sys.map.step_many(cur)
         cur = np.compress(~sys.hole.in_hole_many(cur), cur, axis=0)
@@ -869,7 +874,6 @@ _MAPS = {"doubling": (doubling_map, {}),
          "triadic": (lambda: adic_map(3), {}),
          "logistic": (logistic_like, {"a": (_number, 3.9)}),
          "cat": (cat_map, {}), "baker": (baker_map, {})}
-MAP_ZOO = {name: make for name, (make, _) in _MAPS.items()}
 
 # each hole kind: its constructor and field table
 _HOLES = {

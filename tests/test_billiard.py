@@ -159,12 +159,19 @@ def test_wrap_matches_remainder(rng, dtype):
     assert B._wrap_2pi(np.array([], dtype=dtype)).size == 0
 
 
+def _all_copies(center, span=2):
+    """Every periodic copy of ``center`` at offsets -span..span."""
+    return np.array([(center[0] + i, center[1] + j)
+                     for i in range(-span, span + 1)
+                     for j in range(-span, span + 1)])
+
+
 def test_segment_distance_matches_bruteforce(rng):
     start = rng.uniform(-0.4, 1.4, (50, 2))
     ang = rng.uniform(0, 2 * math.pi, 50)
     direction = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     length = rng.uniform(0.05, 1.3, 50)
-    copies = B._disk_copy_centers(np.array([0.25, 0.75]))
+    copies = _all_copies((0.25, 0.75))
     got = B._segment_center_distance(start, direction, length,
                                      *_dots(start, direction), copies)
     for i in range(50):
@@ -333,8 +340,7 @@ def test_culled_disk_copies_keep_verdicts(small_table, dtype):
     # 12 and 8 copies per source scatterer, fewer per direction sector
     assert [len(c) for c in per_sector] == [4, 3, 3, 4, 4, 3, 3, 4,
                                             1, 2, 2, 1, 1, 2, 2, 1]
-    everywhere = B._disk_copy_centers(np.array([0.5, 0.0]))
-    assert len(everywhere) == 23
+    everywhere = _all_copies((0.5, 0.0))
     sid, phi, theta = B.sample_srb(small_table, 100_000,
                                    np.random.default_rng(6))
     f = B._step_arrays(small_table, sid, phi.astype(dtype),
@@ -358,6 +364,89 @@ def test_culled_disk_copies_keep_verdicts(small_table, dtype):
         near_total[key // B._SECTORS] += np.count_nonzero(near)
         assert np.array_equal(d[near], d_all[rows][near])
     assert min(near_total) > 100
+
+
+def _reach_reference(table, points, radii):
+    """For each key s * _SECTORS + j, the ``points`` (disks of ``radii``)
+    that a flight leaving scatterer s in direction sector j can reach, one
+    point at a time: the gap between the two boundaries is below
+    TAU_BOUND, the point is not the source itself, and its cone of
+    directions meets the sector."""
+    width = 2 * math.pi / B._SECTORS
+    lists = []
+    for c, r in zip(table.centers, table.radii):
+        for j in range(B._SECTORS):
+            keep = []
+            for x, pr in zip(points, radii):
+                d = math.hypot(x[0] - c[0], x[1] - c[1])
+                if d == 0 or d - r - pr >= B.TAU_BOUND:
+                    continue
+                half = math.asin(min((r + pr) / d, 1.0)) + B._CONE_MARGIN
+                beta = math.atan2(x[1] - c[1], x[0] - c[0])
+                off = abs((beta - (j + 0.5) * width + math.pi)
+                          % (2 * math.pi) - math.pi)
+                if off <= half + width / 2:
+                    keep.append(x)
+            lists.append(np.array(keep).reshape(-1, 2))
+    return lists
+
+
+@pytest.mark.parametrize("scatterers", [
+    B.DEFAULT_SCATTERERS, (((0.0, 0.0), 0.4), ((0.5, 0.5), 0.3)),
+    (((0.0, 0.0), 0.35), ((0.5, 0.5), 0.3), ((0.0, 0.5), 0.1))])
+def test_reach_lists_match_every_copy(scatterers):
+    # the reference sees the copies at offsets -3..3: none beyond the
+    # -2..2 window is in reach, so that window is enough
+    table = B.build_table(scatterers, validation_rays=20_000)
+    window = _all_copies((0.0, 0.0), 3)[:, None] + table.centers
+    ref = _reach_reference(table, window.reshape(-1, 2),
+                           np.tile(table.radii, 49))
+    got = [table.copy_centers[copies] for copies in table.sector_copies]
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    rng = np.random.default_rng(8)
+    disks = [((0.5, 0.0), 0.04)]
+    while len(disks) < 20:
+        hole = B.BilliardHole("disk", center=tuple(rng.random(2)),
+                              radius=rng.uniform(0.005, 0.1))
+        try:
+            hole.validate(table)
+        except ValueError:
+            continue
+        disks.append((hole.center, hole.radius))
+    for center, radius in disks:
+        (family,) = B._hole_families(
+            table, B.nested_disk_holes(table, center, [radius]))
+        ref = _reach_reference(table, _all_copies(center, 3),
+                               np.full(49, radius))
+        assert len(family[1]) == len(ref)
+        for a, b in zip(family[1], ref):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shift", ["table and disks", "disks"])
+def test_shifted_input_gives_the_same_estimates(small_table, shift):
+    # a scatterer's centre and a disk's centre are reduced into the unit
+    # cell, so copies two cells away describe the same table and holes
+    def holes(table, dx):
+        return B.nested_arc_holes(table, 0, 1.0, [0.16]) + \
+            B.nested_disk_holes(table, (0.5 + dx, dx), [0.02, 0.04])
+
+    moved = small_table
+    if shift == "table and disks":
+        moved = B.build_table([((x + 2, y + 2), r) for (x, y), r
+                               in B.DEFAULT_SCATTERERS],
+                              validation_rays=50_000)
+        assert np.array_equal(moved.copy_centers, small_table.copy_centers)
+        assert moved.tau_max == small_table.tau_max
+    want = B.billiard_escape_multi(small_table, holes(small_table, 0.0),
+                                   samples=20_000, n_max=30, seed=5)
+    got = B.billiard_escape_multi(moved, holes(moved, 2.0), samples=20_000,
+                                  n_max=30, seed=5)
+    for a, b in zip(got, want):
+        assert (a.rho, a.stderr, a.per_n_mass, a.meta) == \
+            (b.rho, b.stderr, b.per_n_mass, b.meta)
 
 
 def _dots(p, v):
@@ -428,8 +517,8 @@ def test_kernels_match_rays_by_copies_reference(small_table, dtype):
         # flights of every kind and length against the disk copies; a list
         # of one copy rounds as gemv in the reference, so take two or more
         f = B._step_arrays(table, sid, phi, theta)[-1]
-        for copies in (B._disk_copy_centers(np.array([0.5, 0.0])),
-                       B._disk_copy_centers(np.array([0.25, 0.75]))[:2]):
+        for copies in (_all_copies((0.5, 0.0)),
+                       _all_copies((0.25, 0.75))[:2]):
             d = B._segment_center_distance(f.start, f.direction, f.length,
                                            f.pv, f.pp, copies)
             d_ref = _segment_distance_reference(f.start, f.direction,
@@ -644,7 +733,7 @@ def test_lone_copy_rounds_as_in_a_list(small_table, dtype):
     f = B._step_arrays(small_table, sid, phi.astype(dtype),
                        theta.astype(dtype))[-1]
     flights = (f.start, f.direction, f.length, f.pv, f.pp)
-    for centre in B._disk_copy_centers(np.array([0.5, 0.0])):
+    for centre in _all_copies((0.5, 0.0)):
         d = B._segment_center_distance(*flights, centre[None, :])
         d2 = B._segment_center_distance(*flights, np.stack([centre, centre]))
         assert np.array_equal(d, d2)

@@ -15,8 +15,8 @@ field that only tests read is carried for nobody.  That scan matches the
 attribute name alone, whatever object it is read from.  So must every
 top-level function and class and every non-dunder method, by name or by
 attribute, save the few in ``TEST_ONLY`` that the tests hold as reference
-data.  And no module binds a top-level name twice, which leaves the first
-binding dead.
+data, and every name a top-level assignment binds.  And no module binds a
+top-level name twice, which leaves the first binding dead.
 """
 
 import ast
@@ -271,3 +271,17 @@ def test_no_module_name_is_bound_twice():
                 seen.add(name)
     assert not twice, ("module-level names bound more than once:\n  "
                        + "\n  ".join(twice))
+
+
+def test_every_module_constant_is_read():
+    # a module constant that only tests read is carried for nobody
+    attrs, names = _loads()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unread += [f"{path.stem}.{name}" for stmt in tree.body
+                   if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                   for name in _bound_names(stmt)
+                   if name not in attrs | names]
+    assert not unread, ("module-level names that no code in src/ or "
+                        "perfbench/ reads:\n  " + "\n  ".join(unread))

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from openrates import escape as E
 from openrates import pressure as P
 from openrates import systems as S
 from openrates import tower as T
@@ -39,8 +40,21 @@ def test_evolve_survivors_flags_orbits_through_s():
     counts, flagged, alive = S.evolve_survivors(
         CLOSED, np.array([0.1, 0.25, 0.75]), 3)
     assert flagged == 2
-    assert list(counts) == [3, 3, 1, 1]
+    # the two flagged orbits count at no step, also before their flag
+    assert list(counts) == [1, 1, 1, 1]
     assert list(alive) == [0.8]
+
+
+def test_mc_masses_leave_flagged_orbits_out():
+    # about a dozen of these uniform orbits reach S = {1/2} within 40 steps
+    # (float doubling loses a bit per step); counted before their flag
+    # while the mass divides by the unflagged ones, they gave masses above
+    # 1 and the sqrt of a negative variance
+    est = E.escape_rate_mc(CLOSED, lambda rng, n: rng.random(n), n_max=40,
+                           samples=70_001, seed=17)
+    assert est.meta["flagged"] > 0
+    assert max(m for _, m in est.per_n_mass) <= 1.0
+    assert math.isfinite(est.stderr)
 
 
 def test_g_s_is_a_power_law_fit():

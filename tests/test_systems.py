@@ -63,7 +63,7 @@ def test_baker_map_two_branches():
 def test_step_many_is_pointwise(xs):
     # a point's image does not depend on the other points of the array;
     # iterate relies on this when it wraps one point as an array
-    for name, f in S.MAP_ZOO.items():
+    for name, (f, _) in S._MAPS.items():
         f = f() if name != "adic" else S.adic_map(3)
         pts = np.array(xs) if f.dimension == 1 \
             else np.column_stack([xs, xs[::-1]])
@@ -527,6 +527,8 @@ def _evolve_by_boolean_rows(sys_obj, pts, n_max):
             break
         ok = sys_obj.map.singularity_distance(cur) > S.SINGULARITY_GUARD
         flagged += int(np.count_nonzero(~ok))
+        # a flagged orbit counts at no step
+        counts[:n] -= int(np.count_nonzero(~ok))
         cur = sys_obj.map.step_many(cur[ok])
         cur = cur[~sys_obj.hole.in_hole_many(cur)]
         counts[n] = len(cur)
