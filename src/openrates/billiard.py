@@ -22,8 +22,8 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .escape import InsufficientSurvivorsError, sharded_mc_estimates
-from .systems import (_CHUNK, _REQUIRED, _batches, _fork_map, _integer,
-                      _mod1, _number, _point, _read_kind)
+from .systems import (_CHUNK, _REQUIRED, EstimatorError, _batches, _fork_map,
+                      _integer, _mod1, _number, _point, _read_kind)
 
 TANGENT_GUARD = 1e-9        # |cos theta| below this flags a grazing collision
 TAU_BOUND = 1.5             # every free flight of a valid table is shorter
@@ -51,7 +51,7 @@ class TableGeometryError(ValueError):
     pass
 
 
-class InfiniteHorizonError(RuntimeError):
+class InfiniteHorizonError(EstimatorError):
     pass
 
 
@@ -576,7 +576,22 @@ def _pieces(table, shards):
 
 
 def _simulate_chunk(table, families, n_holes, n_max, sid, phi, theta):
-    """Simulate one batch of trajectories against all holes at once.
+    """Survival counts (holes, n_max+1) and flagged count of one batch.  A
+    flagged trajectory counts at no step: the flagged ones run again from
+    their initial states, retracing their paths, and their counts are
+    taken off."""
+    counts, valid = _tally_chunk(table, families, n_holes, n_max,
+                                 sid.copy(), phi, theta)
+    flagged = np.flatnonzero(~valid)
+    if len(flagged):
+        counts -= _tally_chunk(table, families, n_holes, n_max, sid[flagged],
+                               phi[flagged], theta[flagged])[0]
+    return counts, len(flagged)
+
+
+def _tally_chunk(table, families, n_holes, n_max, sid, phi, theta):
+    """Simulate one batch of trajectories against all holes at once:
+    (survival counts while unflagged, unflagged mask); ``sid`` is updated.
 
     The bulk simulation runs in float32: collision geometry is accurate to
     ~1e-6, far below the Monte Carlo error, and single precision halves the
@@ -611,8 +626,7 @@ def _simulate_chunk(table, families, n_holes, n_max, sid, phi, theta):
         valid[idx[grazing]] = False
         _approach(families, closest, idx, sid2, phi2, flights)
         tally(n)
-    flagged = int(np.count_nonzero(~valid))
-    return counts, flagged
+    return counts, valid
 
 
 def _exp_fit_residual(per_n, window):

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import OpenSystem, _mod1, orbit_tableau, torus_dist
+from .systems import (EstimatorError, OpenSystem, _mod1, orbit_tableau,
+                      torus_dist)
 
 
 def g_cutoff(sys: OpenSystem, xs, eps: float):
@@ -25,7 +26,7 @@ def g_cutoff(sys: OpenSystem, xs, eps: float):
 # ---------------------------------------------------------------------------
 # ball mass
 
-class ZeroCountError(RuntimeError):
+class ZeroCountError(EstimatorError):
     pass
 
 

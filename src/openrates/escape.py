@@ -14,18 +14,19 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import (_CHUNK, OpenSystem, _batches, evolve_survivors,
-                      graph_radius, survivor_graph, word_counts)
+from .systems import (_CHUNK, EstimatorError, OpenSystem, _batches,
+                      evolve_survivors, graph_radius, survivor_graph,
+                      word_counts)
 from . import ulam as ulam_mod
 
 MC_SHARDS = 32  # fixed shard count, so a result depends on the seed only
 
 
-class DegenerateFitError(RuntimeError):
+class DegenerateFitError(EstimatorError):
     pass
 
 
-class InsufficientSurvivorsError(RuntimeError):
+class InsufficientSurvivorsError(EstimatorError):
     pass
 
 

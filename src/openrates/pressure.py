@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .escape import EscapeEstimate
-from .systems import OpenSystem, orbit_tableau, perron, torus_dist
+from .systems import (EstimatorError, OpenSystem, orbit_tableau, perron,
+                      torus_dist)
 from .ulam import _cell_index
 
 # Brin-Katok fits use the steps whose ball keeps at least this many samples
@@ -216,7 +217,7 @@ def lyapunov_sum(sys: OpenSystem, rep: InvariantMeasureRep, n: int = 50,
         exps = acc[j] / n
         vals.append(float(np.sum(exps[exps > 0])))
     if not vals:
-        raise RuntimeError("all orbits hit the singularity guard band")
+        raise EstimatorError("all orbits hit the singularity guard band")
     vals = np.array(vals)
     return float(vals.mean()), float(vals.std() / math.sqrt(len(vals)))
 

@@ -30,7 +30,12 @@ class HoleKindError(ValueError):
     """Hole structure incompatible with the requested operation."""
 
 
-class ConvergenceError(RuntimeError):
+class EstimatorError(RuntimeError):
+    """An estimator that cannot give a trustworthy number for its input:
+    the base of the failures ``or-verify`` reports as one error line."""
+
+
+class ConvergenceError(EstimatorError):
     pass
 
 
@@ -835,7 +840,8 @@ def _json(kind: str):
 
 
 def _number(value, name) -> float:
-    return float(_json("number")(value, name))
+    return float(_checked(math.isfinite, "finite")(
+        _json("number")(value, name), name))
 
 
 def _integer(value, name) -> int:
@@ -859,14 +865,14 @@ def _one_of(choices):
 
 
 def _is_numbers(x, length=None, integer: bool = False) -> bool:
-    """True for a JSON array of numbers, none a boolean, all integral if
-    ``integer``, and ``length`` of them if given."""
+    """True for a JSON array of finite numbers, none a boolean, all
+    integral if ``integer``, and ``length`` of them if given."""
     return (isinstance(x, list) and length in (None, len(x))
-            and all(type(v) in (int, float)
+            and all(type(v) in (int, float) and math.isfinite(v)
                     and (not integer or float(v).is_integer()) for v in x))
 
 
-_point = _checked(lambda v: _is_numbers(v, 2), "two numbers")
+_point = _checked(lambda v: _is_numbers(v, 2), "two finite numbers")
 
 # each map: its constructor and the field table of its ``params``
 _MAPS = {"doubling": (doubling_map, {}),

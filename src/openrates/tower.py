@@ -17,17 +17,17 @@ from typing import Optional
 import numpy as np
 
 from .pressure import entropy_markov
-from .systems import (_REQUIRED, TiedClassesError, _any, _integer,
-                      _is_numbers, _json, _number, _positive, _read_config,
-                      doob_chain, spectral_radius)
+from .systems import (_REQUIRED, EstimatorError, TiedClassesError, _any,
+                      _integer, _is_numbers, _json, _number, _positive,
+                      _read_config, doob_chain, spectral_radius)
 
 
-class NoRootError(RuntimeError):
+class NoRootError(EstimatorError):
     """The eigenvalue equation has no root in (0, 1]: all mass escapes, or
     the weights at r = 1 already exceed those of a closed system."""
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(EstimatorError):
     pass
 
 

@@ -4,7 +4,8 @@ Piecewise-constant densities on a uniform grid; the matrix P has
 P[i, j] = m(B_i ∩ f^{-1}B_j ∩ (M \\ H)) / m(B_i), so row sums are <= 1 and
 the hole cells are the empty rows of the sparse matrix.  The dominant
 eigenpair is computed by power iteration (1-norm normalized); the decay of
-its residuals gives the subdominant modulus.
+its residuals gives the subdominant modulus.  The survivor measure is the
+normalized cellwise product of the right and left eigenvectors.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class SpectralData:
     eigenvalue: float
     right: np.ndarray              # quasi-stationary mass vector, sum 1
     left: np.ndarray               # dual (survival) functional, max 1
-    residual: float
+    residual: float                # |right P - lambda right|_1 / |right|_1
+    left_residual: float           # |P left - lambda left|_1 / |left|_1
     gap_estimate: float
     iterations: int
 
@@ -87,6 +89,7 @@ class SpectralData:
         return {
             "eigenvalue": self.eigenvalue,
             "residual": self.residual,
+            "left_residual": self.left_residual,
             "gap_estimate": self.gap_estimate,
         }
 
@@ -230,24 +233,28 @@ def _decay_ratio(residuals):
 
 def leading_eigenpair(U: UlamOperator,
                       max_iters: int = 200_000) -> SpectralData:
+    """Right and left Perron vectors by power iteration; ConvergenceError
+    unless both relative eigen-equation residuals are below 1e-8."""
     P = U.matrix
     if P.nnz == 0:
         raise ValueError("matrix is zero: all mass escapes immediately")
-    mask = U.nonhole_mask()
-
-    v0 = mask.astype(float)
+    v0 = U.nonhole_mask().astype(float)
     PT = P.T.tocsr()
     lam, v, it1, residuals = _power_iterate(lambda x: PT @ x, v0, max_iters,
                                            1e-13)
-    u0 = mask.astype(float)
-    lam2, u, it2, _ = _power_iterate(lambda x: P @ x, u0, max_iters, 1e-13)
+    _, u, it2, _ = _power_iterate(lambda x: P @ x, v0, max_iters, 1e-13)
 
     right = v / np.sum(v)
     left = u / np.max(u)
     residual = float(np.sum(np.abs(PT @ right - lam * right)))
+    left_residual = float(np.sum(np.abs(P @ left - lam * left)) / np.sum(left))
+    if not (residual < 1e-8 and left_residual < 1e-8):
+        raise ConvergenceError(
+            f"eigenpair residuals {residual:.3e} (right) and "
+            f"{left_residual:.3e} (left) are not both below 1e-8")
 
     return SpectralData(eigenvalue=lam, right=right, left=left,
-                        residual=residual,
+                        residual=residual, left_residual=left_residual,
                         gap_estimate=_decay_ratio(residuals),
                         iterations=it1 + it2)
 
@@ -271,37 +278,11 @@ def evolve_mass(U: UlamOperator, v: np.ndarray, n: int):
     return np.array(masses), cur
 
 
-def survivor_measure(U: UlamOperator, S: SpectralData):
-    """Invariant measure on the survivor set, computed two ways.
-
-    (i) cellwise product left * right, normalized;
-    (ii) the limit r^{-n} mu*(B ∩ M^n) evaluated per cell until successive
-    iterates differ by less than 1e-8 in L1, for at most 200 steps.
-    Returns (cell masses, info) where info records the route discrepancy.
-    """
-    lam = S.eigenvalue
+def survivor_measure(S: SpectralData):
+    """Cell masses of the invariant measure on the survivor set: the
+    cellwise product right * left, normalized."""
     prod = S.right * S.left
     tot = np.sum(prod)
     if tot <= 0:
         raise ValueError("degenerate left/right product")
-    nu_i = prod / tot
-
-    P = U.matrix
-    surv = U.nonhole_mask().astype(float)
-    prev = None
-    for n_used in range(1, 201):
-        surv = (P @ surv) / lam
-        est = S.right * surv
-        t = np.sum(est)
-        if t <= 0:
-            raise ValueError("limit-route mass vanished")
-        est = est / t
-        if prev is not None and np.sum(np.abs(est - prev)) < 1e-8:
-            break
-        prev = est
-    disc = float(np.sum(np.abs(nu_i - est)))
-    if disc > 1e-4:
-        raise ValueError(
-            f"survivor-measure routes disagree in L1 by {disc:.3e}")
-    return nu_i, {"route_discrepancy": disc, "n_used": n_used}
-
+    return prod / tot

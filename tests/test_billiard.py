@@ -641,6 +641,31 @@ def test_batched_sweep_matches_per_shard_loop(small_table, monkeypatch,
             assert a.meta == b.meta
 
 
+def test_flagged_trajectory_counts_at_no_step(small_table, monkeypatch):
+    # a guard of 0.1 flags about 5% of the trajectories
+    monkeypatch.setattr(B, "TANGENT_GUARD", 0.1)
+    holes = [B.BilliardHole("arc", scatterer=0, arc_center=1.0,
+                            arc_halfwidth=0.16),
+             B.BilliardHole("disk", center=(0.5, 0.0), radius=0.04)]
+    families = B._hole_families(small_table, holes)
+    states = B.sample_srb(small_table, 300, np.random.default_rng(3))
+    counts, flagged = B._simulate_chunk(small_table, families, 2, 12,
+                                        *states)
+    assert flagged > 0
+    # reference: each trajectory on its own, the flagged ones left out
+    expected = np.zeros_like(counts)
+    for j in range(300):
+        c, fl = B._simulate_chunk(small_table, families, 2, 12,
+                                  *(a[j:j + 1] for a in states))
+        if not fl:
+            expected += c
+    assert np.array_equal(counts, expected)
+    # no start is in a disk hole: the disk's mass at n = 0 is 1
+    ests = B.billiard_escape_multi(small_table, holes, 20_000, 12, seed=3)
+    assert ests[0].meta["flagged"] > 0
+    assert ests[1].per_n_mass[0] == (0, 1.0)
+
+
 def _serial_flight_pass(table, rays, seed):
     """``build_table``'s longest validation flight and ``theta_chi2``'s
     histogram as one loop in this process over pieces of at most _CHUNK

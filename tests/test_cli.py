@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import warnings
 from pathlib import Path
@@ -244,7 +246,8 @@ def test_unknown_config_key(tmp_path, capsys):
      "of [a, b] number pairs"),
     ("escape", lambda c: c["system"].update(hole={
         "kind": "region_2d", "center": 5, "radius": 0.1}),
-     "error: center in hole config for region_2d must be two numbers"),
+     "error: center in hole config for region_2d must be two finite "
+     "numbers"),
     ("escape", lambda c: c["system"].update(hole={
         "kind": "empty", "dimension": [1]}),
      "error: dimension in hole config for empty must be one of [1, 2]"),
@@ -252,7 +255,7 @@ def test_unknown_config_key(tmp_path, capsys):
      "error: m in map params for adic must be a JSON number, not array"),
     ("billiard", lambda c: c.update(billiard={"holes": [
         {"kind": "disk", "center": 5, "radius": 0.1}]}),
-     "error: center in billiard disk hole must be two numbers"),
+     "error: center in billiard disk hole must be two finite numbers"),
     ("billiard", lambda c: c.update(billiard={"holes": [
         {"kind": "arc", "scatterer": 0.5, "arc_center": 1.0,
          "arc_halfwidth": 0.2}]}),
@@ -433,6 +436,83 @@ def test_estimator_error_exits_1(tmp_path, capsys):
     assert main(["escape", "--config", str(path),
                  "--out-dir", str(tmp_path / "r")]) == 1
     assert "error: only 0 survivors" in capsys.readouterr().err
+
+
+_NAN_DISK = {"kind": "disk", "center": [math.nan, 0.5], "radius": 0.04}
+_NAN_ARC = {"kind": "arc", "scatterer": 0, "arc_center": math.nan,
+            "arc_halfwidth": 0.16}
+
+
+# json.load reads NaN, Infinity and -Infinity; each stops the run at the
+# config, before any estimator runs
+@pytest.mark.parametrize("command, cfg, message", [
+    ("billiard", {"billiard": {"validation_rays": 1000, "samples": 2000,
+                               "holes": [_NAN_DISK]}},
+     "center in billiard disk hole must be two finite numbers"),
+    ("billiard", {"billiard": {"validation_rays": 1000, "samples": 2000,
+                               "holes": [_NAN_ARC]}},
+     "arc_center in billiard arc hole must be finite"),
+    ("tower", {"tower": {**TOWER, "C0": math.nan}},
+     "C0 in tower config must be finite"),
+    ("escape", {"system": {"map": {"name": "cat"}, "hole": {
+        "kind": "region_2d", "center": [0.25, math.nan], "radius": 0.1}},
+        "escape": {"methods": ["mc"], "samples": 2000}},
+     "center in hole config for region_2d must be two finite numbers"),
+    ("billiard", {"billiard": {"scatterers": [[[0.0, 0.0], 0.45],
+                                              [[0.5, math.inf], 0.15]],
+                               "holes": [_NAN_ARC]}},
+     "scatterers in billiard config must be an array of [[x, y], r]"),
+], ids=["disk-center", "arc-center", "tower-C0", "region-center",
+        "scatterer-center"])
+def test_non_finite_config_number_exits_1(tmp_path, capsys, command, cfg,
+                                          message):
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "r"
+    assert main([command, "--config", str(path), "--out-dir",
+                 str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["right", "left"])
+def test_eigenpair_residual_exits_1(tmp_path, capsys, monkeypatch, which):
+    # one cell of the right (0) or left (1) power iterate off by 1e-4: its
+    # relative eigen-equation residual is far above 1e-8
+    power_iterate = U._power_iterate
+    calls = []
+
+    def perturbed(*args):
+        lam, v, it, residuals = power_iterate(*args)
+        if len(calls) == which:
+            v = v.copy()
+            v[0] *= 1 + 1e-4
+        calls.append(which)
+        return lam, v, it, residuals
+
+    monkeypatch.setattr(U, "_power_iterate", perturbed)
+    out = tmp_path / "r"
+    assert main(["ulam", "--config", str(_write(tmp_path, GOLDEN)),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: eigenpair residuals ")
+    assert err.endswith("are not both below 1e-8\n")
+    assert len(err.splitlines()) == 1
+    assert not any(out.iterdir())
+
+
+def test_every_exception_reaches_the_error_line():
+    # main reports ValueError and EstimatorError as one error line; an
+    # exception class outside both would reach the user as a traceback
+    import openrates
+    stray = []
+    for info in pkgutil.iter_modules(openrates.__path__):
+        mod = importlib.import_module(f"openrates.{info.name}")
+        stray += [f"{info.name}.{c.__name__}" for c in vars(mod).values()
+                  if isinstance(c, type) and c.__module__ == mod.__name__
+                  and issubclass(c, Exception)
+                  and not issubclass(c, (Warning, ValueError,
+                                         S.EstimatorError))]
+    assert not stray, stray
 
 
 def test_hole_sweep_monotone(tmp_path):

@@ -34,11 +34,19 @@ def test_entropy_markov_rejects_substochastic():
         P.entropy_markov(np.array([[0.5, 0.3], [0.5, 0.5]]))
 
 
-def test_stationary_vector():
-    Pm = np.array([[0.9, 0.1], [0.4, 0.6]])
+# the chain [[1 - a, a], [b, 1 - b]] has stationary law (b, a) / (a + b)
+# and condition number 1 / (a + b); the near-reducible ones guard the dense
+# Perron solve, where a per-class power iteration stalls, or returns
+# (1/2, 1/2) at a = 1e-14
+@pytest.mark.parametrize("a, b", [(0.1, 0.4), (1e-5, 2e-5), (1e-9, 2e-9),
+                                  (1e-14, 2e-14)])
+def test_stationary_vector(a, b):
+    Pm = np.array([[1 - a, a], [b, 1 - b]])
     pi = P.stationary_vector(Pm)
     assert np.allclose(pi @ Pm, pi)
     assert pi.sum() == pytest.approx(1.0)
+    exact = np.array([b, a]) / (a + b)
+    assert np.max(np.abs(pi - exact)) <= 10 * np.finfo(float).eps / (a + b)
 
 
 def test_stationary_vector_rejects_two_closed_classes():

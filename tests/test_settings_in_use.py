@@ -1,13 +1,15 @@
 """Every setting of the package is set by some caller.
 
 A defaulted parameter of a function in ``src/openrates``, or a defaulted
-field of one of its dataclasses, that no call in ``src/``, ``perfbench/`` or
-``tests/`` passes has one value in use: it belongs inline, as a literal or a
-module constant.  The scan is syntactic.  A call is matched to every
-definition of its name, a positional argument or a keyword sets the
-parameter it lands on, and a ``**mapping`` that is not a forwarded
-``**kwargs`` sets every parameter.  Keywords a caller passes to a function
-that forwards its ``**kwargs`` to another one count for that one too.
+field of one of its dataclasses, that no call in ``src/`` or ``perfbench/``
+passes has one value in use: it belongs inline, as a literal or a module
+constant.  A value only tests pass does not make it a setting; the few
+kept anyway are named in ``UNSET_KEPT``.  The scan is syntactic.  A call
+is matched to every definition of its name, a positional argument or a
+keyword sets the parameter it lands on, and a ``**mapping`` that is not a
+forwarded ``**kwargs`` sets every parameter.  Keywords a caller passes to
+a function that forwards its ``**kwargs`` to another one count for that
+one too.
 
 Every field of a dataclass or NamedTuple of the package must likewise be
 read, as an attribute load, somewhere in ``src/`` or ``perfbench/``: a
@@ -24,7 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "openrates"
-CALLERS = (ROOT / "src", ROOT / "perfbench", ROOT / "tests")
+CALLERS = (ROOT / "src", ROOT / "perfbench")
 ALL = float("inf")
 
 
@@ -150,10 +152,29 @@ def unset_settings():
     return sorted(unset)
 
 
+# defaulted parameters that no call in src/ or perfbench/ sets, each kept
+# for a named reason
+UNSET_KEPT = {
+    # the test seams of ROADMAP item 13
+    "ulam.leading_eigenpair(max_iters)",
+    "pressure.class_membership(targets)",
+    "pressure.class_membership(sample_size)",
+    "dynballs.triangle_check(adversarial)",
+    # the map attachment of ROADMAP item 7
+    "tower.validate_hypotheses(map_attachment)",
+    # set through the ``_MAPS`` field table, which the scan cannot see
+    "systems.logistic_like(a)",
+}
+
+
 def test_every_setting_has_a_caller():
     unset = unset_settings()
-    assert not unset, ("settings that no call sets; make each one a "
-                       "constant:\n  " + "\n  ".join(unset))
+    extra = sorted(set(unset) - UNSET_KEPT)
+    assert not extra, ("settings that no call sets; make each one a "
+                       "constant:\n  " + "\n  ".join(extra))
+    stale = sorted(UNSET_KEPT - set(unset))
+    assert not stale, ("UNSET_KEPT names settings that are gone or now "
+                       "set:\n  " + "\n  ".join(stale))
 
 
 def _is_namedtuple(node):
@@ -189,7 +210,7 @@ def _loads():
     """Every attribute name and every plain name read (loaded) under
     ``src/`` or ``perfbench/``."""
     attrs, names = set(), set()
-    for top in CALLERS[:2]:
+    for top in CALLERS:
         for path in sorted(top.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             for node in ast.walk(tree):
